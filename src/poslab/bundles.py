@@ -22,7 +22,7 @@ import re
 
 import numpy as np
 
-from .geometry import MetricField, fubini_study
+from .geometry import MetricField, _orthonormalizer, fubini_study
 
 
 def _norm2(z: np.ndarray) -> float:
@@ -85,11 +85,12 @@ def det_field(E: MetricField) -> MetricField:
 
 
 def frame_normalized(E: MetricField, p) -> MetricField:
-    """Conjugate E by a constant frame change so the metric at ``p`` is Id."""
-    hp = E(p)
-    L = np.linalg.cholesky(hp)
+    """Conjugate E by a constant frame change so the metric at ``p`` is Id.
+
+    Raises SingularMetricError when the metric at ``p`` is not positive definite.
+    """
     # new frame vectors are the columns of Q; h~ = Q^T h conj(Q) is Id at p
-    Q = np.linalg.inv(L).T
+    Q = _orthonormalizer(E(p))
 
     def ev(z):
         return Q.T @ E(z) @ Q.conj()

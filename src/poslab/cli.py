@@ -34,13 +34,6 @@ from .regions import TheoremParams, lambda0, region_svg, strip_width, theorem_re
 
 SCHEMA = 1
 
-# POSLAB_THREADS caps parallelism; computation is serial and deterministic,
-# the cap is forwarded to the BLAS layer.
-_threads = os.environ.get("POSLAB_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
-
 
 def _emit(report: dict, output: str | None) -> None:
     report = {"schema": SCHEMA, **report}

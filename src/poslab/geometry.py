@@ -98,9 +98,6 @@ class MetricField:
             raise ValueError(f"metric {self.label!r} returned shape {h.shape}")
         return h
 
-    def form_at(self, z) -> HermitianForm:
-        return HermitianForm(self(z))
-
 
 @dataclasses.dataclass
 class CurvatureTensor:
@@ -143,10 +140,6 @@ def fubini_study(n: int, z) -> np.ndarray:
     p = as_point(z, n)
     s = 1.0 + float(np.vdot(p, p).real)
     return np.eye(n, dtype=complex) / s - np.outer(p.conj(), p) / s**2
-
-
-def fubini_study_form(n: int, z) -> HermitianForm:
-    return HermitianForm(fubini_study(n, z))
 
 
 def _d_dir(f, z: np.ndarray, direction: np.ndarray, step: float) -> np.ndarray:

@@ -18,10 +18,13 @@ moment identity, to the exact multiset expansion
 
 where A+delta appends index delta to the multiset A.  No quadrature is
 involved; the Monte Carlo route is kept as an independent stochastic check.
+The expansion is a fixed integer map of (r, k), built once per process and
+applied as one contraction; ``integral_formula_rhs`` keeps the per-entry form.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import factorial
 
@@ -39,7 +42,9 @@ from .symbundle import (
     sym_power_field,
 )
 
-Rational = Fraction
+# Byte budget of one sample chunk of the Monte Carlo quadrature, whose
+# per-sample terms form an (n, n, F, F) complex tensor.
+_MC_CHUNK_BYTES = 1 << 22
 
 
 def moment_exact(r: int, A: MultiIndex, B: MultiIndex) -> Fraction:
@@ -135,28 +140,49 @@ def integral_formula_rhs(R: CurvatureTensor, k: int, m, i: int, j: int,
     return total
 
 
-def integral_formula_tensor(R: CurvatureTensor, k: int, m) -> SymCurvature:
-    """Assemble the full S^k E (det E)^m block from integral_formula_rhs."""
-    if not R.normalized:
-        raise FrameNotNormalizedError("integral_formula_tensor needs a normalized-frame tensor")
-    n, r = R.base_dim, R.rank
+@functools.lru_cache(maxsize=None)
+def _integral_map(r: int, k: int) -> np.ndarray:
+    """Multiset expansion as an (r, r, F, F) integer map:
+    I[gamma, delta, a, b] = delta_{(A+delta), (B+gamma)}."""
     basis = sym_basis(r, k)
-    gram = [generalized_delta(A, A) for A in basis]
     F = len(basis)
-    dtype = R.values.dtype if R.values.dtype == object else complex
-    out = np.empty((n, n, F, F), dtype=dtype)
-    for i in range(n):
-        for j in range(n):
+    I = np.zeros((r, r, F, F), dtype=np.int64)
+    for gamma in range(1, r + 1):
+        for delta in range(1, r + 1):
             for a, A in enumerate(basis):
                 for b, B in enumerate(basis):
-                    out[i, j, a, b] = integral_formula_rhs(R, k, m, i, j, A, B)
+                    I[gamma - 1, delta - 1, a, b] = generalized_delta(
+                        _multiset_add(A, delta), _multiset_add(B, gamma))
+    I.setflags(write=False)
+    return I
+
+
+def integral_formula_tensor(R: CurvatureTensor, k: int, m) -> SymCurvature:
+    """The full S^k E (det E)^m block of the integral formula's expansion."""
+    if not R.normalized:
+        raise FrameNotNormalizedError("integral_formula_tensor needs a normalized-frame tensor")
+    V = R.values
+    if V.dtype != object:
+        V = V.astype(complex)
+    basis = sym_basis(R.rank, k)
+    gram = [generalized_delta(A, A) for A in basis]
+    out = np.einsum("ijgd,gdab->ijab", V, _integral_map(R.rank, k))
+    if m != 1:
+        diag = np.arange(len(basis))
+        tr = np.trace(V, axis1=2, axis2=3)
+        out[:, :, diag, diag] = out[:, :, diag, diag] + (m - 1) * tr[:, :, None] * np.array(gram)
     return SymCurvature(out, basis=basis, gram=gram, normalized=True)
 
 
 def integral_formula_mc(R: CurvatureTensor, k: int, m, samples: int = 20000,
                         seed: int = 0):
     """Monte Carlo quadrature of the integral formula (independent of the
-    multiset expansion).  Returns (estimates, stderrs), arrays (n, n, F, F)."""
+    multiset expansion).  Returns (estimates, stderrs), arrays (n, n, F, F).
+
+    The mean is a GEMM of the per-sample weights phi (s, n^2) against the
+    monomial products (s, F^2); the stderr is a centred second pass.  Both
+    run over sample chunks of at most _MC_CHUNK_BYTES per-sample terms.
+    """
     if not R.normalized:
         raise FrameNotNormalizedError("integral_formula_mc needs a normalized-frame tensor")
     V = R.values.astype(complex)
@@ -167,12 +193,29 @@ def integral_formula_mc(R: CurvatureTensor, k: int, m, samples: int = 20000,
     # phi[s, i, j] = (r+k) sum_{g,d} R_{ij g d} conj(W_g) W_d + (m-1) tr R_{ij}
     quad = np.einsum("ijgd,sg,sd->sij", V, W.conj(), W)
     tr = np.trace(V, axis1=2, axis2=3)
-    phi = (r + k) * quad + (complex(m) - 1.0) * tr[None, :, :]
+    phi = ((r + k) * quad + (complex(m) - 1.0) * tr[None, :, :]).reshape(samples, n * n)
     mono = np.stack([_monomial(W, A) for A in basis], axis=1)  # (s, F)
+    chunk = max(1, _MC_CHUNK_BYTES // (16 * n * n * F * F))
+    starts = range(0, samples, chunk)
+
+    def pairs(lo):
+        """mono_a conj(mono_b) for the chunk starting at sample lo, (c, F^2)."""
+        v = mono[lo:lo + chunk]
+        return (v[:, :, None] * v.conj()[:, None, :]).reshape(len(v), F * F)
+
+    total = np.zeros((n * n, F * F), dtype=complex)
+    for lo in starts:
+        total += phi[lo:lo + chunk].T @ pairs(lo)
+    mean = total / samples
+    sq = np.zeros((n * n, F * F))
+    for lo in starts:
+        dev = phi[lo:lo + chunk, :, None] * pairs(lo)[:, None, :]
+        dev -= mean
+        d = dev.view(float).reshape(len(dev), -1)  # interleaved re, im
+        sq += np.einsum("sx,sx->x", d, d).reshape(n * n, F * F, 2).sum(axis=2)
     pref = factorial(r + k - 1) / factorial(r - 1)
-    vals = np.einsum("sa,sb,sij->sijab", mono, mono.conj(), phi)
-    est = pref * vals.mean(axis=0)
-    stderr = pref * np.sqrt(np.mean(np.abs(vals - vals.mean(axis=0)) ** 2, axis=0) / samples)
+    est = pref * mean.reshape(n, n, F, F)
+    stderr = pref * np.sqrt(sq / samples / samples).reshape(n, n, F, F)
     return est, stderr
 
 

@@ -7,15 +7,18 @@ multiplicity factorials.  All curvature blocks produced here are indices-down
 components in that basis, so downstream eigenvalue computations must solve
 generalized eigenproblems against the Gram matrix.
 
-All algebra is dtype-agnostic (plain Python loops), so exact Fraction-valued
-tensors pass through without rounding.
+Each block is a fixed integer linear map of (r, k), built once per process
+from its own formula (cached) and applied as one contraction.  numpy runs the
+same contractions on object arrays, so exact Fraction-valued tensors pass
+through without rounding.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections import Counter
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, product
 from math import factorial, prod
 
 import numpy as np
@@ -52,17 +55,31 @@ def gram_diagonal(r: int, k: int) -> list[int]:
     return [generalized_delta(A, A) for A in sym_basis(r, k)]
 
 
-def _permanent(M):
-    k = len(M)
-    if k == 0:
-        return 1
-    total = 0
-    for sigma in permutations(range(k)):
-        term = M[sigma[0]][0]
-        for j in range(1, k):
-            term = term * M[sigma[j]][j]
-        total = total + term
-    return total
+@functools.lru_cache(maxsize=None)
+def _sym_metric_map(r: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Permanent expansion of S^k h as a gather table and a weight matrix.
+
+    perm h[A_j, B_l] = sum_sigma prod_j h[A_j, B_sigma(j)], and as sigma runs
+    over S_k the tuple B o sigma hits every distinct rearrangement beta of B
+    exactly delta_BB times.  So (S^k h)_{A Bbar} is delta_BB times the sum of
+    prod_j h[A_j, beta_j] over the r^k k-tuples beta that sort to B.
+
+    Returns ``flat`` (k, F, r^k), indices into h.ravel() of h[A_j, beta_j],
+    and ``weight`` (r^k, F), delta_BB where beta sorts to B and 0 elsewhere.
+    """
+    basis = sym_basis(r, k)
+    index = {A: a for a, A in enumerate(basis)}
+    tuples = list(product(range(r), repeat=k))
+    rows = np.array(basis, dtype=np.intp).T.reshape(k, len(basis), 1) - 1
+    cols = np.array(tuples, dtype=np.intp).T.reshape(k, 1, len(tuples))
+    flat = rows * r + cols
+    weight = np.zeros((len(tuples), len(basis)), dtype=np.int64)
+    for t, beta in enumerate(tuples):
+        B = tuple(sorted(x + 1 for x in beta))
+        weight[t, index[B]] = generalized_delta(B, B)
+    flat.setflags(write=False)
+    weight.setflags(write=False)
+    return flat, weight
 
 
 def sym_metric(h, k: int):
@@ -72,13 +89,10 @@ def sym_metric(h, k: int):
     Accepts any square array-like (complex or exact object entries).
     """
     h = np.asarray(h)
-    basis = sym_basis(h.shape[0], k)
-    F = len(basis)
-    out = np.empty((F, F), dtype=h.dtype if h.dtype == object else complex)
-    for a, A in enumerate(basis):
-        for b, B in enumerate(basis):
-            out[a, b] = _permanent([[h[x - 1, y - 1] for y in B] for x in A])
-    return out
+    if h.dtype != object:
+        h = h.astype(complex)
+    flat, weight = _sym_metric_map(h.shape[0], k)
+    return np.take(h.ravel(), flat).prod(axis=0) @ weight
 
 
 @dataclasses.dataclass
@@ -106,22 +120,25 @@ class SymCurvature:
         v = self.values.astype(complex)
         return float(np.max(np.abs(v - v.transpose(1, 0, 3, 2).conj())))
 
-    def to_json(self) -> dict:
-        v = self.values.astype(complex)
-        return {
-            "basis": [list(A) for A in self.basis],
-            "gram": list(self.gram),
-            "values": [[[[ [x.real, x.imag] for x in row] for row in v[i, j]]
-                        for j in range(v.shape[1])] for i in range(v.shape[0])],
-        }
 
+@functools.lru_cache(maxsize=None)
+def _derivation_map(r: int, k: int) -> np.ndarray:
+    """Slot-substitution rule as an (r, r, F, F) integer map.
 
-def _zeros_like_dtype(shape, dtype):
-    if dtype == object:
-        out = np.empty(shape, dtype=object)
-        out.fill(0)
-        return out
-    return np.zeros(shape, dtype=complex)
+    T[g, d, a, b] sums delta_BB over the slots t of A with A_t = g whose
+    substitution by d sorts to B, so <R e_A, e_B> = sum R_{g dbar} T[g, d, a, b].
+    """
+    basis = sym_basis(r, k)
+    index = {A: a for a, A in enumerate(basis)}
+    F = len(basis)
+    T = np.zeros((r, r, F, F), dtype=np.int64)
+    for a, A in enumerate(basis):
+        for t in range(k):
+            for gamma in range(1, r + 1):
+                nA = tuple(sorted(A[:t] + (gamma,) + A[t + 1:]))
+                T[A[t] - 1, gamma - 1, a, index[nA]] += generalized_delta(nA, nA)
+    T.setflags(write=False)
+    return T
 
 
 def induced_sym_det_curvature(R: CurvatureTensor, k: int, m) -> SymCurvature:
@@ -135,25 +152,15 @@ def induced_sym_det_curvature(R: CurvatureTensor, k: int, m) -> SymCurvature:
     if not R.normalized:
         raise FrameNotNormalizedError("induced_sym_det_curvature needs a normalized-frame tensor")
     V = R.values
-    n, r = R.base_dim, R.rank
-    basis = sym_basis(r, k)
-    index = {A: a for a, A in enumerate(basis)}
+    if V.dtype != object:
+        V = V.astype(complex)
+    basis = sym_basis(R.rank, k)
     gram = [generalized_delta(A, A) for A in basis]
-    F = len(basis)
-
-    out = _zeros_like_dtype((n, n, F, F), V.dtype)
-    for a, A in enumerate(basis):
-        for t in range(k):
-            for gamma in range(1, r + 1):
-                nA = tuple(sorted(A[:t] + (gamma,) + A[t + 1:]))
-                b = index[nA]
-                out[:, :, a, b] = out[:, :, a, b] + V[:, :, A[t] - 1, gamma - 1] * gram[b]
+    out = np.einsum("ijgd,gdab->ijab", V, _derivation_map(R.rank, k))
     if m != 0:
-        tr = V[:, :, 0, 0]
-        for d in range(1, r):
-            tr = tr + V[:, :, d, d]
-        for a in range(F):
-            out[:, :, a, a] = out[:, :, a, a] + m * gram[a] * tr
+        diag = np.arange(len(basis))
+        tr = np.trace(V, axis1=2, axis2=3)
+        out[:, :, diag, diag] = out[:, :, diag, diag] + m * tr[:, :, None] * np.array(gram)
     return SymCurvature(out, basis=basis, gram=gram, normalized=True)
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -130,6 +133,15 @@ class TestVerifyCommand:
         assert payload["ok"] is True
         assert payload["dev_algebra_vs_fd"] <= 1e-6
 
+    def test_lemma_linear_indefinite_metric_exit_2(self, runner):
+        # the metric has eigenvalues 3 and -1 at every point
+        bundle = json.dumps({"rank": 2, "base_dim": 2, "entries": [["1", "2"], ["2", "1"]]})
+        for args in (["verify", "--what", "lemma-linear", "--n", "2", "--k", "2"],
+                     ["certify", "--n", "2", "--test", "nakano"]):
+            result, payload = run_json(runner, args + ["--bundle", bundle])
+            assert result.exit_code == 2
+            assert payload["error"]["code"] == "SINGULAR_METRIC"
+
     def test_estimate_ok(self, runner):
         result, payload = run_json(runner, [
             "verify", "--what", "estimate", "--n", "2", "--trials", "200"])
@@ -186,3 +198,32 @@ class TestConfigDefaults:
         result, payload = run_json(runner, args)
         assert result.exit_code == 0
         assert payload["lambda0"] == "1/2"
+
+
+THREAD_PROBE = """
+import importlib.abc, os, sys
+assert "numpy" not in sys.modules
+seen = []
+
+class Probe(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+        return None
+
+sys.meta_path.insert(0, Probe())
+import poslab
+print(seen[0])
+"""
+
+
+class TestThreadCap:
+    def test_poslab_threads_set_before_numpy_import(self):
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        env = {key: value for key, value in os.environ.items()
+               if key not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["POSLAB_THREADS"] = "1"
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        assert done.stdout.strip() == "1"

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -17,10 +18,11 @@ from poslab import (
     tangent_pn,
     verify_lemma_linear,
 )
+from poslab import moments
 from poslab.bundles import direct_sum
 from poslab.symbundle import induced_sym_det_curvature, sym_basis
 
-from conftest import constant_metric
+from conftest import constant_metric, random_curvature
 from test_symbundle import rational_curvature
 
 
@@ -101,6 +103,29 @@ class TestIntegralFormula:
         z = np.abs(est - exact) / np.maximum(3 * err, 1e-12)
         assert float(np.max(z)) <= 1.0
 
+    def test_mc_chunks_match_unchunked_reference(self, monkeypatch):
+        # the chunked GEMM mean and centred second pass must reproduce the
+        # one-array quadrature; samples are not a multiple of the chunk size
+        n, r, k, m, samples = 2, 3, 2, 2, 1001
+        F = len(sym_basis(r, k))
+        monkeypatch.setattr(moments, "_MC_CHUNK_BYTES", 64 * 16 * n * n * F * F)
+        R = random_curvature(n, r, seed=41)
+        est, err = integral_formula_mc(R, k, m, samples=samples, seed=6)
+
+        W = moments.sphere_samples(r, samples, seed=6)
+        quad = np.einsum("ijgd,sg,sd->sij", R.values, W.conj(), W)
+        phi = (r + k) * quad + (m - 1) * np.trace(R.values, axis1=2, axis2=3)
+        mono = np.stack([np.prod(W[:, np.array(A) - 1], axis=1) for A in sym_basis(r, k)],
+                        axis=1)
+        vals = np.einsum("sa,sb,sij->sijab", mono, mono.conj(), phi)
+        pref = factorial(r + k - 1) / factorial(r - 1)
+        ref_est = pref * vals.mean(axis=0)
+        ref_err = pref * np.sqrt(np.mean(np.abs(vals - vals.mean(axis=0)) ** 2, axis=0)
+                                 / samples)
+        assert samples % 64 != 0
+        assert np.max(np.abs(est - ref_est)) <= 1e-12 * np.max(np.abs(ref_est))
+        assert np.max(np.abs(err - ref_err)) <= 1e-12 * np.max(ref_err)
+
     def test_independent_quadrature_oracle(self):
         # re-derive the (1,1) entry of the hand example by a quadrature written
         # here from scratch (different sampling code path than the package's)
@@ -143,3 +168,17 @@ class TestLemmaLinearTriangle:
         rep = verify_lemma_linear(E, np.zeros(2), 2, 1)
         assert rep["dev_algebra_vs_fd"] <= 1e-6
         assert rep["scale"] < 1e-9
+
+    def test_tpn4_k3_memory_bounded(self):
+        # the unchunked quadrature held one (20000, 4, 4, 20, 20) complex
+        # array, about 2 GB, on this input
+        tracemalloc.start()
+        try:
+            rep = verify_lemma_linear(tangent_pn(4), np.zeros(4), 3, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert max(rep["dev_algebra_vs_fd"], rep["dev_algebra_vs_integral"],
+                   rep["dev_fd_vs_integral"]) <= 1e-6
+        assert rep["mc_worst_over_3sigma"] <= 1.0
+        assert peak < 512 * 2**20

@@ -22,7 +22,7 @@ from poslab import (
 from poslab.bundles import frame_normalized
 from poslab.geometry import chern_curvature
 
-from conftest import random_curvature
+from conftest import random_curvature, random_hermitian
 
 
 def rational_curvature(n, r, seed):
@@ -41,6 +41,22 @@ def rational_curvature(n, r, seed):
                     if (j, i, b, a) > (i, j, a, b):
                         v[j, i, b, a] = v[i, j, a, b]
     return CurvatureTensor(v, normalized=True)
+
+
+def brute_force_sym_metric(h, k):
+    """(S^k h)_{AB} as the k!-term permanent of h[A_j, B_l], entry by entry."""
+    basis = sym_basis(h.shape[0], k)
+    out = np.empty((len(basis), len(basis)), dtype=h.dtype)
+    for a, A in enumerate(basis):
+        for b, B in enumerate(basis):
+            total = 0
+            for sigma in permutations(range(k)):
+                term = 1
+                for j in range(k):
+                    term = term * h[A[j] - 1, B[sigma[j]] - 1]
+                total = total + term
+            out[a, b] = total
+    return out
 
 
 class TestSymBasis:
@@ -107,6 +123,22 @@ class TestSymMetric:
         assert abs(s[0, 1] - 2.0 * 2.0 * 0.5) < 1e-14
         assert np.max(np.abs(s - s.conj().T)) < 1e-14
         assert np.min(np.linalg.eigvalsh(s)) > 0
+
+    @pytest.mark.parametrize("r,k", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 2)])
+    def test_matches_brute_force_permanent(self, r, k):
+        h = random_hermitian(r, seed=(r, k))
+        s = sym_metric(h, k)
+        brute = brute_force_sym_metric(h, k)
+        assert s.dtype == complex
+        assert np.max(np.abs(s - brute)) <= 1e-12 * np.max(np.abs(brute))
+
+    def test_exact_rational_brute_force(self):
+        h = np.array([[Fraction(3, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(5, 7)]],
+                     dtype=object)
+        s = sym_metric(h, 3)
+        brute = brute_force_sym_metric(h, 3)
+        assert s.dtype == object
+        assert all(s[a, b] == brute[a, b] for a in range(4) for b in range(4))
 
     def test_gram_diagonal(self):
         assert gram_diagonal(2, 2) == [2, 1, 2]
