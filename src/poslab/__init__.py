@@ -39,7 +39,6 @@ from .errors import (
     PoslabError,
     SingularMetricError,
     StencilOutOfChartError,
-    UnsupportedError,
 )
 from .geometry import (
     CurvatureTensor,

@@ -22,6 +22,7 @@ import re
 
 import numpy as np
 
+from .errors import ParamDomainError
 from .geometry import MetricField, _orthonormalizer, fubini_study
 
 
@@ -129,7 +130,10 @@ _ALLOWED_UNARY = (ast.UAdd, ast.USub)
 
 def _compile_expr(src: str, n: int):
     """Compile one metric-entry expression to a callable of z (whitelisted AST)."""
-    tree = ast.parse(src, mode="eval")
+    try:
+        tree = ast.parse(src, mode="eval")
+    except SyntaxError as exc:
+        raise ParamDomainError(f"metric expression {src!r} does not parse") from exc
 
     names = {f"z{i + 1}": i for i in range(n)}
 
@@ -143,7 +147,7 @@ def _compile_expr(src: str, n: int):
                 return 1j
             if node.id in names:
                 return z[names[node.id]]
-            raise ValueError(f"unknown name {node.id!r} in metric expression")
+            raise ParamDomainError(f"unknown name {node.id!r} in metric expression")
         if isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS):
             a, b = ev(node.left, z), ev(node.right, z)
             if isinstance(node.op, ast.Add):
@@ -164,8 +168,8 @@ def _compile_expr(src: str, n: int):
             if node.func.id == "abs2" and len(node.args) == 1:
                 v = ev(node.args[0], z)
                 return (v * np.conj(v)).real
-            raise ValueError(f"unknown function {node.func.id!r} in metric expression")
-        raise ValueError(f"disallowed syntax in metric expression: {ast.dump(node)}")
+            raise ParamDomainError(f"unknown function {node.func.id!r} in metric expression")
+        raise ParamDomainError(f"disallowed syntax in metric expression: {ast.dump(node)}")
 
     # validate once against a dummy point so bad expressions fail at load time
     ev(tree, np.zeros(n, dtype=complex) + 0.1)
@@ -178,17 +182,24 @@ def load_metric_json(source) -> MetricField:
         spec = source
     else:
         text = str(source)
-        if text.lstrip().startswith("{"):
-            spec = json.loads(text)
-        else:
-            with open(text) as fh:
-                spec = json.load(fh)
+        try:
+            if text.lstrip().startswith("{"):
+                spec = json.loads(text)
+            else:
+                with open(text) as fh:
+                    spec = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParamDomainError(f"metric JSON does not parse: {exc}") from exc
 
-    r = int(spec["rank"])
-    n = int(spec["base_dim"])
-    rows = spec["entries"]
-    if len(rows) != r or any(len(row) != r for row in rows):
-        raise ValueError("entries must be an r x r matrix of expressions")
+    try:
+        r, n, rows = int(spec["rank"]), int(spec["base_dim"]), spec["entries"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParamDomainError(
+            f"metric JSON needs integer rank and base_dim and entries ({exc!r})") from exc
+    if (r < 1 or n < 1 or not isinstance(rows, list) or len(rows) != r
+            or any(not isinstance(row, list) or len(row) != r for row in rows)):
+        raise ParamDomainError(
+            "metric JSON needs rank >= 1, base_dim >= 1 and an r x r entries matrix")
     fns = [[_compile_expr(str(rows[a][b]), n) for b in range(r)] for a in range(r)]
 
     def ev(z):

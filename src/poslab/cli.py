@@ -1,9 +1,9 @@
 """poslab command line: region / certify / verify / moments / oracle / check.
 
 All outputs are versioned JSON ("schema": 1), byte-identical for identical
-configuration and seed.  Parameter-domain violations exit with code 2 and a
-machine-readable error naming the violated precondition; verify exits 1 when
-a tolerance is exceeded.
+configuration and seed.  Exit codes: 0 ok; 1 only when verify exceeds a
+tolerance; 2 for a usage error (click's text) or a domain error, which is
+emitted as JSON naming the violated precondition.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .bundles import builtin, det_field, load_metric_json
-from .errors import PoslabError
+from .errors import DimMismatchError, ParamDomainError, PoslabError
 from .moments import moment_exact, moment_mc, moment_mc_table, verify_lemma_linear
 from .oracles import grassmannian_nonvanishing, pn_line_cohomology, prop_ex_consistency
 from .positivity import (
@@ -44,41 +44,48 @@ def _emit(report: dict, output: str | None) -> None:
             fh.write(text)
 
 
-def _fail(exc: PoslabError) -> None:
-    _emit({"error": {"code": exc.code, "message": str(exc)}}, None)
-    sys.exit(2)
+def _rational(ctx, param, text):
+    try:
+        return Fraction(text) if text is not None else None
+    except (ValueError, ZeroDivisionError) as exc:
+        raise click.BadParameter(f"{text!r} is not a rational number") from exc
 
 
-def _rational(text):
-    return Fraction(text) if text is not None else None
+def _multi_index(ctx, param, text):
+    try:
+        return tuple(int(x) for x in text.split(",")) if text else ()
+    except ValueError as exc:
+        raise click.BadParameter(f"{text!r} is not a comma-separated list of integers") from exc
 
 
-def _multi_index(text):
-    return tuple(int(x) for x in text.split(",")) if text else ()
+class _Group(click.Group):
+    """Emits a PoslabError raised anywhere below as error JSON and exits 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except PoslabError as exc:
+            _emit({"error": {"code": exc.code, "message": str(exc)}}, None)
+            ctx.exit(2)
 
 
-class _Config:
-    def __init__(self, mapping=None):
-        self.mapping = mapping or {}
-
-    def get(self, name, value):
-        if value is None and name in self.mapping:
-            return self.mapping[name]
-        return value
-
-
-@click.group()
+@click.group(cls=_Group)
 @click.version_option(__version__)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
-              help="JSON file supplying defaults for omitted flags.")
+              help="JSON object of parameter names to defaults for omitted flags.")
 @click.pass_context
 def main(ctx, config_path):
     """Curvature positivity and vanishing regions on complex projective space."""
-    mapping = {}
     if config_path:
         with open(config_path) as fh:
-            mapping = json.load(fh)
-    ctx.obj = _Config(mapping)
+            try:
+                mapping = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ParamDomainError(f"config {config_path} is not JSON: {exc}") from exc
+        if not isinstance(mapping, dict):
+            raise ParamDomainError(f"config {config_path} is not a JSON object")
+        # one flat mapping serves every command
+        ctx.default_map = dict.fromkeys(ctx.command.commands, mapping)
 
 
 @main.command("region")
@@ -86,21 +93,18 @@ def main(ctx, config_path):
 @click.option("--r", type=int, default=1, show_default=True)
 @click.option("--k", type=int, default=1, show_default=True)
 @click.option("--m", type=int, default=1, show_default=True)
-@click.option("--eps1", default=None, help="rational, e.g. -1 or 1/2 (main1 only)")
-@click.option("--eps2", default=None)
+@click.option("--eps1", default=None, callback=_rational,
+              help="rational, e.g. -1 or 1/2 (main1 only)")
+@click.option("--eps2", default=None, callback=_rational)
 @click.option("--theorem", type=click.Choice(["main1", "gg", "ample", "griffiths"]),
               default="gg", show_default=True)
 @click.option("--svg", "svg_path", type=click.Path(), default=None)
 @click.option("--output", type=click.Path(), default=None)
 def cmd_region(n, r, k, m, eps1, eps2, theorem, svg_path, output):
     """Vanishing region (members, lambda0, quadrilateral vertices, strip)."""
-    try:
-        params = TheoremParams(n=n, r=r, k=k, m=m, theorem=theorem,
-                               eps1=_rational(eps1), eps2=_rational(eps2))
-        reg = theorem_region(params)
-        lam = lambda0(params)
-    except PoslabError as exc:
-        _fail(exc)
+    params = TheoremParams(n=n, r=r, k=k, m=m, theorem=theorem, eps1=eps1, eps2=eps2)
+    reg = theorem_region(params)
+    lam = lambda0(params)
     report = {
         "params": {"n": n, "r": r, "k": k, "m": m, "theorem": params.theorem,
                    "eps1": None if params.eps1 is None else str(params.eps1),
@@ -121,7 +125,10 @@ def _resolve_bundle(ident, n, E=None):
             raise click.UsageError("--L det needs a bundle to take the determinant of")
         return det_field(E)
     if ident.lstrip().startswith("{") or os.path.exists(ident):
-        return load_metric_json(ident)
+        field = load_metric_json(ident)
+        if field.base_dim != n:
+            raise DimMismatchError(f"metric base_dim {field.base_dim} differs from --n {n}")
+        return field
     try:
         return builtin(ident, n)
     except KeyError as exc:
@@ -144,38 +151,35 @@ def _resolve_bundle(ident, n, E=None):
 @click.option("--output", type=click.Path(), default=None)
 def cmd_certify(bundle, n, which, line, twist, sym, det_power, points, seed, restarts, output):
     """Positivity / boundedness certification of a built-in or user bundle."""
-    try:
-        E = _resolve_bundle(bundle, n)
-        L = _resolve_bundle(line, n, E=E)
-        if which == "bounds":
-            cert = boundedness_scan(E, L, n_points=points, seed=seed, restarts=restarts)
-            _emit({"bundle": E.label, "polarization": L.label, "certificate": cert.to_json()},
-                  output)
-            return
-        pts = sample_points(n, points, seed=seed)
-        best = None
-        for p in pts:
-            Rsym = sym_twisted_curvature_at(E, L, p, k=sym, m=det_power, l=twist)
-            if which == "griffiths":
-                rep = griffiths_min(Rsym, restarts=restarts, seed=seed)
-            elif which == "nakano":
-                rep = nakano_min(Rsym)
-            else:
-                rep = dual_nakano_min(Rsym)
-            rep.points = [[float(x.real), float(x.imag)] for x in p]
-            if best is None or rep.min_value < best.min_value:
-                best = rep
-        _emit({
-            "bundle": E.label,
-            "polarization": L.label,
-            "sym": sym,
-            "det": det_power,
-            "twist": twist,
-            "points_scanned": points,
-            "report": best.to_json(),
-        }, output)
-    except PoslabError as exc:
-        _fail(exc)
+    E = _resolve_bundle(bundle, n)
+    L = _resolve_bundle(line, n, E=E)
+    if which == "bounds":
+        cert = boundedness_scan(E, L, n_points=points, seed=seed, restarts=restarts)
+        _emit({"bundle": E.label, "polarization": L.label, "certificate": cert.to_json()},
+              output)
+        return
+    pts = sample_points(n, points, seed=seed)
+    best = None
+    for p in pts:
+        Rsym = sym_twisted_curvature_at(E, L, p, k=sym, m=det_power, l=twist)
+        if which == "griffiths":
+            rep = griffiths_min(Rsym, restarts=restarts, seed=seed)
+        elif which == "nakano":
+            rep = nakano_min(Rsym)
+        else:
+            rep = dual_nakano_min(Rsym)
+        rep.points = [[float(x.real), float(x.imag)] for x in p]
+        if best is None or rep.min_value < best.min_value:
+            best = rep
+    _emit({
+        "bundle": E.label,
+        "polarization": L.label,
+        "sym": sym,
+        "det": det_power,
+        "twist": twist,
+        "points_scanned": points,
+        "report": best.to_json(),
+    }, output)
 
 
 @main.command("verify")
@@ -191,68 +195,65 @@ def cmd_certify(bundle, n, which, line, twist, sym, det_power, points, seed, res
 @click.option("--output", type=click.Path(), default=None)
 def cmd_verify(what, bundle, n, r, k, m, samples, trials, seed, output):
     """Cross-verification harnesses; exits 1 when a tolerance is exceeded."""
-    try:
-        if what == "moments":
-            basis, est, err = moment_mc_table(r, k, samples, seed=seed)
-            worst = 0.0
-            rows = []
-            for a, A in enumerate(basis):
-                for b, B in enumerate(basis):
-                    exact = moment_exact(r, A, B)
-                    dev = abs(est[a, b] - float(exact))
-                    z = float(dev / max(3.0 * err[a, b], 1e-12))
-                    worst = max(worst, z)
-                    rows.append({"A": list(A), "B": list(B), "exact": str(exact),
-                                 "mc": [float(est[a, b].real), float(est[a, b].imag)],
-                                 "stderr": float(err[a, b])})
-            ok = bool(worst <= 1.0)
-            _emit({"what": what, "r": r, "k": k, "samples": samples, "seed": seed,
-                   "worst_over_3sigma": worst, "ok": ok, "moments": rows}, output)
-            sys.exit(0 if ok else 1)
-        if what == "lemma-linear":
-            E = _resolve_bundle(bundle, n)
-            rep = verify_lemma_linear(E, np.zeros(n, dtype=complex), k, m, seed=seed)
-            ok = (max(rep["dev_algebra_vs_fd"], rep["dev_algebra_vs_integral"],
-                      rep["dev_fd_vs_integral"]) <= 1e-6
-                  and rep["mc_worst_over_3sigma"] <= 1.0)
-            _emit({"what": what, "ok": ok, **rep}, output)
-            sys.exit(0 if ok else 1)
-        # estimate
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        worst = float("inf")
-        for t in range(max(1, trials // 50)):
-            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            phi = a @ a.conj().T + 0.05 * np.eye(n)
-            p = int(rng.integers(0, n + 1))
-            q = int(rng.integers(0, n + 1))
-            rep = estimate_check(phi, p, q, trials=50, seed=seed + t)
-            worst = min(worst, rep["worst_slack"])
-        ok = worst >= -1e-9
-        _emit({"what": what, "n": n, "trials": trials, "worst_slack": worst, "ok": ok},
-              output)
+    if what == "moments":
+        basis, est, err = moment_mc_table(r, k, samples, seed=seed)
+        worst = 0.0
+        rows = []
+        for a, A in enumerate(basis):
+            for b, B in enumerate(basis):
+                exact = moment_exact(r, A, B)
+                dev = abs(est[a, b] - float(exact))
+                z = float(dev / max(3.0 * err[a, b], 1e-12))
+                worst = max(worst, z)
+                rows.append({"A": list(A), "B": list(B), "exact": str(exact),
+                             "mc": [float(est[a, b].real), float(est[a, b].imag)],
+                             "stderr": float(err[a, b])})
+        ok = bool(worst <= 1.0)
+        _emit({"what": what, "r": r, "k": k, "samples": samples, "seed": seed,
+               "worst_over_3sigma": worst, "ok": ok, "moments": rows}, output)
         sys.exit(0 if ok else 1)
-    except PoslabError as exc:
-        _fail(exc)
+    if what == "lemma-linear":
+        E = _resolve_bundle(bundle, n)
+        rep = verify_lemma_linear(E, np.zeros(n, dtype=complex), k, m, seed=seed)
+        ok = (max(rep["dev_algebra_vs_fd"], rep["dev_algebra_vs_integral"],
+                  rep["dev_fd_vs_integral"]) <= 1e-6
+              and rep["mc_worst_over_3sigma"] <= 1.0)
+        _emit({"what": what, "ok": ok, **rep}, output)
+        sys.exit(0 if ok else 1)
+    # estimate: batches of 50 trials, each on a fresh random phi
+    if n < 1 or trials < 1:
+        raise ParamDomainError(f"need --n >= 1 and --trials >= 1, got {n} and {trials}")
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    worst = float("inf")
+    for t, done in enumerate(range(0, trials, 50)):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        phi = a @ a.conj().T + 0.05 * np.eye(n)
+        p = int(rng.integers(0, n + 1))
+        q = int(rng.integers(0, n + 1))
+        rep = estimate_check(phi, p, q, trials=min(50, trials - done), seed=seed + t)
+        worst = min(worst, rep["worst_slack"])
+    ok = worst >= -1e-9
+    _emit({"what": what, "n": n, "trials": trials, "worst_slack": worst, "ok": ok},
+          output)
+    sys.exit(0 if ok else 1)
 
 
 @main.command("moments")
 @click.option("--r", type=int, required=True)
-@click.option("--a", "--A", "a_idx", required=True, help='multi-index, e.g. "1,2"')
-@click.option("--b", "--B", "b_idx", required=True)
+@click.option("--a", "--A", "a_idx", required=True, callback=_multi_index,
+              help='multi-index, e.g. "1,2"')
+@click.option("--b", "--B", "b_idx", required=True, callback=_multi_index)
 @click.option("--samples", type=int, default=100000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--output", type=click.Path(), default=None)
 def cmd_moments(r, a_idx, b_idx, samples, seed, output):
     """Exact and Monte Carlo Fubini-Study moments for one index pair."""
-    try:
-        A, B = _multi_index(a_idx), _multi_index(b_idx)
-        exact = moment_exact(r, A, B)
-        est, err = moment_mc(r, A, B, samples, seed=seed)
-        _emit({"r": r, "A": list(A), "B": list(B),
-               "exact": str(exact), "mc": [est.real, est.imag], "stderr": err,
-               "samples": samples, "seed": seed}, output)
-    except PoslabError as exc:
-        _fail(exc)
+    A, B = a_idx, b_idx
+    exact = moment_exact(r, A, B)
+    est, err = moment_mc(r, A, B, samples, seed=seed)
+    _emit({"r": r, "A": list(A), "B": list(B),
+           "exact": str(exact), "mc": [est.real, est.imag], "stderr": err,
+           "samples": samples, "seed": seed}, output)
 
 
 @main.command("oracle")
@@ -267,20 +268,17 @@ def cmd_moments(r, a_idx, b_idx, samples, seed, output):
 @click.option("--output", type=click.Path(), default=None)
 def cmd_oracle(family, d, r, k, n, p, q, l, output):
     """Known cohomology dimensions (Grassmannian family or Bott formula)."""
-    try:
-        if family == "grassmannian":
-            if d is None or r is None or k is None:
-                raise click.UsageError("grassmannian oracle needs --d --r --k")
-            dims = grassmannian_nonvanishing(d, r, k)
-            _emit({"family": family, "d": d, "r": r, "k": k,
-                   "dims": [x.to_json() for x in dims]}, output)
-            return
-        if n is None or p is None or q is None or l is None:
-            raise click.UsageError("bott oracle needs --n --p --q --l")
-        _emit({"family": family, "n": n, "p": p, "q": q, "l": l,
-               "dim": pn_line_cohomology(n, p, q, l)}, output)
-    except PoslabError as exc:
-        _fail(exc)
+    if family == "grassmannian":
+        if d is None or r is None or k is None:
+            raise click.UsageError("grassmannian oracle needs --d --r --k")
+        dims = grassmannian_nonvanishing(d, r, k)
+        _emit({"family": family, "d": d, "r": r, "k": k,
+               "dims": [x.to_json() for x in dims]}, output)
+        return
+    if n is None or p is None or q is None or l is None:
+        raise click.UsageError("bott oracle needs --n --p --q --l")
+    _emit({"family": family, "n": n, "p": p, "q": q, "l": l,
+           "dim": pn_line_cohomology(n, p, q, l)}, output)
 
 
 @main.command("check")
@@ -290,10 +288,7 @@ def cmd_oracle(family, d, r, k, n, p, q, l, output):
 @click.option("--output", type=click.Path(), default=None)
 def cmd_check(n, k, l, output):
     """Predicted region for S^k TP^n O(l) versus the non-vanishing oracle."""
-    try:
-        _emit(prop_ex_consistency(n, k, l), output)
-    except PoslabError as exc:
-        _fail(exc)
+    _emit(prop_ex_consistency(n, k, l), output)
 
 
 if __name__ == "__main__":

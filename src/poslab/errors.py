@@ -33,10 +33,6 @@ class ParamDomainError(PoslabError):
     code = "PARAM_DOMAIN"
 
 
-class UnsupportedError(PoslabError):
-    code = "UNSUPPORTED"
-
-
 class NonpositivePolarizationError(PoslabError):
     code = "NONPOSITIVE_POLARIZATION"
 

@@ -21,13 +21,16 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import SingularMetricError, StencilOutOfChartError
+from .errors import ParamDomainError, SingularMetricError, StencilOutOfChartError
 
 HERMITIAN_ATOL = 1e-12
 
-# 4th-order central first-derivative stencil.
-_STENCIL_COEF = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
-_STENCIL_OFFS = (-2, -1, 1, 2)
+# 4th-order Wirtinger stencil d/dz = (d/dx - i d/dy)/2 at chart offsets
+# o * step: weights c/2 on the real axis and -i c/2 on the imaginary axis, for
+# the central first-derivative coefficients c = (1, -8, 8, -1)/12.  d/dzbar
+# takes the conjugate weights.
+_STENCIL_OFFS = np.array([-2, -1, 1, 2, -2j, -1j, 1j, 2j])
+_STENCIL_WEIGHTS = np.array([1, -8, 8, -1, -1j, 8j, -8j, 1j]) / 24
 
 
 def as_point(z, n: int) -> np.ndarray:
@@ -136,36 +139,21 @@ def fubini_study(n: int, z) -> np.ndarray:
     metric, and at the origin g = Id.
     """
     if n < 1:
-        raise ValueError("base dimension must be >= 1")
+        raise ParamDomainError("base dimension must be >= 1")
     p = as_point(z, n)
     s = 1.0 + float(np.vdot(p, p).real)
     return np.eye(n, dtype=complex) / s - np.outer(p.conj(), p) / s**2
 
 
-def _d_dir(f, z: np.ndarray, direction: np.ndarray, step: float) -> np.ndarray:
-    """4th-order directional derivative of f along a real direction."""
-    acc = None
-    for c, o in zip(_STENCIL_COEF, _STENCIL_OFFS):
-        val = c * f(z + (o * step) * direction)
-        acc = val if acc is None else acc + val
+def _wirtinger(f, z: np.ndarray, i: int, step: float, bar: bool = False) -> np.ndarray:
+    """d/dz^i (d/dzbar^i when ``bar``) of a matrix-valued f at z."""
+    weights = _STENCIL_WEIGHTS.conj() if bar else _STENCIL_WEIGHTS
+    acc = 0
+    for w, o in zip(weights, _STENCIL_OFFS):
+        zo = z.copy()
+        zo[i] += o * step
+        acc = acc + w * f(zo)
     return acc / step
-
-
-def _d_z(f, z: np.ndarray, i: int, step: float) -> np.ndarray:
-    """Wirtinger derivative d/dz^i of a matrix-valued function."""
-    e = np.zeros(len(z), dtype=complex)
-    e[i] = 1.0
-    dx = _d_dir(f, z, e, step)
-    dy = _d_dir(f, z, 1j * e, step)
-    return 0.5 * (dx - 1j * dy)
-
-
-def _d_zbar(f, z: np.ndarray, j: int, step: float) -> np.ndarray:
-    e = np.zeros(len(z), dtype=complex)
-    e[j] = 1.0
-    dx = _d_dir(f, z, e, step)
-    dy = _d_dir(f, z, 1j * e, step)
-    return 0.5 * (dx + 1j * dy)
 
 
 def chern_curvature(h: MetricField, p, step: float = 1e-3) -> CurvatureTensor:
@@ -185,18 +173,15 @@ def chern_curvature(h: MetricField, p, step: float = 1e-3) -> CurvatureTensor:
         raise SingularMetricError(f"metric {h.label!r} singular at the evaluation point")
     Hinv = np.linalg.inv(H)
 
-    def f(z):
-        return h(z)
-
-    dh = [_d_z(f, z0, i, step) for i in range(n)]
+    dh = [_wirtinger(h, z0, i, step) for i in range(n)]
     R = np.empty((n, n, r, r), dtype=complex)
     for j in range(n):
         def dbar_j(z, j=j):
-            return _d_zbar(f, z, j, step)
+            return _wirtinger(h, z, j, step, bar=True)
 
         dhbar_j = dh[j].conj().T
         for i in range(n):
-            dd = _d_z(dbar_j, z0, i, step)
+            dd = _wirtinger(dbar_j, z0, i, step)
             R[i, j] = -dd + dh[i] @ Hinv @ dhbar_j
     return CurvatureTensor(R, normalized=False)
 
@@ -246,6 +231,8 @@ def normalize_at_point(
 
 def sample_points(n: int, count: int, seed: int = 0, radius: float = 2.0) -> list[np.ndarray]:
     """Origin plus radial-uniform points with |z| <= radius, deterministic."""
+    if n < 1:
+        raise ParamDomainError(f"base dimension must be >= 1, got {n}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     pts = [np.zeros(n, dtype=complex)]
     while len(pts) < count:

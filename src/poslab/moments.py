@@ -31,12 +31,13 @@ from math import factorial
 import numpy as np
 
 from .bundles import frame_normalized
-from .errors import FrameNotNormalizedError, LengthMismatchError
+from .errors import FrameNotNormalizedError, LengthMismatchError, ParamDomainError
 from .geometry import CurvatureTensor, MetricField, as_point, chern_curvature
 from .symbundle import (
     MultiIndex,
     SymCurvature,
     generalized_delta,
+    gram_diagonal,
     induced_sym_det_curvature,
     sym_basis,
     sym_power_field,
@@ -46,20 +47,40 @@ from .symbundle import (
 # per-sample terms form an (n, n, F, F) complex tensor.
 _MC_CHUNK_BYTES = 1 << 22
 
+# Samples per block of the sphere stream.  Changing it changes every stream
+# longer than one block.
+_SPHERE_BLOCK = 100_000
+
+
+def _check_pair(r: int, A: MultiIndex, B: MultiIndex) -> None:
+    if len(A) != len(B):
+        raise LengthMismatchError("multi-index lengths differ")
+    if r < 1 or any(not 1 <= a <= r for a in A + B):
+        raise ParamDomainError(f"need r >= 1 and multi-index entries in 1..r, got r={r}, {A}, {B}")
+
 
 def moment_exact(r: int, A: MultiIndex, B: MultiIndex) -> Fraction:
     """Exact moment delta_AB / (r + k - 1)! as a reduced rational."""
-    if len(A) != len(B):
-        raise LengthMismatchError("multi-index lengths differ")
+    _check_pair(r, A, B)
     k = len(A)
     return Fraction(generalized_delta(A, B), factorial(r + k - 1))
 
 
-def sphere_samples(r: int, samples: int, seed: int) -> np.ndarray:
-    """Uniform points on the unit sphere of C^r (counter-based Philox stream)."""
+def _sphere_blocks(r: int, samples: int, seed: int):
+    """Uniform points on the unit sphere of C^r (counter-based Philox stream) in
+    blocks of _SPHERE_BLOCK; a block draws its real parts, then its imaginary parts."""
+    if samples < 1:
+        raise ParamDomainError(f"need at least 1 sample, got {samples}")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    w = rng.standard_normal((samples, r)) + 1j * rng.standard_normal((samples, r))
-    return w / np.linalg.norm(w, axis=1, keepdims=True)
+    for lo in range(0, samples, _SPHERE_BLOCK):
+        size = min(_SPHERE_BLOCK, samples - lo)
+        w = rng.standard_normal((size, r)) + 1j * rng.standard_normal((size, r))
+        yield w / np.linalg.norm(w, axis=1, keepdims=True)
+
+
+def sphere_samples(r: int, samples: int, seed: int) -> np.ndarray:
+    """All ``samples`` points of the sphere stream as one (samples, r) array."""
+    return np.concatenate(list(_sphere_blocks(r, samples, seed)))
 
 
 def _monomial(W: np.ndarray, A: MultiIndex) -> np.ndarray:
@@ -69,12 +90,16 @@ def _monomial(W: np.ndarray, A: MultiIndex) -> np.ndarray:
     return v
 
 
+def _monomials(W: np.ndarray, basis) -> np.ndarray:
+    """Monomials W_A over the multi-indices of ``basis``, an (s, F) array."""
+    return np.stack([_monomial(W, A) for A in basis], axis=1)
+
+
 def moment_mc(r: int, A: MultiIndex, B: MultiIndex, samples: int, seed: int = 0):
     """Monte Carlo estimate of the moment; returns (estimate, stderr)."""
-    if len(A) != len(B):
-        raise LengthMismatchError("multi-index lengths differ")
+    _check_pair(r, A, B)
     if samples < 100:
-        raise ValueError("need at least 100 samples")
+        raise ParamDomainError(f"need at least 100 samples, got {samples}")
     W = sphere_samples(r, samples, seed)
     f = _monomial(W, A) * _monomial(W, B).conj()
     scale = factorial(r - 1)
@@ -83,26 +108,20 @@ def moment_mc(r: int, A: MultiIndex, B: MultiIndex, samples: int, seed: int = 0)
     return est, stderr
 
 
-def moment_mc_table(r: int, k: int, samples: int, seed: int = 0, chunk: int = 100_000):
-    """All pairwise moments for |A| = |B| = k at once, chunked over samples.
+def moment_mc_table(r: int, k: int, samples: int, seed: int = 0):
+    """All pairwise moments for |A| = |B| = k at once, one sphere block at a time.
 
     Returns (basis, estimates, stderrs) with matrices indexed by basis order.
     """
     basis = sym_basis(r, k)
     F = len(basis)
-    rng = np.random.Generator(np.random.Philox(key=seed))
     first = np.zeros((F, F), dtype=complex)
     second = np.zeros((F, F))
-    done = 0
-    while done < samples:
-        size = min(chunk, samples - done)
-        w = rng.standard_normal((size, r)) + 1j * rng.standard_normal((size, r))
-        w /= np.linalg.norm(w, axis=1, keepdims=True)
-        V = np.stack([_monomial(w, A) for A in basis], axis=1)  # (size, F)
+    for w in _sphere_blocks(r, samples, seed):
+        V = _monomials(w, basis)
         first += V.T @ V.conj()
         a2 = np.abs(V) ** 2
         second += a2.T @ a2
-        done += size
     scale = factorial(r - 1)
     mean = first / samples
     var = np.maximum(second / samples - np.abs(mean) ** 2, 0.0)
@@ -165,7 +184,7 @@ def integral_formula_tensor(R: CurvatureTensor, k: int, m) -> SymCurvature:
     if V.dtype != object:
         V = V.astype(complex)
     basis = sym_basis(R.rank, k)
-    gram = [generalized_delta(A, A) for A in basis]
+    gram = gram_diagonal(R.rank, k)
     out = np.einsum("ijgd,gdab->ijab", V, _integral_map(R.rank, k))
     if m != 1:
         diag = np.arange(len(basis))
@@ -194,7 +213,7 @@ def integral_formula_mc(R: CurvatureTensor, k: int, m, samples: int = 20000,
     quad = np.einsum("ijgd,sg,sd->sij", V, W.conj(), W)
     tr = np.trace(V, axis1=2, axis2=3)
     phi = ((r + k) * quad + (complex(m) - 1.0) * tr[None, :, :]).reshape(samples, n * n)
-    mono = np.stack([_monomial(W, A) for A in basis], axis=1)  # (s, F)
+    mono = _monomials(W, basis)
     chunk = max(1, _MC_CHUNK_BYTES // (16 * n * n * F * F))
     starts = range(0, samples, chunk)
 

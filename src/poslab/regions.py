@@ -12,8 +12,6 @@ from fractions import Fraction
 
 from .errors import ParamDomainError
 
-THEOREMS = ("main1", "globally_generated", "ample_nef", "griffiths")
-
 _ALIASES = {
     "main1": "main1",
     "gg": "globally_generated",

@@ -23,7 +23,7 @@ from math import factorial, prod
 
 import numpy as np
 
-from .errors import DimMismatchError, FrameNotNormalizedError, LengthMismatchError
+from .errors import DimMismatchError, FrameNotNormalizedError, LengthMismatchError, ParamDomainError
 from .geometry import CurvatureTensor, MetricField
 
 MultiIndex = tuple[int, ...]
@@ -32,7 +32,7 @@ MultiIndex = tuple[int, ...]
 def sym_basis(r: int, k: int) -> list[MultiIndex]:
     """Lexicographic monomial basis labels of S^k E for rank r."""
     if r < 1 or k < 0:
-        raise ValueError("need r >= 1, k >= 0")
+        raise ParamDomainError(f"need r >= 1, k >= 0, got r={r}, k={k}")
     return list(combinations_with_replacement(range(1, r + 1), k))
 
 
@@ -155,7 +155,7 @@ def induced_sym_det_curvature(R: CurvatureTensor, k: int, m) -> SymCurvature:
     if V.dtype != object:
         V = V.astype(complex)
     basis = sym_basis(R.rank, k)
-    gram = [generalized_delta(A, A) for A in basis]
+    gram = gram_diagonal(R.rank, k)
     out = np.einsum("ijgd,gdab->ijab", V, _derivation_map(R.rank, k))
     if m != 0:
         diag = np.arange(len(basis))

@@ -6,7 +6,9 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+from poslab import cli
 from poslab.cli import main
+from poslab.positivity import estimate_check
 
 
 @pytest.fixture
@@ -148,6 +150,20 @@ class TestVerifyCommand:
         assert result.exit_code == 0
         assert payload["worst_slack"] >= -1e-9
 
+    @pytest.mark.parametrize("trials", [10, 120])
+    def test_estimate_reports_the_trials_it_ran(self, runner, monkeypatch, trials):
+        ran = []
+
+        def counting(*args, **kwargs):
+            ran.append(kwargs["trials"])
+            return estimate_check(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "estimate_check", counting)
+        result, payload = run_json(runner, [
+            "verify", "--what", "estimate", "--n", "2", "--trials", str(trials)])
+        assert result.exit_code == 0
+        assert payload["trials"] == sum(ran) == trials
+
 
 class TestMomentsCommand:
     def test_single_pair(self, runner):
@@ -198,6 +214,69 @@ class TestConfigDefaults:
         result, payload = run_json(runner, args)
         assert result.exit_code == 0
         assert payload["lambda0"] == "1/2"
+
+    def test_config_fills_an_omitted_required_flag(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 3}))
+        region = ["region", "--r", "1", "--k", "1", "--m", "3", "--theorem", "gg"]
+        result, payload = run_json(runner, ["--config", str(cfg), *region])
+        assert result.exit_code == 0
+        assert payload["params"]["n"] == 3
+        result, payload = run_json(runner, ["--config", str(cfg), *region, "--n", "4"])
+        assert result.exit_code == 0
+        assert payload["params"]["n"] == 4
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "{not json"], ids=["array", "not-json"])
+    def test_config_not_an_object_exit_2(self, runner, tmp_path, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        result, payload = run_json(runner, [
+            "--config", str(cfg), "region", "--n", "3", "--theorem", "gg"])
+        assert result.exit_code == 2
+        assert payload["error"]["code"] == "PARAM_DOMAIN"
+
+
+def _metric(**spec):
+    return json.dumps({"rank": 1, "base_dim": 2, "entries": [["1 + abs2(z1)"]], **spec})
+
+
+BAD_INPUT = [
+    pytest.param(["moments", "--r", "3", "--a", "1,2", "--b", "1,2", "--samples", "50"],
+                 "PARAM_DOMAIN", id="too-few-samples"),
+    pytest.param(["moments", "--r", "3", "--a", "1,4", "--b", "1,4"], "PARAM_DOMAIN",
+                 id="index-above-rank"),
+    pytest.param(["verify", "--what", "moments", "--r", "0", "--k", "1"], "PARAM_DOMAIN",
+                 id="rank-0"),
+    pytest.param(["verify", "--what", "estimate", "--n", "0"], "PARAM_DOMAIN",
+                 id="estimate-n-0"),
+    pytest.param(["certify", "--bundle", '{"rank":1}', "--n", "2", "--test", "nakano"],
+                 "PARAM_DOMAIN", id="metric-missing-keys"),
+    pytest.param(["certify", "--bundle", _metric(entries=[["foo"]]), "--n", "2",
+                  "--test", "nakano"], "PARAM_DOMAIN", id="metric-unknown-name"),
+    pytest.param(["certify", "--bundle", _metric(entries=[["1+"]]), "--n", "2",
+                  "--test", "nakano"], "PARAM_DOMAIN", id="metric-syntax"),
+    pytest.param(["certify", "--bundle", _metric(), "--n", "3", "--test", "nakano"],
+                 "DIM_MISMATCH", id="metric-base-dim"),
+    pytest.param(["certify", "--bundle", "tpn", "--n", "0", "--test", "nakano"],
+                 "PARAM_DOMAIN", id="certify-n-0"),
+]
+
+
+@pytest.mark.parametrize("args,code", BAD_INPUT)
+def test_bad_input_exit_2_with_error_json(runner, args, code):
+    result, payload = run_json(runner, args)
+    assert result.exit_code == 2, result.output
+    assert payload["error"]["code"] == code
+
+
+@pytest.mark.parametrize("args", [
+    ["moments", "--r", "3", "--a", "1,x", "--b", "1,2"],
+    ["region", "--n", "3", "--theorem", "main1", "--eps1", "1/0", "--eps2", "1"],
+], ids=["multi-index", "rational"])
+def test_malformed_flag_is_a_usage_error(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "Invalid value" in result.output
 
 
 THREAD_PROBE = """

@@ -60,6 +60,15 @@ class TestChernCurvature:
         expect = np.einsum("ij,ab->ijab", d, d) + np.einsum("ib,aj->ijab", d, d)
         assert np.max(np.abs(R - expect)) < 1e-8
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_metric_evaluations_per_curvature(self, n):
+        # one evaluation at p, 8 per first derivative, 8 x 8 per mixed second
+        points = []
+        E = MetricField(rank=n, base_dim=n, label="counted",
+                        evaluate=lambda z: points.append(z) or fubini_study(n, z))
+        chern_curvature(E, np.zeros(n))
+        assert len(points) == 64 * n * n + 8 * n + 1
+
     def test_hermitian_symmetry(self):
         for p in sample_points(2, 6, seed=1):
             R = chern_curvature(tangent_pn(2), p)

@@ -63,6 +63,18 @@ class TestMomentMC:
                 exact = float(moment_exact(2, A, B))
                 assert abs(est[a, b] - exact) <= max(3 * err[a, b], 1e-12)
 
+    def test_single_and_table_read_one_stream(self):
+        # 250 000 samples span three sphere blocks, the last one partial
+        samples = 250_000
+        W = moments.sphere_samples(2, samples, seed=4)
+        assert np.array_equal(W[:100_000], moments.sphere_samples(2, 100_000, seed=4))
+        basis, est, err = moment_mc_table(2, 2, samples, seed=4)
+        for a, A in enumerate(basis):
+            for b, B in enumerate(basis):
+                single, single_err = moment_mc(2, A, B, samples, seed=4)
+                assert abs(single - est[a, b]) <= 1e-12
+                assert abs(single_err - err[a, b]) <= 1e-9 * err[a, b]
+
 
 class TestIntegralFormula:
     def test_hand_example_k1_m1(self):
