@@ -177,7 +177,7 @@ def cmd_certify(bundle, n, which, line, twist, sym, det_power, points, seed, res
         "sym": sym,
         "det": det_power,
         "twist": twist,
-        "points_scanned": points,
+        "points_scanned": len(pts),
         "report": best.to_json(),
     }, output)
 

@@ -231,8 +231,8 @@ def normalize_at_point(
 
 def sample_points(n: int, count: int, seed: int = 0, radius: float = 2.0) -> list[np.ndarray]:
     """Origin plus radial-uniform points with |z| <= radius, deterministic."""
-    if n < 1:
-        raise ParamDomainError(f"base dimension must be >= 1, got {n}")
+    if n < 1 or count < 1:
+        raise ParamDomainError(f"need base dimension and point count >= 1, got {n} and {count}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     pts = [np.zeros(n, dtype=complex)]
     while len(pts) < count:

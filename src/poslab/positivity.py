@@ -14,8 +14,10 @@ minimum is heuristic and labeled as such.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from bisect import bisect_left
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import scipy.linalg
@@ -64,8 +66,7 @@ class PositivityReport:
 class BoundednessCertificate:
     eps1: float
     eps2: float
-    strict_low: bool
-    strict_high: bool
+    strict: bool
     witness_low: dict
     witness_high: dict
     points: list
@@ -196,9 +197,9 @@ def boundedness_scan(E: MetricField, L: MetricField, points=None,
     """Scan sample points for the extremal Griffiths values of E against omega_L.
 
     eps1 / eps2 are the global min / max of the normalized biquadratic
-    Q(u, v) / omega_L(u, ubar) over the samples; strictness flags record
-    whether the opposite bound witnesses a strictly different value, i.e.
-    whether Theta - eps * omega_L x Id is not identically zero on the scan.
+    Q(u, v) / omega_L(u, ubar) over the samples; ``strict`` records whether
+    eps2 exceeds eps1 by more than 1e-9, i.e. whether
+    Theta - eps * omega_L x Id is not identically zero on the scan.
     """
     if points is None:
         points = sample_points(E.base_dim, n_points, seed=seed)
@@ -219,12 +220,10 @@ def boundedness_scan(E: MetricField, L: MetricField, points=None,
         if hi.min_value > eps2:
             eps2 = hi.min_value
             wit_high = {"point": _cvec(p), **hi.witness, "value": hi.min_value}
-    strict = eps2 - eps1 > 1e-9
     return BoundednessCertificate(
         eps1=float(eps1),
         eps2=float(eps2),
-        strict_low=strict,
-        strict_high=strict,
+        strict=eps2 - eps1 > 1e-9,
         witness_low=wit_low,
         witness_high=wit_high,
         points=pts_json,
@@ -258,8 +257,8 @@ class Form:
     """A (p, q)-form with values in a rank-F bundle, canonical representative.
 
     coeffs[x, y, A] is the coefficient on dz^I wedge dzbar^J tensor e_A for
-    I = I_list[x], J = J_list[y]; index sets are strictly increasing tuples
-    of 0-based tangent indices.
+    I the x-th p-subset and J the y-th q-subset of range(n), both strictly
+    increasing and enumerated in ``itertools.combinations`` order.
     """
 
     n: int
@@ -271,17 +270,12 @@ class Form:
     def __post_init__(self):
         if not (0 <= self.p <= self.n and 0 <= self.q <= self.n):
             raise BidegreeError(f"bidegree ({self.p},{self.q}) out of range for n={self.n}")
-        self.I_list = list(combinations(range(self.n), self.p))
-        self.J_list = list(combinations(range(self.n), self.q))
-        self.I_pos = {I: x for x, I in enumerate(self.I_list)}
-        self.J_pos = {J: y for y, J in enumerate(self.J_list)}
-        expect = (len(self.I_list), len(self.J_list), self.fiber_rank)
+        expect = (comb(self.n, self.p), comb(self.n, self.q), self.fiber_rank)
         if self.coeffs.shape != expect:
             raise ValueError(f"coefficient array must have shape {expect}")
 
     @classmethod
     def zero(cls, n, p, q, fiber_rank=1):
-        from math import comb
         return cls(n, p, q, fiber_rank,
                    np.zeros((comb(n, p), comb(n, q), fiber_rank), dtype=complex))
 
@@ -300,20 +294,28 @@ class Form:
         return float(np.sum(np.abs(self.coeffs) ** 2 * w))
 
 
-def _insert(i: int, S: tuple) -> tuple | None:
-    """Insert index i into strictly increasing S; (sign, sorted tuple) or None."""
-    if i in S:
-        return None
-    pos = bisect_left(S, i)
-    sign = -1 if pos % 2 else 1
-    return sign, S[:pos] + (i,) + S[pos:]
+@functools.lru_cache(maxsize=None)
+def _interior_map(n: int, q: int) -> np.ndarray:
+    """Signed map K[i, y, s] = +-1 where e_i wedge e_S = +-e_Y, for S the s-th
+    (q-1)-subset and Y the y-th q-subset of range(n) (combinations order)."""
+    pos = {Y: y for y, Y in enumerate(combinations(range(n), q))}
+    subsets = list(combinations(range(n), q - 1)) if q else []
+    K = np.zeros((n, len(pos), len(subsets)))
+    for s, S in enumerate(subsets):
+        for i in range(n):
+            if i not in S:
+                at = bisect_left(S, i)
+                K[i, pos[S[:at] + (i,) + S[at:]], s] = -1 if at % 2 else 1
+    K.setflags(write=False)
+    return K
 
 
 def curvature_term(R, u: Form) -> float:
     """Bochner curvature term T(u, u) = <[R, Lambda] u, u> at a normalized point.
 
-    Three-sum expansion with antisymmetric sign bookkeeping; the result is
-    real up to roundoff.
+    Three-sum expansion: R contracted against one barred index of u, then
+    one unbarred index (each through the cached wedge map _interior_map),
+    minus the fiber trace; the result is real up to roundoff.
     """
     V, _ = _values_and_gram(R)
     n = V.shape[0]
@@ -321,35 +323,13 @@ def curvature_term(R, u: Form) -> float:
         raise ValueError("form and curvature base dimensions differ")
     if u.fiber_rank != V.shape[2]:
         raise ValueError("form fiber rank does not match curvature")
-    p, q = u.p, u.q
     c = u.coeffs
-
-    total = 0.0 + 0.0j
-    # term 1: contract one barred index of u against R
-    if q >= 1:
-        for S in combinations(range(n), q - 1):
-            ins = [(_insert(i, S), i) for i in range(n)]
-            ins = [(sg, J, i) for (res, i) in ins if res for sg, J in [res]]
-            for sg_i, J_i, i in ins:
-                yi = u.J_pos[J_i]
-                for sg_j, J_j, j in ins:
-                    yj = u.J_pos[J_j]
-                    total += sg_i * sg_j * np.einsum(
-                        "ab,xa,xb->", V[i, j], c[:, yi, :], c[:, yj, :].conj())
-    # term 2: contract one unbarred index
-    if p >= 1:
-        for Rm in combinations(range(n), p - 1):
-            ins = [(_insert(i, Rm), i) for i in range(n)]
-            ins = [(sg, I, i) for (res, i) in ins if res for sg, I in [res]]
-            for sg_j, I_j, j in ins:
-                xj = u.I_pos[I_j]
-                for sg_i, I_i, i in ins:
-                    xi = u.I_pos[I_i]
-                    total += sg_j * sg_i * np.einsum(
-                        "ab,ya,yb->", V[i, j], c[xj, :, :], c[xi, :, :].conj())
-    # term 3: fiber trace part
+    A = np.einsum("iys,xya->ixsa", _interior_map(n, u.q), c)
+    B = np.einsum("ixt,xya->itya", _interior_map(n, u.p), c)
     tr = V[np.arange(n), np.arange(n)]  # (n, F, F)
-    total -= np.einsum("iab,xya,xyb->", tr, c, c.conj())
+    total = (np.einsum("ijab,ixsa,jxsb->", V, A, A.conj())
+             + np.einsum("ijab,jtya,ityb->", V, B, B.conj())
+             - np.einsum("iab,xya,xyb->", tr, c, c.conj()))
 
     scale = max(1.0, float(np.max(np.abs(c))) ** 2 * float(np.max(np.abs(V))))
     if abs(total.imag) > 1e-8 * scale:

@@ -135,6 +135,16 @@ class TestVerifyCommand:
         assert payload["ok"] is True
         assert payload["dev_algebra_vs_fd"] <= 1e-6
 
+    @pytest.mark.parametrize("args", [
+        ["--bundle", "o(1)", "--n", "2", "--k", "3", "--m", "2"],
+        ["--bundle", "dsum(2)", "--k", "2", "--m", "2"],
+    ], ids=["o1-k3", "dsum2-k2"])
+    def test_lemma_linear_rank_one_ok(self, runner, args):
+        # rank 1: the quadrature integrand is constant on the sphere
+        result, payload = run_json(runner, ["verify", "--what", "lemma-linear", *args])
+        assert result.exit_code == 0, result.output
+        assert payload["ok"] is True
+
     def test_lemma_linear_indefinite_metric_exit_2(self, runner):
         # the metric has eigenvalues 3 and -1 at every point
         bundle = json.dumps({"rank": 2, "base_dim": 2, "entries": [["1", "2"], ["2", "1"]]})
@@ -259,6 +269,8 @@ BAD_INPUT = [
                  "DIM_MISMATCH", id="metric-base-dim"),
     pytest.param(["certify", "--bundle", "tpn", "--n", "0", "--test", "nakano"],
                  "PARAM_DOMAIN", id="certify-n-0"),
+    pytest.param(["certify", "--bundle", "tpn", "--n", "2", "--test", "nakano",
+                  "--points", "0"], "PARAM_DOMAIN", id="certify-points-0"),
 ]
 
 

@@ -15,6 +15,7 @@ from poslab import (
     moment_exact,
     moment_mc,
     moment_mc_table,
+    o_line,
     tangent_pn,
     verify_lemma_linear,
 )
@@ -115,22 +116,28 @@ class TestIntegralFormula:
         z = np.abs(est - exact) / np.maximum(3 * err, 1e-12)
         assert float(np.max(z)) <= 1.0
 
-    def test_mc_chunks_match_unchunked_reference(self, monkeypatch):
-        # the chunked GEMM mean and centred second pass must reproduce the
-        # one-array quadrature; samples are not a multiple of the chunk size
+    @pytest.mark.parametrize("route", ["integral", "table"])
+    def test_mc_chunks_match_unchunked_reference(self, monkeypatch, route):
+        # the chunked estimator must reproduce a one-array mean and centred
+        # stderr; 64-row chunks, and the samples are not a multiple of 64
         n, r, k, m, samples = 2, 3, 2, 2, 1001
         F = len(sym_basis(r, k))
-        monkeypatch.setattr(moments, "_MC_CHUNK_BYTES", 64 * 16 * n * n * F * F)
-        R = random_curvature(n, r, seed=41)
-        est, err = integral_formula_mc(R, k, m, samples=samples, seed=6)
-
         W = moments.sphere_samples(r, samples, seed=6)
-        quad = np.einsum("ijgd,sg,sd->sij", R.values, W.conj(), W)
-        phi = (r + k) * quad + (m - 1) * np.trace(R.values, axis1=2, axis2=3)
         mono = np.stack([np.prod(W[:, np.array(A) - 1], axis=1) for A in sym_basis(r, k)],
                         axis=1)
-        vals = np.einsum("sa,sb,sij->sijab", mono, mono.conj(), phi)
-        pref = factorial(r + k - 1) / factorial(r - 1)
+        if route == "integral":
+            monkeypatch.setattr(moments, "_MC_CHUNK_BYTES", 64 * 16 * n * n * F)
+            R = random_curvature(n, r, seed=41)
+            est, err = integral_formula_mc(R, k, m, samples=samples, seed=6)
+            quad = np.einsum("ijgd,sg,sd->sij", R.values, W.conj(), W)
+            phi = (r + k) * quad + (m - 1) * np.trace(R.values, axis1=2, axis2=3)
+            vals = np.einsum("sa,sb,sij->sijab", mono, mono.conj(), phi)
+            pref = factorial(r + k - 1) / factorial(r - 1)
+        else:
+            monkeypatch.setattr(moments, "_MC_CHUNK_BYTES", 64 * 16 * F)
+            _, est, err = moment_mc_table(r, k, samples, seed=6)
+            vals = np.einsum("sa,sb->sab", mono, mono.conj())
+            pref = 1 / factorial(r - 1)
         ref_est = pref * vals.mean(axis=0)
         ref_err = pref * np.sqrt(np.mean(np.abs(vals - vals.mean(axis=0)) ** 2, axis=0)
                                  / samples)
@@ -180,6 +187,20 @@ class TestLemmaLinearTriangle:
         rep = verify_lemma_linear(E, np.zeros(2), 2, 1)
         assert rep["dev_algebra_vs_fd"] <= 1e-6
         assert rep["scale"] < 1e-9
+
+    def test_rank_one_rounding_is_within_3sigma(self, monkeypatch):
+        # For rank 1 the integrand is constant on the sphere: the stderr is 0
+        # and the quadrature misses the expansion by rounding alone, here
+        # 1.3e-13 relative, inside the bound samples * eps = 4.4e-12 of a
+        # 20 000-term mean
+        def rounded(R, k, m, samples, seed):
+            c = integral_formula_tensor(R, k, m).values.astype(complex)
+            return c * (1 + 1.3e-13), np.zeros(c.shape)
+
+        monkeypatch.setattr(moments, "integral_formula_mc", rounded)
+        rep = verify_lemma_linear(o_line(1, 2), np.zeros(2), 3, 2)
+        assert rep["scale"] > 1.0
+        assert rep["mc_worst_over_3sigma"] <= 1.0
 
     def test_tpn4_k3_memory_bounded(self):
         # the unchunked quadrature held one (20000, 4, 4, 20, 20) complex
