@@ -9,9 +9,12 @@ Catalogue (string identifiers accepted by :func:`builtin`):
 
 User metrics load from a JSON object with keys ``rank``, ``base_dim``,
 ``entries`` (matrix of expression strings) and optional ``label`` and
-``domain_radius``.  Expressions use variables ``z1 .. zn``, the functions
-``conj(.)`` and ``abs2(.)``, the imaginary unit ``I``, numeric literals and
-``+ - * / **`` with parentheses; nothing else parses.
+``domain_radius`` (a positive number).  Expressions use variables
+``z1 .. zn``, the functions ``conj(.)`` and ``abs2(.)`` with one positional
+argument, the imaginary unit ``I``, numeric literals and ``+ - * / **`` with
+parentheses; nothing else parses.  The entries are compiled once at load; an
+arithmetic failure (division by zero, overflow) is a ParamDomainError at the
+load-time test point and a SingularMetricError at any later point.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import re
 
 import numpy as np
 
-from .errors import ParamDomainError
+from .errors import ParamDomainError, SingularMetricError
 from .geometry import MetricField, _orthonormalizer, fubini_study
 
 
@@ -125,11 +128,15 @@ def builtin(ident: str, n: int) -> MetricField:
 # --- declarative JSON metrics -------------------------------------------------
 
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
-_ALLOWED_UNARY = (ast.UAdd, ast.USub)
+_FUNCTIONS = {"conj": np.conj, "abs2": lambda v: (v * np.conj(v)).real}
 
 
-def _compile_expr(src: str, n: int):
-    """Compile one metric-entry expression to a callable of z (whitelisted AST)."""
+def _lower_expr(src: str, n: int) -> ast.expr:
+    """Check one metric-entry expression against the whitelist and lower it.
+
+    Literals become complex constants, ``I`` becomes 1j and ``zk`` becomes
+    ``z[k-1]``; every operation keeps its operands and their order.
+    """
     try:
         tree = ast.parse(src, mode="eval")
     except SyntaxError as exc:
@@ -137,43 +144,43 @@ def _compile_expr(src: str, n: int):
 
     names = {f"z{i + 1}": i for i in range(n)}
 
-    def ev(node, z):
-        if isinstance(node, ast.Expression):
-            return ev(node.body, z)
+    def lower(node):
         if isinstance(node, ast.Constant) and isinstance(node.value, (int, float, complex)):
-            return complex(node.value)
+            return ast.Constant(complex(node.value))
         if isinstance(node, ast.Name):
             if node.id == "I":
-                return 1j
+                return ast.Constant(1j)
             if node.id in names:
-                return z[names[node.id]]
+                return ast.Subscript(ast.Name("z", ast.Load()), ast.Constant(names[node.id]),
+                                     ast.Load())
             raise ParamDomainError(f"unknown name {node.id!r} in metric expression")
         if isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS):
-            a, b = ev(node.left, z), ev(node.right, z)
-            if isinstance(node.op, ast.Add):
-                return a + b
-            if isinstance(node.op, ast.Sub):
-                return a - b
-            if isinstance(node.op, ast.Mult):
-                return a * b
-            if isinstance(node.op, ast.Div):
-                return a / b
-            return a ** b
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, _ALLOWED_UNARY):
-            v = ev(node.operand, z)
-            return v if isinstance(node.op, ast.UAdd) else -v
+            return ast.BinOp(lower(node.left), node.op, lower(node.right))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.UAdd):
+            return lower(node.operand)
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return ast.UnaryOp(node.op, lower(node.operand))
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            if node.func.id == "conj" and len(node.args) == 1:
-                return np.conj(ev(node.args[0], z))
-            if node.func.id == "abs2" and len(node.args) == 1:
-                v = ev(node.args[0], z)
-                return (v * np.conj(v)).real
-            raise ParamDomainError(f"unknown function {node.func.id!r} in metric expression")
+            if node.func.id not in _FUNCTIONS:
+                raise ParamDomainError(f"unknown function {node.func.id!r} in metric expression")
+            if len(node.args) != 1 or node.keywords:
+                raise ParamDomainError(
+                    f"{node.func.id}() takes exactly one positional argument in metric "
+                    f"expression {src!r}")
+            return ast.Call(ast.Name(node.func.id, ast.Load()), [lower(node.args[0])], [])
         raise ParamDomainError(f"disallowed syntax in metric expression: {ast.dump(node)}")
 
-    # validate once against a dummy point so bad expressions fail at load time
-    ev(tree, np.zeros(n, dtype=complex) + 0.1)
-    return lambda z: ev(tree, z)
+    return lower(tree.body)
+
+
+def _compile_entries(rows, n: int):
+    """Compile an r x r matrix of entry expressions once into a function of z."""
+    body = ast.Tuple([ast.Tuple([_lower_expr(str(e), n) for e in row], ast.Load())
+                      for row in rows], ast.Load())
+    args = ast.arguments(posonlyargs=[], args=[ast.arg("z")], kwonlyargs=[],
+                         kw_defaults=[], defaults=[])
+    tree = ast.fix_missing_locations(ast.Expression(ast.Lambda(args, body)))
+    return eval(compile(tree, "<metric entries>", "eval"), {"__builtins__": {}, **_FUNCTIONS})
 
 
 def load_metric_json(source) -> MetricField:
@@ -200,15 +207,28 @@ def load_metric_json(source) -> MetricField:
             or any(not isinstance(row, list) or len(row) != r for row in rows)):
         raise ParamDomainError(
             "metric JSON needs rank >= 1, base_dim >= 1 and an r x r entries matrix")
-    fns = [[_compile_expr(str(rows[a][b]), n) for b in range(r)] for a in range(r)]
+    radius = spec.get("domain_radius")
+    if radius is not None and (type(radius) not in (int, float) or not radius > 0):
+        raise ParamDomainError(
+            f"metric JSON domain_radius must be a positive number, got {radius!r}")
+    entries = _compile_entries(rows, n)
+    label = str(spec.get("label", "user"))
+    try:
+        # evaluate once at a test point so arithmetic failures show at load time
+        entries(np.zeros(n, dtype=complex) + 0.1)
+    except ArithmeticError as exc:
+        raise ParamDomainError(f"metric {label!r} fails at z = 0.1: {exc}") from exc
 
     def ev(z):
-        return np.array([[fns[a][b](z) for b in range(r)] for a in range(r)], dtype=complex)
+        try:
+            return np.array(entries(z), dtype=complex)
+        except ArithmeticError as exc:
+            raise SingularMetricError(f"metric {label!r} fails at z = {z}: {exc}") from exc
 
     return MetricField(
         rank=r,
         base_dim=n,
         evaluate=ev,
-        label=str(spec.get("label", "user")),
-        domain_radius=spec.get("domain_radius"),
+        label=label,
+        domain_radius=radius,
     )

@@ -17,6 +17,7 @@ coordinates, with d/dz = (d/dx - i d/dy)/2.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Callable
 
 import numpy as np
@@ -31,14 +32,16 @@ HERMITIAN_ATOL = 1e-12
 # takes the conjugate weights.
 _STENCIL_OFFS = np.array([-2, -1, 1, 2, -2j, -1j, 1j, 2j])
 _STENCIL_WEIGHTS = np.array([1, -8, 8, -1, -1j, 8j, -8j, 1j]) / 24
+# d/dz^i d/dzbar^j: weight of the offset pair (a, b) at index 8a + b
+_MIXED_WEIGHTS = np.outer(_STENCIL_WEIGHTS, _STENCIL_WEIGHTS.conj()).ravel()
 
 
 def as_point(z, n: int) -> np.ndarray:
     """Coerce ``z`` to a length-``n`` complex chart point."""
-    p = np.atleast_1d(np.asarray(z, dtype=complex))
+    p = np.asarray(z, dtype=complex)
     if p.shape != (n,):
         raise ValueError(f"chart point must have {n} coordinates, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError("chart point has non-finite coordinates")
     return p
 
@@ -91,7 +94,7 @@ class MetricField:
 
     def __call__(self, z) -> np.ndarray:
         p = as_point(z, self.base_dim)
-        if self.domain_radius is not None and np.linalg.norm(p) >= self.domain_radius:
+        if self.domain_radius is not None and np.vdot(p, p).real >= self.domain_radius**2:
             raise StencilOutOfChartError(
                 f"point |z|={np.linalg.norm(p):.6g} outside declared domain "
                 f"|z| < {self.domain_radius} of metric {self.label!r}"
@@ -142,47 +145,61 @@ def fubini_study(n: int, z) -> np.ndarray:
         raise ParamDomainError("base dimension must be >= 1")
     p = as_point(z, n)
     s = 1.0 + float(np.vdot(p, p).real)
-    return np.eye(n, dtype=complex) / s - np.outer(p.conj(), p) / s**2
+    g = p.conj()[:, None] * p / -(s**2)
+    g.flat[:: n + 1] += 1.0 / s
+    return g
 
 
-def _wirtinger(f, z: np.ndarray, i: int, step: float, bar: bool = False) -> np.ndarray:
-    """d/dz^i (d/dzbar^i when ``bar``) of a matrix-valued f at z."""
-    weights = _STENCIL_WEIGHTS.conj() if bar else _STENCIL_WEIGHTS
-    acc = 0
-    for w, o in zip(weights, _STENCIL_OFFS):
-        zo = z.copy()
-        zo[i] += o * step
-        acc = acc + w * f(zo)
-    return acc / step
+@functools.lru_cache(maxsize=None)
+def _stencil_offsets(n: int) -> np.ndarray:
+    """Chart offsets, in units of the step, of every metric evaluation of a curvature.
+
+    Row 0 is the base point.  Row 1 + 8i + a moves z^i by _STENCIL_OFFS[a]
+    (for d/dz^i).  Row 1 + 8n + 64(i n + j) + 8a + b moves z^i by
+    _STENCIL_OFFS[a] and z^j by _STENCIL_OFFS[b] (for d/dz^i d/dzbar^j).
+    """
+    first = (np.eye(n)[:, None, :] * _STENCIL_OFFS[:, None]).reshape(n, 8, n)
+    mixed = first[:, None, :, None] + first[None, :, None, :]
+    table = np.concatenate([np.zeros((1, n)), first.reshape(8 * n, n),
+                            mixed.reshape(64 * n * n, n)])
+    table.flags.writeable = False
+    return table
 
 
 def chern_curvature(h: MetricField, p, step: float = 1e-3) -> CurvatureTensor:
     """Finite-difference Chern curvature of (E, h) at ``p``, in the frame of h.
 
+    The metric is evaluated once per row of ``_stencil_offsets(n)``, the base
+    value subtracted, and the rows contracted with the Wirtinger weights.
     Raises SingularMetricError when h(p) is not invertible to working
-    precision, StencilOutOfChartError when a stencil point leaves the
-    declared domain of a user metric.
+    precision or h is not finite on the stencil, StencilOutOfChartError when
+    a stencil point leaves the declared domain of a user metric.
     """
     n = h.base_dim
     r = h.rank
     z0 = as_point(p, n)
 
     H = h(z0)
+    if not np.isfinite(H).all():
+        raise SingularMetricError(f"metric {h.label!r} not finite at the evaluation point")
     ev = np.linalg.eigvalsh(H)
     if np.min(np.abs(ev)) <= 1e-12 * max(1.0, np.max(np.abs(ev))):
         raise SingularMetricError(f"metric {h.label!r} singular at the evaluation point")
     Hinv = np.linalg.inv(H)
 
-    dh = [_wirtinger(h, z0, i, step) for i in range(n)]
-    R = np.empty((n, n, r, r), dtype=complex)
-    for j in range(n):
-        def dbar_j(z, j=j):
-            return _wirtinger(h, z, j, step, bar=True)
-
-        dhbar_j = dh[j].conj().T
-        for i in range(n):
-            dd = _wirtinger(dbar_j, z0, i, step)
-            R[i, j] = -dd + dh[i] @ Hinv @ dhbar_j
+    points = z0 + step * _stencil_offsets(n)
+    vals = np.empty((len(points), r, r), dtype=complex)
+    vals[0] = H
+    for row in range(1, len(points)):
+        vals[row] = h(points[row])
+    if not np.isfinite(vals).all():
+        raise SingularMetricError(f"metric {h.label!r} not finite on the stencil")
+    # every weight row sums to 0: subtracting h(p) leaves the derivatives
+    # unchanged and makes those of a constant field exactly 0
+    vals -= H
+    dh = (_STENCIL_WEIGHTS @ vals[1:1 + 8 * n].reshape(n, 8, r * r)).reshape(n, r, r) / step
+    dd = (_MIXED_WEIGHTS @ vals[1 + 8 * n:].reshape(n * n, 64, r * r)).reshape(n, n, r, r)
+    R = np.einsum("iab,jdb->ijad", dh @ Hinv, dh.conj()) - dd / step**2
     return CurvatureTensor(R, normalized=False)
 
 
@@ -192,6 +209,8 @@ def _orthonormalizer(a: np.ndarray) -> np.ndarray:
     This is the change making the indices-down pairing sum a_{i jbar} u^i
     conj(u^j) the standard norm in the new components.
     """
+    if not np.isfinite(a).all():
+        raise SingularMetricError("matrix has non-finite entries")
     try:
         L = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:

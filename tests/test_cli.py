@@ -271,6 +271,25 @@ BAD_INPUT = [
                  "PARAM_DOMAIN", id="certify-n-0"),
     pytest.param(["certify", "--bundle", "tpn", "--n", "2", "--test", "nakano",
                   "--points", "0"], "PARAM_DOMAIN", id="certify-points-0"),
+    pytest.param(["certify", "--bundle", _metric(entries=[["10 ** 400"]]), "--n", "2",
+                  "--test", "nakano"], "PARAM_DOMAIN", id="metric-overflow-at-load"),
+    pytest.param(["certify", "--bundle", _metric(entries=[["1/0"]]), "--n", "2",
+                  "--test", "nakano"], "PARAM_DOMAIN", id="metric-zero-division-at-load"),
+    pytest.param(["certify", "--bundle", _metric(entries=[["1/abs2(z1)"]]), "--n", "2",
+                  "--test", "nakano", "--points", "1"], "SINGULAR_METRIC",
+                 id="metric-zero-division-at-origin"),
+    pytest.param(["verify", "--what", "lemma-linear", "--bundle", _metric(entries=[["1/z1"]]),
+                  "--n", "2"], "SINGULAR_METRIC", id="metric-not-finite-at-origin"),
+    *(pytest.param(["certify", "--bundle", _metric(domain_radius=radius), "--n", "2",
+                    "--test", "nakano", "--points", "1"], "PARAM_DOMAIN",
+                   id=f"metric-domain-radius-{radius}") for radius in ("x", -1, 0)),
+    *(pytest.param(["certify", "--bundle", _metric(entries=[[src]]), "--n", "2",
+                    "--test", "nakano", "--points", "1"], "PARAM_DOMAIN", id=f"metric-{name}")
+      for name, src in [("import", '__import__("os")'), ("attribute", "z1.real"),
+                        ("lambda", "(lambda: 1)()"), ("subscript", "[z1][0]"),
+                        ("conditional", "z1 if 1 else 0"), ("keyword", "conj(z1, out=z2)"),
+                        ("keyword-abs2", "abs2(z1, foo=1)"), ("starred", "conj(*z1)"),
+                        ("name-above-base-dim", "z3")]),
 ]
 
 

@@ -14,7 +14,7 @@ from poslab import (
     sample_points,
     tangent_pn,
 )
-from poslab.bundles import direct_sum, load_metric_json
+from poslab.bundles import det_field, direct_sum, load_metric_json
 
 from conftest import constant_metric, random_positive
 
@@ -101,6 +101,91 @@ class TestChernCurvature:
         E = load_metric_json(src)
         with pytest.raises(StencilOutOfChartError):
             chern_curvature(E, [0.4999], step=1e-3)
+
+
+def nested_curvature(h, p, step=1e-3):
+    """Chern curvature by nested Wirtinger stencils, one derivative at a time.
+
+    A reference for chern_curvature's offset-table contraction: the same
+    64n^2 + 8n + 1 metric evaluations, summed without subtracting the base
+    value.
+    """
+    offs = np.array([-2, -1, 1, 2, -2j, -1j, 1j, 2j])
+    weights = np.array([1, -8, 8, -1, -1j, 8j, -8j, 1j]) / 24
+
+    def wirtinger(f, z, i, bar=False):
+        acc = 0
+        for w, o in zip(weights.conj() if bar else weights, offs):
+            zo = z.copy()
+            zo[i] += o * step
+            acc = acc + w * f(zo)
+        return acc / step
+
+    n, r = h.base_dim, h.rank
+    z0 = np.asarray(p, dtype=complex)
+    Hinv = np.linalg.inv(h(z0))
+    dh = [wirtinger(h, z0, i) for i in range(n)]
+    R = np.empty((n, n, r, r), dtype=complex)
+    for j in range(n):
+        def dbar_j(z, j=j):
+            return wirtinger(h, z, j, bar=True)
+
+        for i in range(n):
+            R[i, j] = -wirtinger(dbar_j, z0, i) + dh[i] @ Hinv @ dh[j].conj().T
+    return R
+
+
+USER_METRIC = {
+    "rank": 2, "base_dim": 2, "label": "perturbed",
+    "entries": [["(1 + abs2(z1) + abs2(z2)) ** -1 * (1 + 0.4 * abs2(z1))",
+                 "(1 + abs2(z1) + abs2(z2)) ** -1 * 0.2 * z1 * conj(z2)"],
+                ["(1 + abs2(z1) + abs2(z2)) ** -1 * 0.2 * conj(z1) * z2",
+                 "(1 + abs2(z1) + abs2(z2)) ** -1 * (1 + 0.7 * abs2(z2))"]],
+}
+
+
+class TestStencilContraction:
+    @pytest.mark.parametrize("E", [
+        *(tangent_pn(n) for n in (1, 2, 3, 4)),
+        direct_sum([2, -1, 1], 2),
+        det_field(tangent_pn(3)),
+        load_metric_json(USER_METRIC),
+    ], ids=lambda E: f"{E.label}-n{E.base_dim}")
+    def test_matches_nested_stencil(self, E):
+        for p in sample_points(E.base_dim, 4, seed=6):
+            R = chern_curvature(E, p).values
+            assert np.max(np.abs(R - nested_curvature(E, p))) < 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_tpn_closed_form(self, n):
+        # R_{i jbar a bbar} = g_{i jbar} g_{a bbar} + g_{i bbar} g_{a jbar}
+        for p in sample_points(n, 12, seed=n):
+            g = fubini_study(n, p)
+            exact = np.einsum("ij,ab->ijab", g, g) + np.einsum("ib,aj->ijab", g, g)
+            R = chern_curvature(tangent_pn(n), p).values
+            assert np.max(np.abs(R - exact)) < 5e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_line_closed_form(self, n, l):
+        # O(l): R = l h g
+        for p in sample_points(n, 12, seed=n):
+            L = o_line(l, n)
+            R = chern_curvature(L, p).values[:, :, 0, 0]
+            assert np.max(np.abs(R - l * L(p)[0, 0] * fubini_study(n, p))) < 5e-10
+
+
+class TestUserMetric:
+    def test_every_construct_matches_numpy(self):
+        src = "+(2 + 0.5*I) * conj(z1) - -z2 / 3j + abs2(z1 - z2) ** 1.5 - 7"
+        E = load_metric_json({"rank": 2, "base_dim": 2, "entries": [[src, "z1"], ["z2", "1"]]})
+        for z in sample_points(2, 5, seed=2):
+            a, b = z[0], z[1]
+            expect = ((2 + 0.5 * 1j) * np.conj(a) - (-b) / 3j
+                      + ((a - b) * np.conj(a - b)).real ** complex(1.5) - complex(7))
+            h = E(z)
+            assert h[0, 0] == expect
+            assert (h[0, 1], h[1, 0], h[1, 1]) == (a, b, 1)
 
 
 class TestFrameCovariance:
