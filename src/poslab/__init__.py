@@ -42,7 +42,6 @@ from .errors import (
 )
 from .geometry import (
     CurvatureTensor,
-    HermitianForm,
     MetricField,
     chern_curvature,
     fubini_study,
@@ -75,7 +74,6 @@ from .positivity import (
     dual_nakano_min,
     estimate_check,
     griffiths_min,
-    griffiths_value,
     nakano_min,
     sym_twisted_curvature_at,
 )

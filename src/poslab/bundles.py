@@ -213,15 +213,19 @@ def load_metric_json(source) -> MetricField:
             f"metric JSON domain_radius must be a positive number, got {radius!r}")
     entries = _compile_entries(rows, n)
     label = str(spec.get("label", "user"))
+    # numpy floating-point warnings are silenced: a non-finite value is
+    # reported as SINGULAR_METRIC by the curvature's isfinite checks instead
     try:
         # evaluate once at a test point so arithmetic failures show at load time
-        entries(np.zeros(n, dtype=complex) + 0.1)
+        with np.errstate(all="ignore"):
+            entries(np.zeros(n, dtype=complex) + 0.1)
     except ArithmeticError as exc:
         raise ParamDomainError(f"metric {label!r} fails at z = 0.1: {exc}") from exc
 
     def ev(z):
         try:
-            return np.array(entries(z), dtype=complex)
+            with np.errstate(all="ignore"):
+                return np.array(entries(z), dtype=complex)
         except ArithmeticError as exc:
             raise SingularMetricError(f"metric {label!r} fails at z = {z}: {exc}") from exc
 

@@ -24,8 +24,6 @@ import numpy as np
 
 from .errors import ParamDomainError, SingularMetricError, StencilOutOfChartError
 
-HERMITIAN_ATOL = 1e-12
-
 # 4th-order Wirtinger stencil d/dz = (d/dx - i d/dy)/2 at chart offsets
 # o * step: weights c/2 on the real axis and -i c/2 on the imaginary axis, for
 # the central first-derivative coefficients c = (1, -8, 8, -1)/12.  d/dzbar
@@ -44,36 +42,6 @@ def as_point(z, n: int) -> np.ndarray:
     if not np.isfinite(p).all():
         raise ValueError("chart point has non-finite coordinates")
     return p
-
-
-def check_hermitian(a: np.ndarray, atol: float = HERMITIAN_ATOL) -> None:
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if np.max(np.abs(a - a.conj().T)) > atol * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
-
-
-@dataclasses.dataclass(frozen=True)
-class HermitianForm:
-    """An r x r Hermitian matrix, e.g. a metric value h_{alpha betabar}."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.entries, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("HermitianForm entries must be square")
-        check_hermitian(a)
-        object.__setattr__(self, "entries", a)
-
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.entries)
-
-    def is_positive_definite(self) -> bool:
-        return bool(np.min(self.eigenvalues()) > 0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -128,11 +96,6 @@ class CurvatureTensor:
     def hermitian_defect(self) -> float:
         v = self.values
         return float(np.max(np.abs(v - v.transpose(1, 0, 3, 2).conj())))
-
-    def check_symmetry(self, rtol: float = 1e-9) -> None:
-        scale = max(1.0, float(np.max(np.abs(self.values))))
-        if self.hermitian_defect() > rtol * scale:
-            raise ValueError("curvature tensor violates Hermitian symmetry")
 
 
 def fubini_study(n: int, z) -> np.ndarray:

@@ -2,8 +2,10 @@
 
 All routines act on normalized-frame curvature tensors (h(p) = Id, and for
 quantities measured against a polarization, g(p) = Id as well).  Symmetric
-power blocks come with a diagonal Gram matrix; eigenvalue computations then
-solve the corresponding generalized problem.
+power blocks come with a diagonal Gram matrix D (multiplicity factorials), so
+every generalized eigenproblem (M, D) is the standard one of
+D^{-1/2} M D^{-1/2} with eigenvectors scaled back by D^{-1/2}; ``_gram_eigh``
+is the one helper that solves it, for Griffiths, Nakano and dual-Nakano.
 
 Griffiths minimization is a non-convex biquadratic problem; we use
 alternating smallest-eigenvector iteration with random restarts.  A
@@ -20,7 +22,6 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BidegreeError,
@@ -79,18 +80,19 @@ def _cvec(v):
     return [[float(x.real), float(x.imag)] for x in v]
 
 
-def griffiths_value(R, u, v, gram=None) -> float:
-    """Q(u, v) = sum R_{i jbar A Bbar} u^i conj(u^j) v^A conj(v^B)."""
-    V, _ = _values_and_gram(R, gram)
-    val = np.einsum("ijab,i,j,a,b->", V, u, np.conj(u), v, np.conj(v))
-    return float(val.real)
+def _gram_eigh(M, g):
+    """Eigenpairs of the Hermitian pencil (M, diag g), g > 0, ascending.
+
+    Eigenvectors are normalized so that x^H diag(g) x = 1.
+    """
+    sqg = np.sqrt(g)
+    ew, evec = np.linalg.eigh(M / np.outer(sqg, sqg))
+    return ew, evec / sqg[:, None]
 
 
 def _griffiths_extremum(V, g, restarts, tol, seed, maximize):
-    n = V.shape[0]
     F = V.shape[2]
     rng = np.random.Generator(np.random.Philox(key=seed))
-    sqg = np.sqrt(g)
     pick = -1 if maximize else 0
     better = (lambda a, b: a > b) if maximize else (lambda a, b: a < b)
     best_val, best_u, best_v = None, None, None
@@ -108,9 +110,8 @@ def _griffiths_extremum(V, g, restarts, tol, seed, maximize):
             # fix u, extremize over v with <v, v>_G = 1
             Mv = np.einsum("ijab,i,j->ab", V, u, np.conj(u))
             Mv = 0.5 * (Mv + Mv.conj().T)
-            B = Mv / np.outer(sqg, sqg)
-            ew2, evec2 = np.linalg.eigh(B)
-            v = (evec2[:, pick] / sqg).conj()
+            ew2, evec2 = _gram_eigh(Mv, g)
+            v = evec2[:, pick].conj()
             val = float(ew2[pick])
             if prev is not None and abs(val - prev) < tol * (1.0 + abs(val)):
                 break
@@ -153,8 +154,7 @@ def _eig_report(V, g, dual: bool, mode: str) -> PositivityReport:
     n, F = V.shape[0], V.shape[2]
     M = _pair_matrix(V, dual)
     M = 0.5 * (M + M.conj().T)
-    Wg = np.kron(np.eye(n), np.diag(g))
-    ew, evec = scipy.linalg.eigh(M, Wg)
+    ew, evec = _gram_eigh(M, np.tile(g, n))
     val = float(ew[0])
     u = evec[:, 0].conj().reshape(n, F)
     return PositivityReport(

@@ -1,9 +1,14 @@
+import os
+import pathlib
+import subprocess
+import sys
 from bisect import bisect_left
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+import poslab
 from poslab import (
     BidegreeError,
     CurvatureTensor,
@@ -16,7 +21,6 @@ from poslab import (
     dual_nakano_min,
     estimate_check,
     griffiths_min,
-    griffiths_value,
     nakano_min,
     o_line,
     sym_twisted_curvature_at,
@@ -63,7 +67,8 @@ class TestGriffiths:
         rep = griffiths_min(R, restarts=16)
         u = np.array([complex(a, b) for a, b in rep.witness["u"]])
         v = np.array([complex(a, b) for a, b in rep.witness["v"]])
-        assert abs(griffiths_value(R, u, v) - rep.min_value) < 1e-8
+        val = np.einsum("ijab,i,j,a,b->", R.values, u, u.conj(), v, v.conj()).real
+        assert abs(val - rep.min_value) < 1e-8
 
     def test_requires_normalized(self):
         R = random_curvature(2, 2, seed=1, normalized=False)
@@ -131,6 +136,48 @@ class TestDualNakano:
         mn = nakano_min(CurvatureTensor(-Rd, normalized=True)).min_value
         dn = dual_nakano_min(CurvatureTensor(R, normalized=True)).min_value
         assert abs(mn - dn) < 1e-7
+
+
+def _gram_blocks():
+    """Builders of symmetric-power blocks whose Gram diagonal is not the identity."""
+    p = np.array([0.3 - 0.2j, 0.1 + 0.4j])
+    return [
+        *(pytest.param(lambda n=n, r=r, k=k, m=m: induced_sym_det_curvature(
+                           random_curvature(n, r, seed=(70, k)), k, m),
+                       id=f"random-n{n}-r{r}-k{k}-m{m}")
+          for n, r, k, m in [(2, 2, 2, 0), (3, 2, 3, 1), (2, 3, 2, -1), (2, 3, 3, 0)]),
+        *(pytest.param(lambda k=k, l=l: sym_twisted_curvature_at(
+                           tangent_pn(2), o_line(1, 2), p, k=k, m=0, l=l),
+                       id=f"s{k}tp2-o{l}")
+          for k, l in [(2, -1), (3, -2), (3, 1)]),
+    ]
+
+
+class TestGramSolver:
+    @pytest.mark.parametrize("block", _gram_blocks())
+    @pytest.mark.parametrize("dual", [False, True], ids=["nakano", "dual"])
+    def test_agrees_with_unsymmetric_eigensolve(self, block, dual):
+        S = block()
+        n, F = S.values.shape[0], S.values.shape[2]
+        V = S.values.transpose(0, 1, 3, 2) if dual else S.values
+        M = V.transpose(0, 2, 1, 3).reshape(n * F, n * F)
+        w = np.tile(np.asarray(S.gram, dtype=float), n)
+        assert w.min() < w.max()
+        rep = (dual_nakano_min if dual else nakano_min)(S)
+        ref = np.min(np.linalg.eigvals(np.diag(1 / w) @ M).real)
+        assert abs(rep.min_value - ref) <= 1e-10 * max(1.0, abs(ref))
+        # the witness u pairs as sum M u conj(u); its conjugate x is a unit
+        # eigenvector of the pencil (M, diag w)
+        x = np.array([complex(a, b) for row in rep.witness["u"] for a, b in row]).conj()
+        assert abs(np.vdot(x, w * x) - 1.0) <= 1e-12
+        norm_m = np.linalg.norm(M, 2)
+        assert np.linalg.norm(M @ x - rep.min_value * w * x) <= 1e-10 * norm_m
+
+    def test_cli_import_does_not_load_scipy(self):
+        src = str(pathlib.Path(poslab.__file__).resolve().parents[1])
+        code = "import sys, poslab.cli; assert 'scipy' not in sys.modules"
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestPositivityOrdering:
