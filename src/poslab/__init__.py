@@ -88,7 +88,6 @@ from .regions import (
     theorem_region,
 )
 from .symbundle import (
-    SymCurvature,
     generalized_delta,
     gram_diagonal,
     induced_sym_det_curvature,

@@ -109,19 +109,25 @@ _BUILTIN_RE = re.compile(r"^\s*(o|tpn_twist|dsum|tpn)\s*(?:\(([^()]*)\))?\s*$")
 
 
 def builtin(ident: str, n: int) -> MetricField:
-    """Resolve a catalogue identifier like ``o(2)`` or ``dsum(3,-1)``."""
+    """Resolve a catalogue identifier like ``o(2)`` or ``dsum(3,-1)``.
+
+    Raises KeyError for an unknown name or an argument list that does not
+    parse as the name's numbers.
+    """
     m = _BUILTIN_RE.match(ident.lower())
-    if not m:
-        raise KeyError(f"unknown bundle identifier {ident!r}")
-    name, args = m.group(1), m.group(2)
-    if name == "tpn" and args is None:
+    name, args = m.groups() if m else (None, None)
+    try:
+        nums = None if args is None else [float(a) for a in args.split(",")]
+    except ValueError:
+        nums = []  # malformed: matches no case below
+    if name == "tpn" and nums is None:
         return tangent_pn(n)
-    if name == "o" and args is not None:
-        return o_line(float(args), n)
-    if name == "tpn_twist" and args is not None:
-        return tangent_pn_twist(float(args), n)
-    if name == "dsum" and args is not None:
-        return direct_sum([float(a) for a in args.split(",")], n)
+    if name == "o" and nums and len(nums) == 1:
+        return o_line(nums[0], n)
+    if name == "tpn_twist" and nums and len(nums) == 1:
+        return tangent_pn_twist(nums[0], n)
+    if name == "dsum" and nums:
+        return direct_sum(nums, n)
     raise KeyError(f"unknown bundle identifier {ident!r}")
 
 

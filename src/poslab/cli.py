@@ -132,7 +132,7 @@ def _resolve_bundle(ident, n, E=None):
     try:
         return builtin(ident, n)
     except KeyError as exc:
-        raise PoslabError(f"unknown bundle ID {ident!r}") from exc
+        raise ParamDomainError(f"unknown or malformed bundle ID {ident!r}") from exc
 
 
 @main.command("certify")
@@ -141,7 +141,7 @@ def _resolve_bundle(ident, n, E=None):
 @click.option("--test", "which", type=click.Choice(["griffiths", "nakano", "dual", "bounds"]),
               required=True)
 @click.option("--l", "--L", "line", default="o(1)", show_default=True,
-              help='polarization line bundle id, or "det"')
+              help='polarization: a line bundle id (rank 1, e.g. "o(1)"), or "det"')
 @click.option("--twist", type=int, default=0, show_default=True)
 @click.option("--sym", type=int, default=1, show_default=True)
 @click.option("--det", "det_power", type=int, default=0, show_default=True)

@@ -80,10 +80,17 @@ class CurvatureTensor:
     ``normalized`` flags tensors expressed in a frame with h(p) = Id (and,
     when produced by normalize_at_point with a polarization, coordinates
     with g(p) = Id); the positivity and symmetric-power routines require it.
+    ``gram`` is the diagonal of the fiber basis's Gram matrix: all ones by
+    default, the multiplicity factorials for a symmetric-power block.
     """
 
     values: np.ndarray
     normalized: bool = False
+    gram: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.gram is None:
+            self.gram = np.ones(self.rank, dtype=np.int64)
 
     @property
     def base_dim(self) -> int:
@@ -186,13 +193,13 @@ def normalize_at_point(
     g: MetricField | np.ndarray | None,
     p,
     step: float = 1e-3,
-) -> tuple[CurvatureTensor, np.ndarray, np.ndarray]:
+) -> CurvatureTensor:
     """Curvature of h at p in g-orthonormal coordinates and h-orthonormal frame.
 
     ``g`` is the polarization metric on the base (a MetricField of rank n, a
-    plain n x n matrix value, or None for the identity).  Returns the
-    normalized tensor and the coordinate / frame change matrices (P, Q):
-    new tangent vectors are columns of P, new frame vectors columns of Q.
+    plain n x n matrix value, or None for the identity).  The new tangent
+    vectors are the columns of P = _orthonormalizer(g(p)), the new frame
+    vectors those of Q = _orthonormalizer(h(p)).
     """
     n = h.base_dim
     z0 = as_point(p, n)
@@ -208,11 +215,14 @@ def normalize_at_point(
     P = _orthonormalizer(gp)
     Q = _orthonormalizer(hp)
     vals = np.einsum("ijab,ix,jy,au,bv->xyuv", R.values, P, P.conj(), Q, Q.conj())
-    return CurvatureTensor(vals, normalized=True), P, Q
+    return CurvatureTensor(vals, normalized=True)
 
 
-def sample_points(n: int, count: int, seed: int = 0, radius: float = 2.0) -> list[np.ndarray]:
-    """Origin plus radial-uniform points with |z| <= radius, deterministic."""
+_SAMPLE_RADIUS = 2.0
+
+
+def sample_points(n: int, count: int, seed: int = 0) -> list[np.ndarray]:
+    """Origin plus radial-uniform points with |z| <= 2, deterministic."""
     if n < 1 or count < 1:
         raise ParamDomainError(f"need base dimension and point count >= 1, got {n} and {count}")
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -222,5 +232,5 @@ def sample_points(n: int, count: int, seed: int = 0, radius: float = 2.0) -> lis
         norm = np.linalg.norm(v)
         if norm < 1e-12:
             continue
-        pts.append(v / norm * (radius * rng.random()))
+        pts.append(v / norm * (_SAMPLE_RADIUS * rng.random()))
     return pts

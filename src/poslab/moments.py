@@ -41,9 +41,8 @@ from .errors import FrameNotNormalizedError, LengthMismatchError, ParamDomainErr
 from .geometry import CurvatureTensor, MetricField, as_point, chern_curvature
 from .symbundle import (
     MultiIndex,
-    SymCurvature,
+    _contract_with_trace,
     generalized_delta,
-    gram_diagonal,
     induced_sym_det_curvature,
     sym_basis,
     sym_power_field,
@@ -206,21 +205,9 @@ def _integral_map(r: int, k: int) -> np.ndarray:
     return I
 
 
-def integral_formula_tensor(R: CurvatureTensor, k: int, m) -> SymCurvature:
+def integral_formula_tensor(R: CurvatureTensor, k: int, m) -> CurvatureTensor:
     """The full S^k E (det E)^m block of the integral formula's expansion."""
-    if not R.normalized:
-        raise FrameNotNormalizedError("integral_formula_tensor needs a normalized-frame tensor")
-    V = R.values
-    if V.dtype != object:
-        V = V.astype(complex)
-    basis = sym_basis(R.rank, k)
-    gram = gram_diagonal(R.rank, k)
-    out = np.einsum("ijgd,gdab->ijab", V, _integral_map(R.rank, k))
-    if m != 1:
-        diag = np.arange(len(basis))
-        tr = np.trace(V, axis1=2, axis2=3)
-        out[:, :, diag, diag] = out[:, :, diag, diag] + (m - 1) * tr[:, :, None] * np.array(gram)
-    return SymCurvature(out, basis=basis, gram=gram, normalized=True)
+    return _contract_with_trace(R, k, _integral_map(R.rank, k), m - 1)
 
 
 def integral_formula_mc(R: CurvatureTensor, k: int, m, samples: int = 20000,

@@ -1,16 +1,18 @@
 """Positivity certification and the Bochner curvature term.
 
 All routines act on normalized-frame curvature tensors (h(p) = Id, and for
-quantities measured against a polarization, g(p) = Id as well).  Symmetric
-power blocks come with a diagonal Gram matrix D (multiplicity factorials), so
-every generalized eigenproblem (M, D) is the standard one of
-D^{-1/2} M D^{-1/2} with eigenvectors scaled back by D^{-1/2}; ``_gram_eigh``
-is the one helper that solves it, for Griffiths, Nakano and dual-Nakano.
+quantities measured against a polarization, g(p) = Id as well).  Every
+CurvatureTensor carries the diagonal D of its fiber basis's Gram matrix (all
+ones, or multiplicity factorials for a symmetric-power block), so every
+generalized eigenproblem (M, D) is the standard one of D^{-1/2} M D^{-1/2}
+with eigenvectors scaled back by D^{-1/2}; ``_gram_eigh`` is the one helper
+that solves it, for Griffiths, Nakano and dual-Nakano.
 
 Griffiths minimization is a non-convex biquadratic problem; we use
 alternating smallest-eigenvector iteration with random restarts.  A
 nonpositive minimum is a certificate (the witness reproduces it); a positive
-minimum is heuristic and labeled as such.
+minimum is heuristic and labeled as such.  The maximum is minus the minimum
+of -R.
 """
 
 from __future__ import annotations
@@ -25,24 +27,22 @@ import numpy as np
 
 from .errors import (
     BidegreeError,
+    DimMismatchError,
     FrameNotNormalizedError,
     NonpositivePolarizationError,
 )
 from .geometry import CurvatureTensor, MetricField, as_point, chern_curvature, normalize_at_point, sample_points
-from .symbundle import SymCurvature, induced_sym_det_curvature, twist_by_line
+from .symbundle import induced_sym_det_curvature, twist_by_line
+
+# an alternating Griffiths run stops when its value changes by less than this,
+# relative to 1 + |value|
+_GRIFFITHS_TOL = 1e-10
 
 
-def _values_and_gram(R, gram=None):
-    if isinstance(R, SymCurvature):
-        if not R.normalized:
-            raise FrameNotNormalizedError("positivity checks need a normalized-frame tensor")
-        return R.values.astype(complex), np.asarray(R.gram, dtype=float)
-    if isinstance(R, CurvatureTensor):
-        if not R.normalized:
-            raise FrameNotNormalizedError("positivity checks need a normalized-frame tensor")
-        g = np.ones(R.rank) if gram is None else np.asarray(gram, dtype=float)
-        return R.values.astype(complex), g
-    raise TypeError("expected CurvatureTensor or SymCurvature")
+def _values_and_gram(R: CurvatureTensor):
+    if not R.normalized:
+        raise FrameNotNormalizedError("positivity checks need a normalized-frame tensor")
+    return R.values.astype(complex), np.asarray(R.gram, dtype=float)
 
 
 @dataclasses.dataclass
@@ -90,11 +90,16 @@ def _gram_eigh(M, g):
     return ew, evec / sqg[:, None]
 
 
-def _griffiths_extremum(V, g, restarts, tol, seed, maximize):
+def griffiths_min(R: CurvatureTensor, restarts: int = 32, seed: int = 0) -> PositivityReport:
+    """Minimize the Griffiths biquadratic over unit u, unit v (multi-start).
+
+    A nonpositive minimum is certified by its witness; a positive result is
+    heuristic (finitely many restarts).  The maximum is minus the minimum of
+    CurvatureTensor(-R.values, normalized=True, gram=R.gram).
+    """
+    V, g = _values_and_gram(R)
     F = V.shape[2]
     rng = np.random.Generator(np.random.Philox(key=seed))
-    pick = -1 if maximize else 0
-    better = (lambda a, b: a > b) if maximize else (lambda a, b: a < b)
     best_val, best_u, best_v = None, None, None
     for _ in range(max(1, restarts)):
         x = rng.standard_normal(F) + 1j * rng.standard_normal(F)
@@ -102,44 +107,28 @@ def _griffiths_extremum(V, g, restarts, tol, seed, maximize):
         v = x
         prev = None
         for _ in range(200):
-            # fix v, extremize over unit u
+            # fix v, minimize over unit u
             Wu = np.einsum("ijab,a,b->ij", V, v, np.conj(v))
             Wu = 0.5 * (Wu + Wu.conj().T)
             ew, evec = np.linalg.eigh(Wu)
-            u = evec[:, pick].conj()
-            # fix u, extremize over v with <v, v>_G = 1
+            u = evec[:, 0].conj()
+            # fix u, minimize over v with <v, v>_G = 1
             Mv = np.einsum("ijab,i,j->ab", V, u, np.conj(u))
             Mv = 0.5 * (Mv + Mv.conj().T)
             ew2, evec2 = _gram_eigh(Mv, g)
-            v = evec2[:, pick].conj()
-            val = float(ew2[pick])
-            if prev is not None and abs(val - prev) < tol * (1.0 + abs(val)):
+            v = evec2[:, 0].conj()
+            val = float(ew2[0])
+            if prev is not None and abs(val - prev) < _GRIFFITHS_TOL * (1.0 + abs(val)):
                 break
             prev = val
-        if best_val is None or better(val, best_val):
+        if best_val is None or val < best_val:
             best_val, best_u, best_v = val, u, v
-    return best_val, best_u, best_v
-
-
-def griffiths_min(R, restarts: int = 32, tol: float = 1e-10, seed: int = 0,
-                  gram=None, maximize: bool = False) -> PositivityReport:
-    """Extremize the Griffiths biquadratic over unit u, unit v (multi-start).
-
-    For ``maximize=False`` a nonpositive minimum is certified by its witness;
-    a positive result is heuristic (finitely many restarts).
-    """
-    V, g = _values_and_gram(R, gram)
-    val, u, v = _griffiths_extremum(V, g, restarts, tol, seed, maximize)
-    if maximize:
-        sign = "positive" if val > 0 else "nonpositive_found"
-    else:
-        sign = "nonpositive_found" if val <= 0 else "positive"
     return PositivityReport(
-        mode="griffiths_max" if maximize else "griffiths",
-        min_value=val,
-        witness={"u": _cvec(u), "v": _cvec(v)},
+        mode="griffiths",
+        min_value=best_val,
+        witness={"u": _cvec(best_u), "v": _cvec(best_v)},
         points=[],
-        certified_sign=sign,
+        certified_sign="nonpositive_found" if best_val <= 0 else "positive",
     )
 
 
@@ -166,20 +155,23 @@ def _eig_report(V, g, dual: bool, mode: str) -> PositivityReport:
     )
 
 
-def nakano_min(R, gram=None) -> PositivityReport:
+def nakano_min(R: CurvatureTensor) -> PositivityReport:
     """Smallest eigenvalue of M_{(iA),(jB)} = R_{i jbar A Bbar} (vs the Gram)."""
-    V, g = _values_and_gram(R, gram)
+    V, g = _values_and_gram(R)
     return _eig_report(V, g, dual=False, mode="nakano")
 
 
-def dual_nakano_min(R, gram=None) -> PositivityReport:
+def dual_nakano_min(R: CurvatureTensor) -> PositivityReport:
     """Smallest eigenvalue of N_{(iA),(jB)} = R_{i jbar B Abar} (vs the Gram)."""
-    V, g = _values_and_gram(R, gram)
+    V, g = _values_and_gram(R)
     return _eig_report(V, g, dual=True, mode="dual_nakano")
 
 
 def polarization_form(L: MetricField, p, step: float = 1e-3) -> np.ndarray:
     """omega_L at p as an n x n matrix: frame-normalized curvature of L."""
+    if L.rank != 1:
+        raise DimMismatchError(
+            f"polarization {L.label!r} has rank {L.rank}; it must be a line bundle")
     z0 = as_point(p, L.base_dim)
     R = chern_curvature(L, z0, step=step)
     hL = L(z0)[0, 0].real
@@ -191,9 +183,8 @@ def polarization_form(L: MetricField, p, step: float = 1e-3) -> np.ndarray:
     return gmat
 
 
-def boundedness_scan(E: MetricField, L: MetricField, points=None,
-                     n_points: int = 50, seed: int = 0, restarts: int = 8,
-                     tol: float = 1e-10, step: float = 1e-3) -> BoundednessCertificate:
+def boundedness_scan(E: MetricField, L: MetricField, n_points: int = 50, seed: int = 0,
+                     restarts: int = 8, step: float = 1e-3) -> BoundednessCertificate:
     """Scan sample points for the extremal Griffiths values of E against omega_L.
 
     eps1 / eps2 are the global min / max of the normalized biquadratic
@@ -201,25 +192,24 @@ def boundedness_scan(E: MetricField, L: MetricField, points=None,
     eps2 exceeds eps1 by more than 1e-9, i.e. whether
     Theta - eps * omega_L x Id is not identically zero on the scan.
     """
-    if points is None:
-        points = sample_points(E.base_dim, n_points, seed=seed)
     eps1 = np.inf
     eps2 = -np.inf
     wit_low: dict = {}
     wit_high: dict = {}
     pts_json = []
-    for p in points:
+    for p in sample_points(E.base_dim, n_points, seed=seed):
         g = polarization_form(L, p, step=step)
-        Rn, _, _ = normalize_at_point(E, g, p, step=step)
-        lo = griffiths_min(Rn, restarts=restarts, tol=tol, seed=seed)
-        hi = griffiths_min(Rn, restarts=restarts, tol=tol, seed=seed, maximize=True)
+        Rn = normalize_at_point(E, g, p, step=step)
+        lo = griffiths_min(Rn, restarts=restarts, seed=seed)
+        hi = griffiths_min(CurvatureTensor(-Rn.values, normalized=True),
+                           restarts=restarts, seed=seed)
         pts_json.append(_cvec(p))
         if lo.min_value < eps1:
             eps1 = lo.min_value
             wit_low = {"point": _cvec(p), **lo.witness, "value": lo.min_value}
-        if hi.min_value > eps2:
-            eps2 = hi.min_value
-            wit_high = {"point": _cvec(p), **hi.witness, "value": hi.min_value}
+        if -hi.min_value > eps2:
+            eps2 = -hi.min_value
+            wit_high = {"point": _cvec(p), **hi.witness, "value": eps2}
     return BoundednessCertificate(
         eps1=float(eps1),
         eps2=float(eps2),
@@ -231,7 +221,7 @@ def boundedness_scan(E: MetricField, L: MetricField, points=None,
 
 
 def sym_twisted_curvature_at(E: MetricField, L: MetricField, p, k: int, m,
-                             l, step: float = 1e-3) -> SymCurvature:
+                             l, step: float = 1e-3) -> CurvatureTensor:
     """Normalized curvature block of S^k E (det E)^m L^l at a point.
 
     Coordinates are orthonormalized against omega_L, so the line-bundle twist
@@ -239,13 +229,10 @@ def sym_twisted_curvature_at(E: MetricField, L: MetricField, p, k: int, m,
     """
     z0 = as_point(p, E.base_dim)
     g = polarization_form(L, z0, step=step)
-    Rn, _, _ = normalize_at_point(E, g, z0, step=step)
+    Rn = normalize_at_point(E, g, z0, step=step)
     Rsym = induced_sym_det_curvature(Rn, k, m)
     if l != 0:
-        n = E.base_dim
-        eye = CurvatureTensor(np.eye(n, dtype=complex).reshape(n, n, 1, 1),
-                              normalized=True)
-        Rsym = twist_by_line(Rsym, eye, l)
+        Rsym = twist_by_line(Rsym, line_curvature_tensor(np.eye(E.base_dim)), l)
     return Rsym
 
 
@@ -280,18 +267,16 @@ class Form:
                    np.zeros((comb(n, p), comb(n, q), fiber_rank), dtype=complex))
 
     @classmethod
-    def random(cls, n, p, q, fiber_rank=1, seed=0, normalize=True):
+    def random(cls, n, p, q, fiber_rank=1, seed=0):
+        """A random form of unit coefficient norm."""
         rng = np.random.Generator(np.random.Philox(key=seed))
         u = cls.zero(n, p, q, fiber_rank)
         c = rng.standard_normal(u.coeffs.shape) + 1j * rng.standard_normal(u.coeffs.shape)
-        if normalize:
-            c /= np.linalg.norm(c)
-        u.coeffs = c
+        u.coeffs = c / np.linalg.norm(c)
         return u
 
-    def norm_sq(self, gram=None) -> float:
-        w = np.ones(self.fiber_rank) if gram is None else np.asarray(gram, dtype=float)
-        return float(np.sum(np.abs(self.coeffs) ** 2 * w))
+    def norm_sq(self) -> float:
+        return float(np.sum(np.abs(self.coeffs) ** 2))
 
 
 @functools.lru_cache(maxsize=None)

@@ -3,9 +3,10 @@
 Multi-indices are nondecreasing tuples of 1-based frame indices; the monomial
 basis e_A of S^k E is *not* orthonormal when indices repeat: its Gram matrix
 is the generalized Kronecker delta, diagonal with delta_AA = product of
-multiplicity factorials.  All curvature blocks produced here are indices-down
-components in that basis, so downstream eigenvalue computations must solve
-generalized eigenproblems against the Gram matrix.
+multiplicity factorials.  All curvature blocks produced here are
+CurvatureTensors of indices-down components in that basis, with the Gram
+diagonal in ``gram``, so downstream eigenvalue computations must solve
+generalized eigenproblems against it.
 
 Each block is a fixed integer linear map of (r, k), built once per process
 from its own formula (cached) and applied as one contraction.  numpy runs the
@@ -15,7 +16,6 @@ through without rounding.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from collections import Counter
 from itertools import combinations_with_replacement, product
@@ -95,32 +95,6 @@ def sym_metric(h, k: int):
     return np.take(h.ravel(), flat).prod(axis=0) @ weight
 
 
-@dataclasses.dataclass
-class SymCurvature:
-    """Curvature block of S^k E (det E)^m, values[i, j, A, B] indices-down.
-
-    ``basis`` orders the multi-indices, ``gram`` is the diagonal of the basis
-    Gram matrix (needed by generalized-eigenvalue positivity checks).
-    """
-
-    values: np.ndarray
-    basis: list[MultiIndex]
-    gram: list[int]
-    normalized: bool = True
-
-    @property
-    def base_dim(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def sym_rank(self) -> int:
-        return len(self.basis)
-
-    def hermitian_defect(self) -> float:
-        v = self.values.astype(complex)
-        return float(np.max(np.abs(v - v.transpose(1, 0, 3, 2).conj())))
-
-
 @functools.lru_cache(maxsize=None)
 def _derivation_map(r: int, k: int) -> np.ndarray:
     """Slot-substitution rule as an (r, r, F, F) integer map.
@@ -141,7 +115,30 @@ def _derivation_map(r: int, k: int) -> np.ndarray:
     return T
 
 
-def induced_sym_det_curvature(R: CurvatureTensor, k: int, m) -> SymCurvature:
+def _add_diagonal(out: np.ndarray, form: np.ndarray, coeff, gram: np.ndarray) -> None:
+    """Add coeff * form_{i jbar} * delta_AB * gram_A to ``out`` in place."""
+    if coeff != 0:
+        diag = np.arange(len(gram))
+        out[:, :, diag, diag] = out[:, :, diag, diag] + coeff * form[:, :, None] * gram
+
+
+def _contract_with_trace(R: CurvatureTensor, k: int, T: np.ndarray, coeff) -> CurvatureTensor:
+    """S^k block sum_{g,d} R_{i jbar g dbar} T[g, d, A, B] + coeff * delta_AB * gram_A * tr R.
+
+    ``T`` is a fixed (r, r, F, F) integer map; R must be frame-normalized.
+    """
+    if not R.normalized:
+        raise FrameNotNormalizedError("the S^k blocks need a normalized-frame tensor")
+    V = R.values
+    if V.dtype != object:
+        V = V.astype(complex)
+    gram = np.array(gram_diagonal(R.rank, k))
+    out = np.einsum("ijgd,gdab->ijab", V, T)
+    _add_diagonal(out, np.trace(V, axis1=2, axis2=3), coeff, gram)
+    return CurvatureTensor(out, normalized=True, gram=gram)
+
+
+def induced_sym_det_curvature(R: CurvatureTensor, k: int, m) -> CurvatureTensor:
     """Curvature of S^k E (det E)^m from R by the derivation rule.
 
     Requires R in a frame with h(p) = Id.  The S^k part is
@@ -149,34 +146,18 @@ def induced_sym_det_curvature(R: CurvatureTensor, k: int, m) -> SymCurvature:
     with A' = A with slot t replaced by gamma; the determinant part adds
     m * delta_AB * tr_fiber R.
     """
-    if not R.normalized:
-        raise FrameNotNormalizedError("induced_sym_det_curvature needs a normalized-frame tensor")
-    V = R.values
-    if V.dtype != object:
-        V = V.astype(complex)
-    basis = sym_basis(R.rank, k)
-    gram = gram_diagonal(R.rank, k)
-    out = np.einsum("ijgd,gdab->ijab", V, _derivation_map(R.rank, k))
-    if m != 0:
-        diag = np.arange(len(basis))
-        tr = np.trace(V, axis1=2, axis2=3)
-        out[:, :, diag, diag] = out[:, :, diag, diag] + m * tr[:, :, None] * np.array(gram)
-    return SymCurvature(out, basis=basis, gram=gram, normalized=True)
+    return _contract_with_trace(R, k, _derivation_map(R.rank, k), m)
 
 
-def twist_by_line(Rsym: SymCurvature, Rline: CurvatureTensor, t) -> SymCurvature:
-    """Tensor by L^t: add t * R^L_{i jbar} * delta_AB to every block."""
+def twist_by_line(Rsym: CurvatureTensor, Rline: CurvatureTensor, t) -> CurvatureTensor:
+    """Tensor by L^t: add t * R^L_{i jbar} * delta_AB * gram_A to every block."""
     if Rline.rank != 1:
         raise DimMismatchError("twist_by_line needs a rank-1 curvature")
     if Rline.base_dim != Rsym.base_dim:
         raise DimMismatchError("base dimensions differ")
     out = Rsym.values.copy()
-    line = Rline.values[:, :, 0, 0]
-    if t != 0:
-        for a, g in enumerate(Rsym.gram):
-            out[:, :, a, a] = out[:, :, a, a] + t * g * line
-    return SymCurvature(out, basis=list(Rsym.basis), gram=list(Rsym.gram),
-                        normalized=Rsym.normalized)
+    _add_diagonal(out, Rline.values[:, :, 0, 0], t, Rsym.gram)
+    return CurvatureTensor(out, normalized=Rsym.normalized, gram=Rsym.gram)
 
 
 def sym_power_field(E: MetricField, k: int, m) -> MetricField:

@@ -280,6 +280,14 @@ BAD_INPUT = [
                  id="metric-zero-division-at-origin"),
     pytest.param(["verify", "--what", "lemma-linear", "--bundle", _metric(entries=[["1/z1"]]),
                   "--n", "2"], "SINGULAR_METRIC", id="metric-not-finite-at-origin"),
+    pytest.param(["certify", "--bundle", "tpn", "--n", "2", "--test", "bounds",
+                  "--l", "dsum(1,-5)", "--points", "2"], "DIM_MISMATCH",
+                 id="bounds-polarization-rank-2"),
+    pytest.param(["certify", "--bundle", "tpn", "--n", "2", "--test", "nakano", "--l", "tpn"],
+                 "DIM_MISMATCH", id="nakano-polarization-rank-2"),
+    *(pytest.param(["certify", "--bundle", ident, "--n", "2", "--test", "nakano"],
+                   "PARAM_DOMAIN", id=f"bundle-id-{ident}")
+      for ident in ("o(abc)", "dsum()", "dsum(1,,2)", "foo")),
     *(pytest.param(["certify", "--bundle", _metric(domain_radius=radius), "--n", "2",
                     "--test", "nakano", "--points", "1"], "PARAM_DOMAIN",
                    id=f"metric-domain-radius-{radius}") for radius in ("x", -1, 0)),

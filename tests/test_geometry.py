@@ -14,6 +14,7 @@ from poslab import (
     tangent_pn,
 )
 from poslab.bundles import det_field, direct_sum, load_metric_json
+from poslab.geometry import _orthonormalizer
 
 from conftest import constant_metric, random_positive
 
@@ -211,9 +212,9 @@ class TestNormalizeAtPoint:
     def test_identity_data_unchanged(self):
         E = o_line(1, 2)
         R0 = chern_curvature(E, np.zeros(2))
-        Rn, P, Q = normalize_at_point(E, None, np.zeros(2))
-        assert np.allclose(P, np.eye(2))
-        assert np.allclose(Q, np.eye(1))
+        Rn = normalize_at_point(E, None, np.zeros(2))
+        assert np.allclose(_orthonormalizer(np.eye(2)), np.eye(2))
+        assert np.allclose(_orthonormalizer(E(np.zeros(2))), np.eye(1))
         assert np.allclose(Rn.values, R0.values, atol=1e-10)
         assert Rn.normalized
 
@@ -221,16 +222,15 @@ class TestNormalizeAtPoint:
         # scaling h by a constant scales R linearly; the normalized tensor is unchanged
         E = o_line(1, 2)
         E4 = MetricField(rank=1, base_dim=2, evaluate=lambda z: 4.0 * E(z), label="4*o(1)")
-        Rn, _, _ = normalize_at_point(E, None, np.zeros(2))
-        Rn4, _, _ = normalize_at_point(E4, None, np.zeros(2))
+        Rn = normalize_at_point(E, None, np.zeros(2))
+        Rn4 = normalize_at_point(E4, None, np.zeros(2))
         assert np.allclose(Rn.values, Rn4.values, atol=1e-9)
 
     def test_pairing_convention(self):
         # after normalization the indices-down pairing of g is the plain norm:
         # P must satisfy P^T g conj(P) = Id
         g = random_positive(3, seed=11)
-        E = o_line(1, 3)
-        _, P, _ = normalize_at_point(E, g, np.zeros(3))
+        P = _orthonormalizer(g)
         assert np.allclose(P.T @ g @ P.conj(), np.eye(3), atol=1e-12)
 
     def test_tpn_griffiths_range_invariant(self):
@@ -239,7 +239,7 @@ class TestNormalizeAtPoint:
         rng = np.random.Generator(np.random.Philox(key=3))
         for p in sample_points(n, 5, seed=9):
             g = fubini_study(n, p)
-            Rn, _, _ = normalize_at_point(tangent_pn(n), g, p)
+            Rn = normalize_at_point(tangent_pn(n), g, p)
             for _ in range(20):
                 u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 v = rng.standard_normal(n) + 1j * rng.standard_normal(n)

@@ -104,8 +104,8 @@ class TestIntegralFormula:
         R = rational_curvature(1, 3, seed=17)
         S = integral_formula_tensor(R, 2, 2)
         D = induced_sym_det_curvature(R, 2, 2)
-        for a in range(S.sym_rank):
-            for b in range(S.sym_rank):
+        for a in range(S.rank):
+            for b in range(S.rank):
                 assert S.values[0, 0, a, b] == D.values[0, 0, a, b]
 
     def test_mc_quadrature_confirms_expansion(self):

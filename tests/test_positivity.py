@@ -28,7 +28,7 @@ from poslab import (
 )
 from poslab.bundles import direct_sum, det_field
 from poslab.geometry import chern_curvature, normalize_at_point, fubini_study
-from poslab.positivity import eigenvalue_bound, line_curvature_tensor
+from poslab.positivity import eigenvalue_bound, line_curvature_tensor, polarization_form
 from poslab.symbundle import induced_sym_det_curvature
 
 from conftest import random_curvature
@@ -48,14 +48,16 @@ class TestGriffiths:
         assert rep.certified_sign == "positive"
 
     def test_delta_tensor_max_is_two(self):
-        rep = griffiths_min(delta_tensor(3), restarts=8, maximize=True)
-        assert abs(rep.min_value - 2.0) < 1e-8
+        # the maximum is minus the minimum of -R
+        neg = CurvatureTensor(-delta_tensor(3).values, normalized=True)
+        rep = griffiths_min(neg, restarts=8)
+        assert abs(-rep.min_value - 2.0) < 1e-8
 
     def test_negative_summand_detected(self):
         # O(3) + O(-1) against omega_{O(1)}: min is -1 with witness along e2
         E = direct_sum([3, -1], 2)
         g = fubini_study(2, np.zeros(2))
-        Rn, _, _ = normalize_at_point(E, g, np.zeros(2))
+        Rn = normalize_at_point(E, g, np.zeros(2))
         rep = griffiths_min(Rn, restarts=8)
         assert abs(rep.min_value + 1.0) < 1e-8
         assert rep.certified_sign == "nonpositive_found"
@@ -87,7 +89,7 @@ class TestNakano:
     def test_tangent_p2_not_strictly_positive(self):
         # min over Nakano vectors is exactly 0 for TP^2 (antisymmetric witness)
         g = fubini_study(2, np.zeros(2))
-        Rn, _, _ = normalize_at_point(tangent_pn(2), g, np.zeros(2))
+        Rn = normalize_at_point(tangent_pn(2), g, np.zeros(2))
         rep = nakano_min(Rn)
         assert abs(rep.min_value) < 1e-8
 
@@ -112,7 +114,7 @@ class TestDualNakano:
 
     def test_tangent_p2_strictly_positive(self):
         g = fubini_study(2, np.zeros(2))
-        Rn, _, _ = normalize_at_point(tangent_pn(2), g, np.zeros(2))
+        Rn = normalize_at_point(tangent_pn(2), g, np.zeros(2))
         rep = dual_nakano_min(Rn)
         assert abs(rep.min_value - 1.0) < 1e-7
 
@@ -196,7 +198,8 @@ class TestPositivityOrdering:
         # vectors orthogonal to tau annihilate the form, so all three notions
         # agree in sign: semi-positive, strictly positive along tau
         assert griffiths_min(R, restarts=16).min_value >= -1e-10
-        assert griffiths_min(R, restarts=16, maximize=True).min_value > 0
+        neg = CurvatureTensor(-R.values, normalized=True)
+        assert -griffiths_min(neg, restarts=16).min_value > 0
         assert dual_nakano_min(R).min_value >= -1e-10
         assert nakano_min(R).min_value >= -1e-10
 
@@ -223,6 +226,20 @@ class TestBoundedness:
         cert = boundedness_scan(E, det_field(E), n_points=8, seed=0, restarts=6)
         assert abs(cert.eps1 + 0.5) < 1e-6
         assert abs(cert.eps2 - 1.5) < 1e-6
+
+    @pytest.mark.parametrize("E,L", [
+        (tangent_pn(2), o_line(1, 2)),
+        # the origin is a degenerate point: every unit u attains both extremes
+        (direct_sum([3, -1], 2), o_line(2, 2)),
+    ], ids=["tpn-o1", "dsum-o2"])
+    def test_witnesses_reproduce_extremes(self, E, L):
+        cert = boundedness_scan(E, L, n_points=4, seed=0, restarts=6)
+        for wit, eps in ((cert.witness_low, cert.eps1), (cert.witness_high, cert.eps2)):
+            p, u, v = (np.array([complex(a, b) for a, b in wit[key]])
+                       for key in ("point", "u", "v"))
+            Rn = normalize_at_point(E, polarization_form(L, p), p)
+            val = np.einsum("ijab,i,j,a,b->", Rn.values, u, u.conj(), v, v.conj()).real
+            assert abs(val - eps) < 1e-10
 
     def test_nonpositive_polarization_rejected(self):
         with pytest.raises(NonpositivePolarizationError):
@@ -311,13 +328,13 @@ class TestCurvatureTerm:
     def test_positive_on_sym_bundle_top_degree(self):
         # (n, q) forms with q >= 1 valued in S^1 TP^2 det TP^2: T(u,u) > 0
         g = fubini_study(2, np.zeros(2))
-        Rn, _, _ = normalize_at_point(tangent_pn(2), g, np.zeros(2))
+        Rn = normalize_at_point(tangent_pn(2), g, np.zeros(2))
         S = induced_sym_det_curvature(Rn, 1, 1)
         gram_ok = np.allclose(S.gram, 1)
         assert gram_ok
         for q in (1, 2):
             for seed in range(5):
-                u = Form.random(2, 2, q, S.sym_rank, seed=(61, 10 * q + seed))
+                u = Form.random(2, 2, q, S.rank, seed=(61, 10 * q + seed))
                 assert curvature_term(S, u) > 0
 
     def test_bidegree_error(self):
