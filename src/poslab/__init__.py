@@ -75,6 +75,7 @@ from .positivity import (
     estimate_check,
     griffiths_min,
     nakano_min,
+    positivity_scan,
     sym_twisted_curvature_at,
 )
 from .regions import (

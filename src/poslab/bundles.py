@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import ast
 import json
+import math
 import re
 
 import numpy as np
@@ -120,6 +121,8 @@ def builtin(ident: str, n: int) -> MetricField:
         nums = None if args is None else [float(a) for a in args.split(",")]
     except ValueError:
         nums = []  # malformed: matches no case below
+    if nums and not all(math.isfinite(x) for x in nums):
+        nums = []  # nan, inf and overflowing literals are malformed too
     if name == "tpn" and nums is None:
         return tangent_pn(n)
     if name == "o" and nums and len(nums) == 1:

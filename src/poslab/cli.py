@@ -21,15 +21,7 @@ from .bundles import builtin, det_field, load_metric_json
 from .errors import DimMismatchError, ParamDomainError, PoslabError
 from .moments import moment_exact, moment_mc, moment_mc_table, verify_lemma_linear
 from .oracles import grassmannian_nonvanishing, pn_line_cohomology, prop_ex_consistency
-from .positivity import (
-    boundedness_scan,
-    dual_nakano_min,
-    estimate_check,
-    griffiths_min,
-    nakano_min,
-    sym_twisted_curvature_at,
-)
-from .geometry import sample_points
+from .positivity import boundedness_scan, estimate_check, positivity_scan
 from .regions import TheoremParams, lambda0, region_svg, strip_width, theorem_region
 
 SCHEMA = 1
@@ -151,6 +143,9 @@ def _resolve_bundle(ident, n, E=None):
 @click.option("--output", type=click.Path(), default=None)
 def cmd_certify(bundle, n, which, line, twist, sym, det_power, points, seed, restarts, output):
     """Positivity / boundedness certification of a built-in or user bundle."""
+    if which == "bounds" and (sym, det_power, twist) != (1, 0, 0):
+        raise ParamDomainError("--test bounds measures the bundle itself; "
+                               "it takes no --sym, --det or --twist")
     E = _resolve_bundle(bundle, n)
     L = _resolve_bundle(line, n, E=E)
     if which == "bounds":
@@ -158,27 +153,16 @@ def cmd_certify(bundle, n, which, line, twist, sym, det_power, points, seed, res
         _emit({"bundle": E.label, "polarization": L.label, "certificate": cert.to_json()},
               output)
         return
-    pts = sample_points(n, points, seed=seed)
-    best = None
-    for p in pts:
-        Rsym = sym_twisted_curvature_at(E, L, p, k=sym, m=det_power, l=twist)
-        if which == "griffiths":
-            rep = griffiths_min(Rsym, restarts=restarts, seed=seed)
-        elif which == "nakano":
-            rep = nakano_min(Rsym)
-        else:
-            rep = dual_nakano_min(Rsym)
-        rep.points = [[float(x.real), float(x.imag)] for x in p]
-        if best is None or rep.min_value < best.min_value:
-            best = rep
+    rep = positivity_scan(E, L, which, n_points=points, seed=seed, restarts=restarts,
+                          k=sym, m=det_power, l=twist)
     _emit({
         "bundle": E.label,
         "polarization": L.label,
         "sym": sym,
         "det": det_power,
         "twist": twist,
-        "points_scanned": len(pts),
-        "report": best.to_json(),
+        "points_scanned": points,
+        "report": rep.to_json(),
     }, output)
 
 

@@ -153,7 +153,9 @@ def chern_curvature(h: MetricField, p, step: float = 1e-3) -> CurvatureTensor:
     if not np.isfinite(H).all():
         raise SingularMetricError(f"metric {h.label!r} not finite at the evaluation point")
     ev = np.linalg.eigvalsh(H)
-    if np.min(np.abs(ev)) <= 1e-12 * max(1.0, np.max(np.abs(ev))):
+    # relative to the largest eigenvalue: a constant factor on h leaves the
+    # curvature unchanged, so a small but well-conditioned h(p) is fine
+    if np.min(np.abs(ev)) <= 1e-12 * np.max(np.abs(ev)):
         raise SingularMetricError(f"metric {h.label!r} singular at the evaluation point")
     Hinv = np.linalg.inv(H)
 
@@ -188,29 +190,19 @@ def _orthonormalizer(a: np.ndarray) -> np.ndarray:
     return np.linalg.inv(L).T
 
 
-def normalize_at_point(
-    h: MetricField,
-    g: MetricField | np.ndarray | None,
-    p,
-    step: float = 1e-3,
-) -> CurvatureTensor:
+def normalize_at_point(h: MetricField, g: np.ndarray | None, p) -> CurvatureTensor:
     """Curvature of h at p in g-orthonormal coordinates and h-orthonormal frame.
 
-    ``g`` is the polarization metric on the base (a MetricField of rank n, a
-    plain n x n matrix value, or None for the identity).  The new tangent
-    vectors are the columns of P = _orthonormalizer(g(p)), the new frame
-    vectors those of Q = _orthonormalizer(h(p)).
+    ``g`` is the polarization form at p, an n x n Hermitian positive matrix,
+    or None for the identity.  The new tangent vectors are the columns of
+    P = _orthonormalizer(g), the new frame vectors those of
+    Q = _orthonormalizer(h(p)).
     """
     n = h.base_dim
     z0 = as_point(p, n)
-    R = chern_curvature(h, z0, step=step)
+    R = chern_curvature(h, z0)
 
-    if g is None:
-        gp = np.eye(n, dtype=complex)
-    elif isinstance(g, MetricField):
-        gp = g(z0)
-    else:
-        gp = np.asarray(g, dtype=complex)
+    gp = np.eye(n, dtype=complex) if g is None else np.asarray(g, dtype=complex)
     hp = h(z0)
     P = _orthonormalizer(gp)
     Q = _orthonormalizer(hp)

@@ -231,8 +231,8 @@ def integral_formula_mc(R: CurvatureTensor, k: int, m, samples: int = 20000,
     return pref * mean.reshape(n, n, F, F), pref * err.reshape(n, n, F, F)
 
 
-def verify_lemma_linear(bundle: MetricField, p, k: int, m, step: float = 1e-3,
-                        mc_samples: int = 20000, seed: int = 0) -> dict:
+def verify_lemma_linear(bundle: MetricField, p, k: int, m, mc_samples: int = 20000,
+                        seed: int = 0) -> dict:
     """Three deterministic routes to the S^k E (det E)^m curvature, plus MC.
 
     (a) derivation-rule algebra on the pointwise curvature of E;
@@ -245,11 +245,11 @@ def verify_lemma_linear(bundle: MetricField, p, k: int, m, step: float = 1e-3,
     """
     z0 = as_point(p, bundle.base_dim)
     E0 = frame_normalized(bundle, z0)
-    R = chern_curvature(E0, z0, step=step)
+    R = chern_curvature(E0, z0)
     Rn = CurvatureTensor(R.values, normalized=True)
 
     a = induced_sym_det_curvature(Rn, k, m).values.astype(complex)
-    b = chern_curvature(sym_power_field(E0, k, m), z0, step=step).values
+    b = chern_curvature(sym_power_field(E0, k, m), z0).values
     c = integral_formula_tensor(Rn, k, m).values.astype(complex)
     d_est, d_err = integral_formula_mc(Rn, k, m, samples=mc_samples, seed=seed)
 

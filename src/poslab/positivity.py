@@ -13,6 +13,10 @@ alternating smallest-eigenvector iteration with random restarts.  A
 nonpositive minimum is a certificate (the witness reproduces it); a positive
 minimum is heuristic and labeled as such.  The maximum is minus the minimum
 of -R.
+
+``_scan_minima`` is the one loop over sample points: ``positivity_scan`` and
+``boundedness_scan`` apply their measures to the same normalized
+S^k E (det E)^m L^l block at each point.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .errors import (
     DimMismatchError,
     FrameNotNormalizedError,
     NonpositivePolarizationError,
+    ParamDomainError,
 )
 from .geometry import CurvatureTensor, MetricField, as_point, chern_curvature, normalize_at_point, sample_points
 from .symbundle import induced_sym_det_curvature, twist_by_line
@@ -50,17 +55,14 @@ class PositivityReport:
     mode: str
     min_value: float
     witness: dict
-    points: list
-    certified_sign: str
+    points: list = dataclasses.field(default_factory=list)
+    certified_sign: str = dataclasses.field(init=False)
+
+    def __post_init__(self):
+        self.certified_sign = "positive" if self.min_value > 0 else "nonpositive_found"
 
     def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "min_value": self.min_value,
-            "witness": self.witness,
-            "points": self.points,
-            "certified_sign": self.certified_sign,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclasses.dataclass
@@ -97,11 +99,13 @@ def griffiths_min(R: CurvatureTensor, restarts: int = 32, seed: int = 0) -> Posi
     heuristic (finitely many restarts).  The maximum is minus the minimum of
     CurvatureTensor(-R.values, normalized=True, gram=R.gram).
     """
+    if restarts < 1:
+        raise ParamDomainError(f"need restarts >= 1, got {restarts}")
     V, g = _values_and_gram(R)
     F = V.shape[2]
     rng = np.random.Generator(np.random.Philox(key=seed))
     best_val, best_u, best_v = None, None, None
-    for _ in range(max(1, restarts)):
+    for _ in range(restarts):
         x = rng.standard_normal(F) + 1j * rng.standard_normal(F)
         x /= np.sqrt(np.sum(g * np.abs(x) ** 2))
         v = x
@@ -123,13 +127,7 @@ def griffiths_min(R: CurvatureTensor, restarts: int = 32, seed: int = 0) -> Posi
             prev = val
         if best_val is None or val < best_val:
             best_val, best_u, best_v = val, u, v
-    return PositivityReport(
-        mode="griffiths",
-        min_value=best_val,
-        witness={"u": _cvec(best_u), "v": _cvec(best_v)},
-        points=[],
-        certified_sign="nonpositive_found" if best_val <= 0 else "positive",
-    )
+    return PositivityReport("griffiths", best_val, {"u": _cvec(best_u), "v": _cvec(best_v)})
 
 
 def _pair_matrix(V, dual: bool) -> np.ndarray:
@@ -146,13 +144,7 @@ def _eig_report(V, g, dual: bool, mode: str) -> PositivityReport:
     ew, evec = _gram_eigh(M, np.tile(g, n))
     val = float(ew[0])
     u = evec[:, 0].conj().reshape(n, F)
-    return PositivityReport(
-        mode=mode,
-        min_value=val,
-        witness={"u": [_cvec(row) for row in u]},
-        points=[],
-        certified_sign="positive" if val > 0 else "nonpositive_found",
-    )
+    return PositivityReport(mode, val, {"u": [_cvec(row) for row in u]})
 
 
 def nakano_min(R: CurvatureTensor) -> PositivityReport:
@@ -167,13 +159,13 @@ def dual_nakano_min(R: CurvatureTensor) -> PositivityReport:
     return _eig_report(V, g, dual=True, mode="dual_nakano")
 
 
-def polarization_form(L: MetricField, p, step: float = 1e-3) -> np.ndarray:
+def polarization_form(L: MetricField, p) -> np.ndarray:
     """omega_L at p as an n x n matrix: frame-normalized curvature of L."""
     if L.rank != 1:
         raise DimMismatchError(
             f"polarization {L.label!r} has rank {L.rank}; it must be a line bundle")
     z0 = as_point(p, L.base_dim)
-    R = chern_curvature(L, z0, step=step)
+    R = chern_curvature(L, z0)
     hL = L(z0)[0, 0].real
     gmat = R.values[:, :, 0, 0] / hL
     if np.min(np.linalg.eigvalsh(0.5 * (gmat + gmat.conj().T))) <= 0:
@@ -183,57 +175,75 @@ def polarization_form(L: MetricField, p, step: float = 1e-3) -> np.ndarray:
     return gmat
 
 
-def boundedness_scan(E: MetricField, L: MetricField, n_points: int = 50, seed: int = 0,
-                     restarts: int = 8, step: float = 1e-3) -> BoundednessCertificate:
-    """Scan sample points for the extremal Griffiths values of E against omega_L.
-
-    eps1 / eps2 are the global min / max of the normalized biquadratic
-    Q(u, v) / omega_L(u, ubar) over the samples; ``strict`` records whether
-    eps2 exceeds eps1 by more than 1e-9, i.e. whether
-    Theta - eps * omega_L x Id is not identically zero on the scan.
-    """
-    eps1 = np.inf
-    eps2 = -np.inf
-    wit_low: dict = {}
-    wit_high: dict = {}
-    pts_json = []
-    for p in sample_points(E.base_dim, n_points, seed=seed):
-        g = polarization_form(L, p, step=step)
-        Rn = normalize_at_point(E, g, p, step=step)
-        lo = griffiths_min(Rn, restarts=restarts, seed=seed)
-        hi = griffiths_min(CurvatureTensor(-Rn.values, normalized=True),
-                           restarts=restarts, seed=seed)
-        pts_json.append(_cvec(p))
-        if lo.min_value < eps1:
-            eps1 = lo.min_value
-            wit_low = {"point": _cvec(p), **lo.witness, "value": lo.min_value}
-        if -hi.min_value > eps2:
-            eps2 = -hi.min_value
-            wit_high = {"point": _cvec(p), **hi.witness, "value": eps2}
-    return BoundednessCertificate(
-        eps1=float(eps1),
-        eps2=float(eps2),
-        strict=eps2 - eps1 > 1e-9,
-        witness_low=wit_low,
-        witness_high=wit_high,
-        points=pts_json,
-    )
-
-
 def sym_twisted_curvature_at(E: MetricField, L: MetricField, p, k: int, m,
-                             l, step: float = 1e-3) -> CurvatureTensor:
+                             l) -> CurvatureTensor:
     """Normalized curvature block of S^k E (det E)^m L^l at a point.
 
     Coordinates are orthonormalized against omega_L, so the line-bundle twist
     contributes l * Id exactly.
     """
     z0 = as_point(p, E.base_dim)
-    g = polarization_form(L, z0, step=step)
-    Rn = normalize_at_point(E, g, z0, step=step)
+    Rn = normalize_at_point(E, polarization_form(L, z0), z0)
     Rsym = induced_sym_det_curvature(Rn, k, m)
     if l != 0:
         Rsym = twist_by_line(Rsym, line_curvature_tensor(np.eye(E.base_dim)), l)
     return Rsym
+
+
+def _scan_minima(E: MetricField, L: MetricField, measures, n_points: int, seed: int,
+                 k: int, m, l):
+    """Apply each measure (block -> PositivityReport) at every sample point.
+
+    Returns the first smallest report per measure, its point in ``points``,
+    and the scanned points.
+    """
+    best = [None] * len(measures)
+    scanned = []
+    for p in sample_points(E.base_dim, n_points, seed=seed):
+        block = sym_twisted_curvature_at(E, L, p, k, m, l)
+        scanned.append(_cvec(p))
+        for i, measure in enumerate(measures):
+            rep = measure(block)
+            rep.points = scanned[-1]
+            if best[i] is None or rep.min_value < best[i].min_value:
+                best[i] = rep
+    return best, scanned
+
+
+def positivity_scan(E: MetricField, L: MetricField, test: str, n_points: int = 50,
+                    seed: int = 0, restarts: int = 32, k: int = 1, m=0,
+                    l=0) -> PositivityReport:
+    """Smallest "griffiths", "nakano" or "dual" value of S^k E (det E)^m L^l
+    over the sample points; the report's ``points`` is where it was found."""
+    measure = {"griffiths": lambda R: griffiths_min(R, restarts=restarts, seed=seed),
+               "nakano": nakano_min, "dual": dual_nakano_min}[test]
+    (best,), _ = _scan_minima(E, L, [measure], n_points, seed, k, m, l)
+    return best
+
+
+def boundedness_scan(E: MetricField, L: MetricField, n_points: int = 50, seed: int = 0,
+                     restarts: int = 8) -> BoundednessCertificate:
+    """Scan sample points for the extremal Griffiths values of E against omega_L.
+
+    eps1 / eps2 are the global min / max of the normalized biquadratic
+    Q(u, v) / omega_L(u, ubar) over the samples; ``strict`` records whether
+    eps2 exceeds eps1 by more than 1e-9, i.e. whether
+    Theta - eps * omega_L x Id is not identically zero on the scan.  The
+    k = 1 block is E's own normalized curvature.
+    """
+    def low(R):
+        return griffiths_min(R, restarts=restarts, seed=seed)
+
+    def high(R):
+        return low(CurvatureTensor(-R.values, normalized=True, gram=R.gram))
+
+    (lo, hi), scanned = _scan_minima(E, L, [low, high], n_points, seed, 1, 0, 0)
+    eps1, eps2 = lo.min_value, -hi.min_value
+    return BoundednessCertificate(
+        eps1=eps1, eps2=eps2, strict=eps2 - eps1 > 1e-9,
+        witness_low={"point": lo.points, **lo.witness, "value": eps1},
+        witness_high={"point": hi.points, **hi.witness, "value": eps2},
+        points=scanned)
 
 
 # --- (p,q)-forms and the Bochner curvature term -------------------------------

@@ -118,6 +118,15 @@ class TestCertifyCommand:
         assert abs(cert["eps1"] + 0.5) < 1e-6
         assert abs(cert["eps2"] - 1.5) < 1e-6
 
+    def test_small_well_conditioned_metric_is_not_singular(self, runner):
+        # h = (1 + |z|^2)^-20 falls below 1e-12 at |z| = 2, yet a line bundle
+        # metric has condition number 1
+        result, payload = run_json(runner, [
+            "certify", "--bundle", "o(20)", "--n", "2", "--test", "nakano", "--points", "8"])
+        assert result.exit_code == 0, result.output
+        assert payload["points_scanned"] == 8
+        assert abs(payload["report"]["min_value"] - 20.0) < 1e-6
+
 
 class TestVerifyCommand:
     def test_moments_ok(self, runner):
@@ -287,7 +296,17 @@ BAD_INPUT = [
                  "DIM_MISMATCH", id="nakano-polarization-rank-2"),
     *(pytest.param(["certify", "--bundle", ident, "--n", "2", "--test", "nakano"],
                    "PARAM_DOMAIN", id=f"bundle-id-{ident}")
-      for ident in ("o(abc)", "dsum()", "dsum(1,,2)", "foo")),
+      for ident in ("o(abc)", "dsum()", "dsum(1,,2)", "foo",
+                    "o(nan)", "dsum(1e400)", "tpn_twist(inf)")),
+    pytest.param(["certify", "--bundle", "tpn", "--n", "2", "--test", "nakano",
+                  "--l", "o(-inf)", "--points", "1"], "PARAM_DOMAIN",
+                 id="polarization-id-o(-inf)"),
+    *(pytest.param(["certify", "--bundle", "tpn", "--n", "2", "--test", "bounds",
+                    "--points", "1", flag, value], "PARAM_DOMAIN", id=f"bounds{flag}-{value}")
+      for flag, value in (("--sym", "2"), ("--twist", "1"))),
+    pytest.param(["certify", "--bundle", "tpn", "--n", "2", "--test", "griffiths",
+                  "--points", "1", "--restarts", "0"], "PARAM_DOMAIN",
+                 id="griffiths-restarts-0"),
     *(pytest.param(["certify", "--bundle", _metric(domain_radius=radius), "--n", "2",
                     "--test", "nakano", "--points", "1"], "PARAM_DOMAIN",
                    id=f"metric-domain-radius-{radius}") for radius in ("x", -1, 0)),

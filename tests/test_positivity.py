@@ -16,6 +16,8 @@ from poslab import (
     FrameNotNormalizedError,
     MetricField,
     NonpositivePolarizationError,
+    ParamDomainError,
+    PositivityReport,
     boundedness_scan,
     curvature_term,
     dual_nakano_min,
@@ -23,11 +25,12 @@ from poslab import (
     griffiths_min,
     nakano_min,
     o_line,
+    positivity_scan,
     sym_twisted_curvature_at,
     tangent_pn,
 )
-from poslab.bundles import direct_sum, det_field
-from poslab.geometry import chern_curvature, normalize_at_point, fubini_study
+from poslab.bundles import direct_sum, det_field, load_metric_json
+from poslab.geometry import chern_curvature, normalize_at_point, fubini_study, sample_points
 from poslab.positivity import eigenvalue_bound, line_curvature_tensor, polarization_form
 from poslab.symbundle import induced_sym_det_curvature
 
@@ -76,6 +79,11 @@ class TestGriffiths:
         R = random_curvature(2, 2, seed=1, normalized=False)
         with pytest.raises(FrameNotNormalizedError):
             griffiths_min(R)
+
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_needs_a_restart(self, restarts):
+        with pytest.raises(ParamDomainError):
+            griffiths_min(delta_tensor(2), restarts=restarts)
 
 
 class TestNakano:
@@ -244,6 +252,89 @@ class TestBoundedness:
     def test_nonpositive_polarization_rejected(self):
         with pytest.raises(NonpositivePolarizationError):
             boundedness_scan(tangent_pn(2), o_line(-1, 2), n_points=2)
+
+
+def _cvec(p):
+    return [[float(x.real), float(x.imag)] for x in p]
+
+
+def reference_positivity_scan(E, L, test, n_points, seed, restarts, k, m, l):
+    """The certify sample loop as written before the one scan."""
+    best = None
+    for p in sample_points(E.base_dim, n_points, seed=seed):
+        Rsym = sym_twisted_curvature_at(E, L, p, k=k, m=m, l=l)
+        if test == "griffiths":
+            rep = griffiths_min(Rsym, restarts=restarts, seed=seed)
+        elif test == "nakano":
+            rep = nakano_min(Rsym)
+        else:
+            rep = dual_nakano_min(Rsym)
+        rep.points = _cvec(p)
+        if best is None or rep.min_value < best.min_value:
+            best = rep
+    return best
+
+
+def reference_boundedness_scan(E, L, n_points, seed, restarts):
+    """The boundedness loop as written before the one scan: polarization,
+    normalization and the Griffiths minima of Rn and -Rn at each point."""
+    eps1, eps2 = np.inf, -np.inf
+    wit_low, wit_high, pts = {}, {}, []
+    for p in sample_points(E.base_dim, n_points, seed=seed):
+        Rn = normalize_at_point(E, polarization_form(L, p), p)
+        lo = griffiths_min(Rn, restarts=restarts, seed=seed)
+        hi = griffiths_min(CurvatureTensor(-Rn.values, normalized=True),
+                           restarts=restarts, seed=seed)
+        pts.append(_cvec(p))
+        if lo.min_value < eps1:
+            eps1 = lo.min_value
+            wit_low = {"point": _cvec(p), **lo.witness, "value": lo.min_value}
+        if -hi.min_value > eps2:
+            eps2 = -hi.min_value
+            wit_high = {"point": _cvec(p), **hi.witness, "value": eps2}
+    return {"eps1": eps1, "eps2": eps2, "strict": eps2 - eps1 > 1e-9,
+            "witness_low": wit_low, "witness_high": wit_high, "points": pts}
+
+
+# a perfbench-style rank-2 user metric: a U(2)-breaking perturbation of O(1)+O(1)
+_W = "(1 + abs2(z1) + abs2(z2)) ** -1"
+_USER_RANK2 = {
+    "rank": 2, "base_dim": 2, "label": "user-rank2", "domain_radius": 10.0,
+    "entries": [[f"{_W} * (1 + 0.7 * abs2(z1))", f"{_W} * 0.2 * z1 * conj(z2)"],
+                [f"{_W} * 0.2 * conj(z1) * z2", f"{_W} * (1 + 0.4 * abs2(z2))"]],
+}
+
+
+class TestOneScan:
+    """positivity_scan and boundedness_scan equal the loops they replaced, exactly."""
+
+    @pytest.mark.parametrize("test", ["griffiths", "nakano", "dual"])
+    @pytest.mark.parametrize("E,k,m,l", [
+        (tangent_pn(2), 2, 0, -1),
+        (direct_sum([1, 2, 3], 2), 1, 1, 0),
+    ], ids=["tpn-sym2-twist-1", "dsum123-det1"])
+    def test_positivity_scan_matches_reference(self, test, E, k, m, l):
+        L = o_line(1, 2)
+        got = positivity_scan(E, L, test, n_points=3, seed=5, restarts=4, k=k, m=m, l=l)
+        want = reference_positivity_scan(E, L, test, 3, 5, 4, k, m, l)
+        assert got.to_json() == want.to_json()
+
+    @pytest.mark.parametrize("E,L", [
+        (tangent_pn(2), o_line(1, 2)),
+        (direct_sum([3, -1], 2), o_line(2, 2)),
+        (tangent_pn(2), det_field(tangent_pn(2))),
+        (load_metric_json(_USER_RANK2), o_line(1, 2)),
+    ], ids=["tpn-o1", "dsum-o2", "tpn-det", "user-rank2"])
+    def test_boundedness_scan_matches_reference(self, E, L):
+        got = boundedness_scan(E, L, n_points=3, seed=2, restarts=4)
+        assert got.to_json() == reference_boundedness_scan(E, L, 3, 2, 4)
+
+    def test_report_sign_rule(self):
+        assert PositivityReport("nakano", 0.5, {}).to_json() == {
+            "mode": "nakano", "min_value": 0.5, "witness": {}, "points": [],
+            "certified_sign": "positive"}
+        for val in (0.0, -1.0):
+            assert PositivityReport("griffiths", val, {}).certified_sign == "nonpositive_found"
 
 
 def loop_curvature_term(R, u):
