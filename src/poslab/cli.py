@@ -30,7 +30,9 @@ SCHEMA = 1
 def _emit(report: dict, output: str | None) -> None:
     report = {"schema": SCHEMA, **report}
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    click.echo(text, nl=False)
+    # an explicit stream: click caches the default one per sys.stdout object
+    # for good, which would keep every in-process caller's output alive
+    click.echo(text, file=sys.stdout, nl=False)
     if output:
         with open(output, "w") as fh:
             fh.write(text)

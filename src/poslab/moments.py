@@ -106,7 +106,9 @@ def _sphere_moments(r: int, basis, samples: int, seed: int, weight=None):
     ``weight`` is None (phi = 1, D = 1) or a pair (Q, b), Q of shape (r, r, D),
     for phi_d(W) = sum_{g,e} Q[g, e, d] conj(W_g) W_e + b_d.  Each row chunk
     of the stream adds (phi x V)^T conj(V) to the first moment and
-    (|phi|^2 x |V|^2)^T |V|^2 to the raw second moment.  Returns (mean,
+    (|phi|^2 x |V|^2)^T |V|^2 to the raw second moment; the two (rows, D, F)
+    products go into buffers allocated once per call, so a long stream does
+    not allocate, free and page-fault them in again per chunk.  Returns (mean,
     stderr), both (D, F, F), stderr = sqrt(max(second/s - |mean|^2, 0) / s).
     """
     F = len(basis)
@@ -119,6 +121,10 @@ def _sphere_moments(r: int, basis, samples: int, seed: int, weight=None):
     chunk = max(1, _MC_CHUNK_BYTES // (16 * D * F))
     first = np.zeros((D * F, F), dtype=complex)
     second = np.zeros((D * F, F))
+    if weight is not None:
+        rows = min(chunk, samples, _SPHERE_BLOCK)
+        fV_buf = np.empty((rows, D, F), dtype=complex)
+        f2_buf = np.empty((rows, D, F))
     for w in _sphere_blocks(r, samples, seed):
         for lo in range(0, len(w), chunk):
             wc = w[lo:lo + chunk]
@@ -129,8 +135,9 @@ def _sphere_moments(r: int, basis, samples: int, seed: int, weight=None):
             else:
                 c = len(wc)
                 phi = (wc.conj()[:, :, None] * wc[:, None, :]).reshape(c, r * r) @ Q + b
-                fV = (phi[:, :, None] * V[:, None, :]).reshape(c, D * F)
-                f2 = (np.abs(phi[:, :, None]) ** 2 * a2[:, None, :]).reshape(c, D * F)
+                fV = np.multiply(phi[:, :, None], V[:, None, :], out=fV_buf[:c]).reshape(c, D * F)
+                f2 = np.multiply(np.abs(phi[:, :, None]) ** 2, a2[:, None, :],
+                                 out=f2_buf[:c]).reshape(c, D * F)
             first += fV.T @ V.conj()
             second += f2.T @ a2
     mean = first / samples

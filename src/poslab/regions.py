@@ -1,8 +1,12 @@
 """Exact vanishing-region computation: lambda_0 ratios, quadrilaterals, strips.
 
-Everything here is exact rational arithmetic (fractions.Fraction); floating
-point is deliberately banned so that boundary pairs, which the theorems
-include, are decided reproducibly with <= comparisons.
+Everything here is exact rational or integer arithmetic; floating point is
+deliberately banned so that boundary pairs, which the theorems include, are
+decided reproducibly with <= comparisons.  A region is decided row by row:
+with lambda_0 = a/b in lowest terms, row p holds exactly the q >= lo(p), an
+integer threshold found by cross-multiplication, so a region of n^2 pairs costs
+n integer steps before its members are listed.  Regions of more than
+MAX_REGION_MEMBERS pairs are rejected before any pair is built.
 """
 
 from __future__ import annotations
@@ -11,6 +15,9 @@ import dataclasses
 from fractions import Fraction
 
 from .errors import ParamDomainError
+
+# Largest region, in member pairs, that ``region`` will enumerate.
+MAX_REGION_MEMBERS = 10**6
 
 _ALIASES = {
     "main1": "main1",
@@ -53,6 +60,8 @@ class TheoremParams:
                 raise ParamDomainError("eps1 <= eps2 must hold")
             if self.m + (self.r + self.k) * e1 <= 0:
                 raise ParamDomainError("m+(r+k)*eps1 must be > 0 (positivity of the twist)")
+        elif self.eps1 is not None or self.eps2 is not None:
+            raise ParamDomainError(f"eps1 and eps2 apply to main1 only, not to {t}")
         elif t in ("globally_generated", "griffiths"):
             if self.m < 1:
                 raise ParamDomainError("m >= 1 required for a globally generated/Griffiths bound")
@@ -108,17 +117,38 @@ class VanishingRegion:
         }
 
 
+def _row_thresholds(n: int, lam: Fraction) -> list:
+    """lo(p) for p = 1..n: row p of the region is {(p, q) : lo(p) <= q <= n}.
+
+    (n-q)/p <= a/b iff q >= n - floor(a p / b), and (n-p)/q <= a/b iff
+    q >= ceil((n-p) b / a) for a > 0 (for a = 0 only p = n qualifies).
+    """
+    a, b = lam.numerator, lam.denominator
+    lo = []
+    for p in range(1, n + 1):
+        t = n - (a * p) // b
+        if a:
+            t = min(t, -((p - n) * b // a))
+        lo.append(1 if p == n else max(t, 1))
+    return lo
+
+
 def region(n: int, lam) -> VanishingRegion:
-    """Pairs 1 <= p,q <= n with min{(n-q)/p, (n-p)/q} <= lambda0, exactly."""
+    """Pairs 1 <= p,q <= n with min{(n-q)/p, (n-p)/q} <= lambda0, exactly.
+
+    Raises ParamDomainError when the region has more than MAX_REGION_MEMBERS
+    pairs; the count comes from the row thresholds, before any pair exists.
+    """
     lam = _rat(lam)
     if not 0 <= lam <= 1:
         raise ParamDomainError(f"lambda0 = {lam} outside [0, 1]")
-    members = set()
-    for p in range(1, n + 1):
-        for q in range(1, n + 1):
-            if min(Fraction(n - q, p), Fraction(n - p, q)) <= lam:
-                members.add((p, q))
-    return VanishingRegion(n=n, lambda0=lam, members=frozenset(members),
+    lo = _row_thresholds(n, lam)
+    size = sum(n + 1 - t for t in lo)
+    if size > MAX_REGION_MEMBERS:
+        raise ParamDomainError(f"region of n = {n}, lambda0 = {lam} has {size} members, "
+                               f"above the budget of {MAX_REGION_MEMBERS}")
+    members = frozenset((p, q) for p, t in enumerate(lo, 1) for q in range(t, n + 1))
+    return VanishingRegion(n=n, lambda0=lam, members=members,
                            c0=Fraction(n, 1) / (1 + lam))
 
 

@@ -1,7 +1,11 @@
+import contextlib
+import gc
+import io
 import json
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -307,6 +311,15 @@ BAD_INPUT = [
     pytest.param(["certify", "--bundle", "tpn", "--n", "2", "--test", "griffiths",
                   "--points", "1", "--restarts", "0"], "PARAM_DOMAIN",
                  id="griffiths-restarts-0"),
+    pytest.param(["region", "--n", "3", "--r", "1", "--k", "1", "--m", "2", "--theorem", "gg",
+                  "--eps1", "1/2"], "PARAM_DOMAIN", id="region-gg-eps1"),
+    pytest.param(["region", "--n", "3", "--r", "1", "--k", "1", "--m", "3", "--theorem", "ample",
+                  "--eps2", "3"], "PARAM_DOMAIN", id="region-ample-eps2"),
+    # 11 116 665 and 8 336 667 members, above the 10**6 budget
+    pytest.param(["region", "--n", "5000", "--m", "9", "--theorem", "gg"], "PARAM_DOMAIN",
+                 id="region-over-budget"),
+    pytest.param(["check", "--n", "5000", "--k", "1", "--l", "5000"], "PARAM_DOMAIN",
+                 id="check-over-budget"),
     *(pytest.param(["certify", "--bundle", _metric(domain_radius=radius), "--n", "2",
                     "--test", "nakano", "--points", "1"], "PARAM_DOMAIN",
                    id=f"metric-domain-radius-{radius}") for radius in ("x", -1, 0)),
@@ -335,6 +348,22 @@ def test_malformed_flag_is_a_usage_error(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert "Invalid value" in result.output
+
+
+def test_emit_keeps_no_reference_to_stdout():
+    # an in-process caller's stdout buffer must be freed once the caller drops it
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            main.main(args=["region", "--n", "20", "--m", "3"], prog_name="poslab",
+                      standalone_mode=True)
+        except SystemExit as exc:
+            assert exc.code == 0
+    assert json.loads(out.getvalue())["n"] == 20
+    ref = weakref.ref(out)
+    del out
+    gc.collect()
+    assert ref() is None
 
 
 THREAD_PROBE = """

@@ -14,6 +14,13 @@ from poslab import (
     strip_width,
     theorem_region,
 )
+from poslab.regions import MAX_REGION_MEMBERS
+
+def reference_members(n, lam):
+    """The region by its definition: one Fraction comparison per pair."""
+    return frozenset((p, q) for p in range(1, n + 1) for q in range(1, n + 1)
+                     if min(Fraction(n - q, p), Fraction(n - p, q)) <= lam)
+
 
 LAMBDA_GRID = [Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
                Fraction(2, 3), Fraction(3, 4), Fraction(1)]
@@ -135,6 +142,34 @@ class TestRegion:
                 assert (p + 1, q) in mem
             if q < n:
                 assert (p, q + 1) in mem
+
+
+class TestRegionThresholds:
+    def test_matches_definition_exhaustive(self):
+        lams = sorted({Fraction(a, b) for b in range(1, 13) for a in range(b + 1)})
+        for n in range(1, 41):
+            for lam in lams:
+                assert region(n, lam).members == reference_members(n, lam), (n, lam)
+
+    @given(n=st.integers(1, 250),
+           lam=st.one_of(
+               st.just(Fraction(0.1)),
+               st.builds(lambda a, b: Fraction(min(a, b), b),
+                         st.integers(0, 10**30), st.integers(1, 10**30))))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_definition_property(self, n, lam):
+        assert region(n, lam).members == reference_members(n, lam)
+
+    @pytest.mark.parametrize("lam", [Fraction(0), Fraction(1)])
+    def test_matches_definition_at_the_ends(self, lam):
+        for n in (1, 2, 7, 60):
+            assert region(n, lam).members == reference_members(n, lam)
+
+    def test_budget(self):
+        # n = 1000 at lambda0 = 1 is every pair with p + q >= n: 501 499 members
+        assert len(region(1000, 1).members) == 501_499 <= MAX_REGION_MEMBERS
+        with pytest.raises(ParamDomainError, match="11116665 members"):
+            region(5000, Fraction(4, 5))
 
 
 class TestTheoremRegion:
