@@ -204,6 +204,8 @@ def load_metric_json(source) -> MetricField:
             else:
                 with open(text) as fh:
                     spec = json.load(fh)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParamDomainError(f"metric file {text} cannot be read: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ParamDomainError(f"metric JSON does not parse: {exc}") from exc
 

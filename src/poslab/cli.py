@@ -71,11 +71,13 @@ class _Group(click.Group):
 def main(ctx, config_path):
     """Curvature positivity and vanishing regions on complex projective space."""
     if config_path:
-        with open(config_path) as fh:
-            try:
+        try:
+            with open(config_path) as fh:
                 mapping = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParamDomainError(f"config {config_path} is not JSON: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParamDomainError(f"config {config_path} cannot be read: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ParamDomainError(f"config {config_path} is not JSON: {exc}") from exc
         if not isinstance(mapping, dict):
             raise ParamDomainError(f"config {config_path} is not a JSON object")
         # one flat mapping serves every command
@@ -98,13 +100,11 @@ def cmd_region(n, r, k, m, eps1, eps2, theorem, svg_path, output):
     """Vanishing region (members, lambda0, quadrilateral vertices, strip)."""
     params = TheoremParams(n=n, r=r, k=k, m=m, theorem=theorem, eps1=eps1, eps2=eps2)
     reg = theorem_region(params)
-    lam = lambda0(params)
     report = {
         "params": {"n": n, "r": r, "k": k, "m": m, "theorem": params.theorem,
                    "eps1": None if params.eps1 is None else str(params.eps1),
                    "eps2": None if params.eps2 is None else str(params.eps2)},
-        "lambda0": str(lam),
-        "s0": str(strip_width(n, lam)),
+        "s0": str(strip_width(n, lambda0(params))),  # perfbench patches cli.lambda0
         **reg.to_json(),
     }
     _emit(report, output)

@@ -66,7 +66,7 @@ def pn_line_cohomology(n: int, p: int, q: int, l: int) -> int:
 
 def consistency_check(reg: VanishingRegion, known: list[CohomologyDim]) -> dict:
     """PASS iff no known-nonzero (p, q) lies in the predicted region."""
-    offenders = [d.to_json() for d in known if d.dim > 0 and (d.p, d.q) in reg.members]
+    offenders = [d.to_json() for d in known if d.dim > 0 and (d.p, d.q) in reg]
     return {
         "status": "PASS" if not offenders else "FAIL",
         "checked": len(known),

@@ -5,7 +5,7 @@ deliberately banned so that boundary pairs, which the theorems include, are
 decided reproducibly with <= comparisons.  A region is decided row by row:
 with lambda_0 = a/b in lowest terms, row p holds exactly the q >= lo(p), an
 integer threshold found by cross-multiplication, so a region of n^2 pairs costs
-n integer steps before its members are listed.  Regions of more than
+n integer steps and is stored as those thresholds.  Regions of more than
 MAX_REGION_MEMBERS pairs are rejected before any pair is built.
 """
 
@@ -31,6 +31,13 @@ _ALIASES = {
 
 def _rat(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _checked_lambda(lam) -> Fraction:
+    lam = _rat(lam)
+    if not 0 <= lam <= 1:
+        raise ParamDomainError(f"lambda0 = {lam} outside [0, 1]")
+    return lam
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,17 +89,29 @@ def lambda0(params: TheoremParams) -> Fraction:
         lam = Fraction(params.m - 1, params.m - 1 + rk)
     else:  # ample_nef
         lam = Fraction((params.m - 1) - rk, (params.m - 1) + params.r * rk)
-    if not 0 <= lam <= 1:
-        raise ParamDomainError(f"lambda0 = {lam} outside [0, 1]")
-    return lam
+    return _checked_lambda(lam)
 
 
 @dataclasses.dataclass(frozen=True)
 class VanishingRegion:
+    """Row p in 1..n holds exactly the (p, q) with lo[p-1] <= q <= n; iteration is sorted."""
     n: int
     lambda0: Fraction
-    members: frozenset
-    c0: Fraction
+    lo: tuple[int, ...]
+
+    def __contains__(self, pair) -> bool:
+        p, q = pair
+        return 1 <= p <= self.n and self.lo[p - 1] <= q <= self.n
+
+    def __iter__(self):
+        return ((p, q) for p, t in enumerate(self.lo, 1) for q in range(t, self.n + 1))
+
+    def __len__(self) -> int:
+        return sum(self.n + 1 - t for t in self.lo)
+
+    @property
+    def c0(self) -> Fraction:
+        return self.n / (1 + self.lambda0)
 
     @property
     def vertices(self) -> dict:
@@ -107,17 +126,13 @@ class VanishingRegion:
         return {
             "n": self.n,
             "lambda0": str(self.lambda0),
-            "members": sorted([p, q] for (p, q) in self.members),
-            "vertices": {
-                "A0": [0, self.n],
-                "A1": [self.n, self.n],
-                "A2": [self.n, 0],
-                "A3": [str(self.c0), str(self.c0)],
-            },
+            "members": [[p, q] for p, q in self],
+            "vertices": {name: [str(x) if isinstance(x, Fraction) else x for x in v]
+                         for name, v in self.vertices.items()},
         }
 
 
-def _row_thresholds(n: int, lam: Fraction) -> list:
+def _row_thresholds(n: int, lam: Fraction) -> tuple:
     """lo(p) for p = 1..n: row p of the region is {(p, q) : lo(p) <= q <= n}.
 
     (n-q)/p <= a/b iff q >= n - floor(a p / b), and (n-p)/q <= a/b iff
@@ -130,7 +145,7 @@ def _row_thresholds(n: int, lam: Fraction) -> list:
         if a:
             t = min(t, -((p - n) * b // a))
         lo.append(1 if p == n else max(t, 1))
-    return lo
+    return tuple(lo)
 
 
 def region(n: int, lam) -> VanishingRegion:
@@ -139,31 +154,24 @@ def region(n: int, lam) -> VanishingRegion:
     Raises ParamDomainError when the region has more than MAX_REGION_MEMBERS
     pairs; the count comes from the row thresholds, before any pair exists.
     """
-    lam = _rat(lam)
-    if not 0 <= lam <= 1:
-        raise ParamDomainError(f"lambda0 = {lam} outside [0, 1]")
-    lo = _row_thresholds(n, lam)
-    size = sum(n + 1 - t for t in lo)
-    if size > MAX_REGION_MEMBERS:
+    lam = _checked_lambda(lam)
+    reg = VanishingRegion(n=n, lambda0=lam, lo=_row_thresholds(n, lam))
+    if (size := len(reg)) > MAX_REGION_MEMBERS:
         raise ParamDomainError(f"region of n = {n}, lambda0 = {lam} has {size} members, "
                                f"above the budget of {MAX_REGION_MEMBERS}")
-    members = frozenset((p, q) for p, t in enumerate(lo, 1) for q in range(t, n + 1))
-    return VanishingRegion(n=n, lambda0=lam, members=members,
-                           c0=Fraction(n, 1) / (1 + lam))
+    return reg
 
 
 def theorem_region(params: TheoremParams) -> VanishingRegion:
     """Region for a theorem instance, with the m = 1 degenerate branch.
 
     For the globally-generated and Griffiths flavors with m = 1 the only
-    vanishing pair is (n, n); lambda0 = 0 would wrongly include the whole
-    p = n and q = n edges there.
+    vanishing pair is (n, n): row thresholds n + 1 (empty) for p < n and n for
+    p = n.  lambda0 = 0 would wrongly include the whole p = n and q = n edges.
     """
     lam = lambda0(params)
     if params.theorem in ("globally_generated", "griffiths") and params.m == 1:
-        return VanishingRegion(n=params.n, lambda0=lam,
-                               members=frozenset({(params.n, params.n)}),
-                               c0=Fraction(params.n, 1) / (1 + lam))
+        return VanishingRegion(params.n, lam, (params.n + 1,) * (params.n - 1) + (params.n,))
     return region(params.n, lam)
 
 
@@ -193,10 +201,7 @@ def strip_threshold(n: int, r: int, k: int, s: int, flavor: str) -> int:
 
 def strip_width(n: int, lam) -> Fraction:
     """s0 with {p+q >= n+s0} contained in the region: s0 = 2n/(1+lambda0) - n."""
-    lam = _rat(lam)
-    if not 0 <= lam <= 1:
-        raise ParamDomainError(f"lambda0 = {lam} outside [0, 1]")
-    return Fraction(2 * n, 1) / (1 + lam) - n
+    return Fraction(2 * n, 1) / (1 + _checked_lambda(lam)) - n
 
 
 def region_svg(reg: VanishingRegion, cell: int = 24) -> str:
@@ -216,7 +221,7 @@ def region_svg(reg: VanishingRegion, cell: int = 24) -> str:
         f'viewBox="0 0 {size} {size}">',
         f'<rect width="{size}" height="{size}" fill="white"/>',
     ]
-    for (p, q) in sorted(reg.members):
+    for (p, q) in reg:
         parts.append(
             f'<rect x="{X(p) - cell / 2:.1f}" y="{Y(q) - cell / 2:.1f}" '
             f'width="{cell}" height="{cell}" fill="#9ecae1" stroke="none"/>'
@@ -226,14 +231,11 @@ def region_svg(reg: VanishingRegion, cell: int = 24) -> str:
                      f'stroke="#ddd" stroke-width="0.5"/>')
         parts.append(f'<line x1="{X(t):.1f}" y1="{Y(0):.1f}" x2="{X(t):.1f}" y2="{Y(n):.1f}" '
                      f'stroke="#ddd" stroke-width="0.5"/>')
-    c0 = float(reg.c0)
-    quad = [(0, n), (n, n), (n, 0), (c0, c0)]
-    edges = [(quad[0], quad[3]), (quad[3], quad[2]), (quad[0], quad[1]), (quad[1], quad[2])]
-    for (a, b) in edges:
+    v = reg.vertices
+    for a, b in ((v["A0"], v["A3"]), (v["A3"], v["A2"]), (v["A0"], v["A1"]), (v["A1"], v["A2"])):
         parts.append(f'<line x1="{X(a[0]):.1f}" y1="{Y(a[1]):.1f}" '
                      f'x2="{X(b[0]):.1f}" y2="{Y(b[1]):.1f}" stroke="black" stroke-width="2"/>')
-    labels = {"A0": (0, n), "A1": (n, n), "A2": (n, 0), "A3": (c0, c0)}
-    for name, (p, q) in labels.items():
+    for name, (p, q) in v.items():
         parts.append(f'<circle cx="{X(p):.1f}" cy="{Y(q):.1f}" r="3" fill="black"/>')
         parts.append(f'<text x="{X(p) + 5:.1f}" y="{Y(q) - 5:.1f}" font-size="12">{name}</text>')
     parts.append(f'<text x="{pad}" y="{size - 10}" font-size="11">'

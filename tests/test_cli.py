@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import weakref
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -13,6 +14,7 @@ from click.testing import CliRunner
 from poslab import cli
 from poslab.cli import main
 from poslab.positivity import estimate_check
+from test_regions import reference_members
 
 
 @pytest.fixture
@@ -74,6 +76,39 @@ class TestRegionCommand:
             "--theorem", "gg", "--output", str(out)])
         assert result.exit_code == 0
         assert out.read_text() == result.output
+
+    @pytest.mark.parametrize("args,theorem,lam", [
+        (["--n", "5", "--r", "3", "--k", "1", "--m", "5", "--theorem", "gg"],
+         "globally_generated", Fraction(1, 2)),
+        (["--n", "7", "--m", "1", "--theorem", "gg"], "globally_generated", Fraction(0)),
+        (["--n", "6", "--r", "2", "--k", "1", "--m", "2", "--theorem", "main1",
+          "--eps1", "0", "--eps2", "1"], "main1", Fraction(2, 5)),
+        (["--n", "4", "--r", "2", "--k", "1", "--m", "6", "--theorem", "ample"],
+         "ample_nef", Fraction(2, 11)),
+        (["--n", "40", "--r", "3", "--k", "2", "--m", "6", "--theorem", "griffiths"],
+         "griffiths", Fraction(1, 2)),
+    ], ids=["gg", "gg-m1", "main1", "ample", "griffiths-n40"])
+    def test_stdout_is_the_definition_serialized(self, runner, args, theorem, lam):
+        # the bytes json.dumps writes for a report built from the region's
+        # definition; the m = 1 branch vanishes at (n, n) alone
+        opts = dict(zip(args[::2], args[1::2]))
+        n, m = int(opts["--n"]), int(opts["--m"])
+        members = {(n, n)} if m == 1 else reference_members(n, lam)
+        c0 = str(n / (1 + lam))
+        report = {
+            "schema": 1,
+            "params": {"n": n, "r": int(opts.get("--r", 1)), "k": int(opts.get("--k", 1)),
+                       "m": m, "theorem": theorem,
+                       "eps1": opts.get("--eps1"), "eps2": opts.get("--eps2")},
+            "n": n,
+            "lambda0": str(lam),
+            "s0": str(2 * n / (1 + lam) - n),
+            "members": [[p, q] for p, q in sorted(members)],
+            "vertices": {"A0": [0, n], "A1": [n, n], "A2": [n, 0], "A3": [c0, c0]},
+        }
+        result = runner.invoke(main, ["region", *args])
+        assert result.exit_code == 0
+        assert result.output == json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 class TestCertifyCommand:
@@ -338,6 +373,23 @@ def test_bad_input_exit_2_with_error_json(runner, args, code):
     result, payload = run_json(runner, args)
     assert result.exit_code == 2, result.output
     assert payload["error"]["code"] == code
+
+
+@pytest.mark.parametrize("args", [
+    ["certify", "--bundle", "PATH", "--n", "2", "--test", "nakano"],
+    ["verify", "--what", "lemma-linear", "--bundle", "PATH", "--n", "2"],
+    ["--config", "PATH", "region", "--n", "3"],
+], ids=["certify", "verify-lemma-linear", "config"])
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_file_exit_2_with_error_json(runner, tmp_path, args, kind):
+    path = tmp_path / "input.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe{")
+    result, payload = run_json(runner, [str(path) if a == "PATH" else a for a in args])
+    assert result.exit_code == 2, result.output
+    assert payload["error"]["code"] == "PARAM_DOMAIN"
 
 
 @pytest.mark.parametrize("args", [

@@ -93,27 +93,27 @@ class TestParamDomain:
 class TestRegion:
     def test_half_example(self):
         reg = region(5, Fraction(1, 2))
-        assert (2, 4) in reg.members
-        assert (4, 3) in reg.members
-        assert (1, 1) not in reg.members
+        assert (2, 4) in reg
+        assert (4, 3) in reg
+        assert (1, 1) not in reg
         assert reg.c0 == Fraction(10, 3)
 
     def test_lambda_one_is_everything_above_antidiagonal(self):
         reg = region(4, Fraction(1))
         for p in range(1, 5):
             for q in range(1, 5):
-                assert ((p, q) in reg.members) == (p + q >= 4)
+                assert ((p, q) in reg) == (p + q >= 4)
 
     def test_lambda_zero_is_edges(self):
         reg = region(4, Fraction(0))
         for p in range(1, 5):
             for q in range(1, 5):
-                assert ((p, q) in reg.members) == (p == 4 or q == 4)
+                assert ((p, q) in reg) == (p == 4 or q == 4)
 
     def test_symmetry_and_monotonicity_exhaustive(self):
         for n in range(1, 31):
             for lam in LAMBDA_GRID:
-                mem = region(n, lam).members
+                mem = region(n, lam)
                 for (p, q) in mem:
                     assert (q, p) in mem
                     if p < n:
@@ -136,7 +136,7 @@ class TestRegion:
     @settings(max_examples=60, deadline=None)
     def test_membership_monotone_property(self, n, num, den):
         lam = Fraction(min(num, den), den)
-        mem = region(n, lam).members
+        mem = region(n, lam)
         for (p, q) in mem:
             if p < n:
                 assert (p + 1, q) in mem
@@ -149,7 +149,13 @@ class TestRegionThresholds:
         lams = sorted({Fraction(a, b) for b in range(1, 13) for a in range(b + 1)})
         for n in range(1, 41):
             for lam in lams:
-                assert region(n, lam).members == reference_members(n, lam), (n, lam)
+                reg, ref = region(n, lam), reference_members(n, lam)
+                assert frozenset(reg) == ref, (n, lam)
+                assert list(reg) == sorted(ref), (n, lam)
+                assert len(reg) == len(ref), (n, lam)
+                for t in (-1, 0, n + 1):
+                    assert all((t, u) not in reg and (u, t) not in reg
+                               for u in range(-1, n + 2)), (n, lam, t)
 
     @given(n=st.integers(1, 250),
            lam=st.one_of(
@@ -158,16 +164,16 @@ class TestRegionThresholds:
                          st.integers(0, 10**30), st.integers(1, 10**30))))
     @settings(max_examples=20, deadline=None)
     def test_matches_definition_property(self, n, lam):
-        assert region(n, lam).members == reference_members(n, lam)
+        assert frozenset(region(n, lam)) == reference_members(n, lam)
 
     @pytest.mark.parametrize("lam", [Fraction(0), Fraction(1)])
     def test_matches_definition_at_the_ends(self, lam):
         for n in (1, 2, 7, 60):
-            assert region(n, lam).members == reference_members(n, lam)
+            assert frozenset(region(n, lam)) == reference_members(n, lam)
 
     def test_budget(self):
         # n = 1000 at lambda0 = 1 is every pair with p + q >= n: 501 499 members
-        assert len(region(1000, 1).members) == 501_499 <= MAX_REGION_MEMBERS
+        assert len(region(1000, 1)) == 501_499 <= MAX_REGION_MEMBERS
         with pytest.raises(ParamDomainError, match="11116665 members"):
             region(5000, Fraction(4, 5))
 
@@ -175,9 +181,9 @@ class TestRegionThresholds:
 class TestTheoremRegion:
     def test_m1_degenerate_branch(self):
         reg = theorem_region(TheoremParams(n=2, r=2, k=1, m=1, theorem="gg"))
-        assert reg.members == frozenset({(2, 2)})
+        assert frozenset(reg) == frozenset({(2, 2)})
         reg = theorem_region(TheoremParams(n=3, r=1, k=2, m=1, theorem="griffiths"))
-        assert reg.members == frozenset({(3, 3)})
+        assert frozenset(reg) == frozenset({(3, 3)})
 
     def test_m_above_one_uses_full_region(self):
         params = TheoremParams(n=5, r=3, k=1, m=5, theorem="gg")
@@ -199,7 +205,7 @@ class TestStrips:
                 for p in range(1, n + 1):
                     for q in range(1, n + 1):
                         if p + q >= n + s0:
-                            assert (p, q) in reg.members
+                            assert (p, q) in reg
 
     def test_threshold_examples(self):
         assert strip_threshold(2, 2, 1, 1, "gg") == 1
@@ -218,7 +224,7 @@ class TestStrips:
                     for p in range(1, n + 1):
                         for q in range(1, n + 1):
                             if p + q >= n + s:
-                                assert (p, q) in reg.members, (n, s, r, k, m, lam)
+                                assert (p, q) in reg, (n, s, r, k, m, lam)
 
     def test_threshold_identity(self):
         # the critical ratio over the strip is [(n-s)/2] / ([(n-s)/2] + s)
@@ -247,7 +253,7 @@ class TestSvg:
         svg = region_svg(reg)
         assert svg.startswith("<svg")
         assert svg.rstrip().endswith("</svg>")
-        assert svg.count("<rect") == len(reg.members) + 1
+        assert svg.count("<rect") == len(reg) + 1
         for name in ("A0", "A1", "A2", "A3"):
             assert name in svg
 
