@@ -27,7 +27,6 @@ from .bundles import (
     o_line,
     tangent_pn,
     tangent_pn_twist,
-    twist,
 )
 from .errors import (
     BidegreeError,

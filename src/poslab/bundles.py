@@ -7,6 +7,11 @@ Catalogue (string identifiers accepted by :func:`builtin`):
 * ``tpn_twist(l)``  -- TP^n tensor O(l)
 * ``dsum(a,b,...)`` -- the direct sum O(a) + O(b) + ...
 
+Derived fields (``tpn_twist``, ``det_field``, ``frame_normalized``,
+``sym_power_field``) are ``dataclasses.replace`` copies of their parent, so
+they inherit its ``base_dim`` and ``domain_radius``; their own call checks
+the point and their evaluator reads the parent's ``value`` on it.
+
 User metrics load from a JSON object with keys ``rank``, ``base_dim``,
 ``entries`` (matrix of expression strings) and optional ``label`` and
 ``domain_radius`` (a positive number).  Expressions use variables
@@ -20,6 +25,7 @@ load-time test point and a SingularMetricError at any later point.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import json
 import math
 import re
@@ -59,34 +65,20 @@ def direct_sum(powers, n: int) -> MetricField:
     return MetricField(rank=len(powers), base_dim=n, evaluate=ev, label=label)
 
 
-def twist(E: MetricField, l: float) -> MetricField:
-    """E tensor O(l): multiply the metric by (1+|z|^2)^(-l)."""
-    def ev(z, l=float(l)):
-        return E(z) * (1.0 + _norm2(z)) ** (-l)
-
-    return MetricField(
-        rank=E.rank,
-        base_dim=E.base_dim,
-        evaluate=ev,
-        label=f"{E.label}*o({l:g})",
-        domain_radius=E.domain_radius,
-    )
-
-
 def tangent_pn_twist(l: float, n: int) -> MetricField:
-    f = twist(tangent_pn(n), l)
-    return MetricField(rank=n, base_dim=n, evaluate=f.evaluate, label=f"tpn_twist({l:g})")
+    """TP^n tensor O(l): the Fubini-Study metric times (1+|z|^2)^(-l)."""
+    def ev(z, l=float(l)):
+        return fubini_study(n, z) * (1.0 + _norm2(z)) ** (-l)
+
+    return dataclasses.replace(tangent_pn(n), evaluate=ev, label=f"tpn_twist({l:g})")
 
 
 def det_field(E: MetricField) -> MetricField:
     """det E with the induced metric det(h)."""
     def ev(z):
-        return np.array([[np.linalg.det(E(z)).real]], dtype=complex)
+        return np.array([[np.linalg.det(E.value(z)).real]], dtype=complex)
 
-    return MetricField(
-        rank=1, base_dim=E.base_dim, evaluate=ev,
-        label=f"det({E.label})", domain_radius=E.domain_radius,
-    )
+    return dataclasses.replace(E, rank=1, evaluate=ev, label=f"det({E.label})")
 
 
 def frame_normalized(E: MetricField, p) -> MetricField:
@@ -98,12 +90,9 @@ def frame_normalized(E: MetricField, p) -> MetricField:
     Q = _orthonormalizer(E(p))
 
     def ev(z):
-        return Q.T @ E(z) @ Q.conj()
+        return Q.T @ E.value(z) @ Q.conj()
 
-    return MetricField(
-        rank=E.rank, base_dim=E.base_dim, evaluate=ev,
-        label=f"{E.label}@norm", domain_radius=E.domain_radius,
-    )
+    return dataclasses.replace(E, evaluate=ev, label=f"{E.label}@norm")
 
 
 _BUILTIN_RE = re.compile(r"^\s*(o|tpn_twist|dsum|tpn)\s*(?:\(([^()]*)\))?\s*$")

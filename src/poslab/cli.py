@@ -118,15 +118,16 @@ def _resolve_bundle(ident, n, E=None):
         if E is None:
             raise click.UsageError("--L det needs a bundle to take the determinant of")
         return det_field(E)
-    if ident.lstrip().startswith("{") or os.path.exists(ident):
-        field = load_metric_json(ident)
-        if field.base_dim != n:
-            raise DimMismatchError(f"metric base_dim {field.base_dim} differs from --n {n}")
-        return field
+    # a built-in ID wins over a same-named path; "./tpn" still names the file
     try:
         return builtin(ident, n)
     except KeyError as exc:
-        raise ParamDomainError(f"unknown or malformed bundle ID {ident!r}") from exc
+        if not (ident.lstrip().startswith("{") or os.path.exists(ident)):
+            raise ParamDomainError(f"unknown or malformed bundle ID {ident!r}") from exc
+    field = load_metric_json(ident)
+    if field.base_dim != n:
+        raise DimMismatchError(f"metric base_dim {field.base_dim} differs from --n {n}")
+    return field
 
 
 @main.command("certify")
@@ -168,6 +169,9 @@ def cmd_certify(bundle, n, which, line, twist, sym, det_power, points, seed, res
     }, output)
 
 
+_DEFAULT_SAMPLES = {"moments": 100000, "lemma-linear": 20000}
+
+
 @main.command("verify")
 @click.option("--what", type=click.Choice(["moments", "lemma-linear", "estimate"]), required=True)
 @click.option("--bundle", default="tpn", show_default=True)
@@ -175,12 +179,16 @@ def cmd_certify(bundle, n, which, line, twist, sym, det_power, points, seed, res
 @click.option("--r", type=int, default=2, show_default=True)
 @click.option("--k", type=int, default=1, show_default=True)
 @click.option("--m", type=int, default=1, show_default=True)
-@click.option("--samples", type=int, default=100000, show_default=True)
+@click.option("--samples", type=int, default=None,
+              help="Monte Carlo samples, >= 100  [default: 100000 for moments, "
+                   "20000 for lemma-linear]")
 @click.option("--trials", type=int, default=1000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--output", type=click.Path(), default=None)
 def cmd_verify(what, bundle, n, r, k, m, samples, trials, seed, output):
     """Cross-verification harnesses; exits 1 when a tolerance is exceeded."""
+    if samples is None:
+        samples = _DEFAULT_SAMPLES.get(what)
     if what == "moments":
         basis, est, err = moment_mc_table(r, k, samples, seed=seed)
         worst = 0.0
@@ -200,7 +208,8 @@ def cmd_verify(what, bundle, n, r, k, m, samples, trials, seed, output):
         sys.exit(0 if ok else 1)
     if what == "lemma-linear":
         E = _resolve_bundle(bundle, n)
-        rep = verify_lemma_linear(E, np.zeros(n, dtype=complex), k, m, seed=seed)
+        rep = verify_lemma_linear(E, np.zeros(n, dtype=complex), k, m, mc_samples=samples,
+                                  seed=seed)
         ok = (max(rep["dev_algebra_vs_fd"], rep["dev_algebra_vs_integral"],
                   rep["dev_fd_vs_integral"]) <= 1e-6
               and rep["mc_worst_over_3sigma"] <= 1.0)

@@ -51,7 +51,9 @@ class MetricField:
     ``evaluate`` maps a chart point (complex length-n array) to an (r, r)
     complex Hermitian positive matrix.  ``domain_radius``, when set, declares
     the validity region |z| < domain_radius; finite-difference stencils that
-    leave it raise StencilOutOfChartError.
+    leave it raise StencilOutOfChartError.  ``rank`` and ``base_dim`` below 1
+    are a ParamDomainError.  A call checks the point and the domain, then
+    returns ``value(p)``, which derived fields call on their parent directly.
     """
 
     rank: int
@@ -60,6 +62,10 @@ class MetricField:
     label: str = ""
     domain_radius: float | None = None
 
+    def __post_init__(self):
+        if self.rank < 1 or self.base_dim < 1:
+            raise ParamDomainError(f"metric {self.label!r} needs rank and base_dim >= 1")
+
     def __call__(self, z) -> np.ndarray:
         p = as_point(z, self.base_dim)
         if self.domain_radius is not None and np.vdot(p, p).real >= self.domain_radius**2:
@@ -67,6 +73,10 @@ class MetricField:
                 f"point |z|={np.linalg.norm(p):.6g} outside declared domain "
                 f"|z| < {self.domain_radius} of metric {self.label!r}"
             )
+        return self.value(p)
+
+    def value(self, p: np.ndarray) -> np.ndarray:
+        """``evaluate(p)`` at a checked point, as a complex array checked to be (r, r)."""
         h = np.asarray(self.evaluate(p), dtype=complex)
         if h.shape != (self.rank, self.rank):
             raise ValueError(f"metric {self.label!r} returned shape {h.shape}")

@@ -73,14 +73,23 @@ def moment_exact(r: int, A: MultiIndex, B: MultiIndex) -> Fraction:
 
 def _sphere_blocks(r: int, samples: int, seed: int):
     """Uniform points on the unit sphere of C^r (counter-based Philox stream) in
-    blocks of _SPHERE_BLOCK; a block draws its real parts, then its imaginary parts."""
-    if samples < 1:
-        raise ParamDomainError(f"need at least 1 sample, got {samples}")
+    blocks of _SPHERE_BLOCK; a block draws its real parts, then its imaginary parts.
+
+    Every Monte Carlo estimator shares this floor of 100 samples.  It is
+    checked on the call, not at the first block, because callers size their
+    buffers from the count before they draw.
+    """
+    if samples < 100:
+        raise ParamDomainError(f"need at least 100 samples, got {samples}")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    for lo in range(0, samples, _SPHERE_BLOCK):
-        size = min(_SPHERE_BLOCK, samples - lo)
-        w = rng.standard_normal((size, r)) + 1j * rng.standard_normal((size, r))
-        yield w / np.linalg.norm(w, axis=1, keepdims=True)
+
+    def blocks():
+        for lo in range(0, samples, _SPHERE_BLOCK):
+            size = min(_SPHERE_BLOCK, samples - lo)
+            w = rng.standard_normal((size, r)) + 1j * rng.standard_normal((size, r))
+            yield w / np.linalg.norm(w, axis=1, keepdims=True)
+
+    return blocks()
 
 
 def sphere_samples(r: int, samples: int, seed: int) -> np.ndarray:
@@ -111,6 +120,7 @@ def _sphere_moments(r: int, basis, samples: int, seed: int, weight=None):
     not allocate, free and page-fault them in again per chunk.  Returns (mean,
     stderr), both (D, F, F), stderr = sqrt(max(second/s - |mean|^2, 0) / s).
     """
+    stream = _sphere_blocks(r, samples, seed)
     F = len(basis)
     if weight is not None:
         Q, b = weight
@@ -125,7 +135,7 @@ def _sphere_moments(r: int, basis, samples: int, seed: int, weight=None):
         rows = min(chunk, samples, _SPHERE_BLOCK)
         fV_buf = np.empty((rows, D, F), dtype=complex)
         f2_buf = np.empty((rows, D, F))
-    for w in _sphere_blocks(r, samples, seed):
+    for w in stream:
         for lo in range(0, len(w), chunk):
             wc = w[lo:lo + chunk]
             V = _monomials(wc, basis)
@@ -148,8 +158,6 @@ def _sphere_moments(r: int, basis, samples: int, seed: int, weight=None):
 def moment_mc(r: int, A: MultiIndex, B: MultiIndex, samples: int, seed: int = 0):
     """Monte Carlo estimate of the moment; returns (estimate, stderr)."""
     _check_pair(r, A, B)
-    if samples < 100:
-        raise ParamDomainError(f"need at least 100 samples, got {samples}")
     mean, err = _sphere_moments(r, [A, B], samples, seed)
     scale = factorial(r - 1)
     return complex(mean[0, 0, 1]) / scale, float(err[0, 0, 1]) / scale

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import ParamDomainError
-from .regions import TheoremParams, VanishingRegion, lambda0, region
+from .regions import TheoremParams, VanishingRegion, check_region_n, lambda0, region
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,7 +91,9 @@ def prop_ex_consistency(n: int, k: int, l: int) -> dict:
     The oracle's non-vanishing lives at the boundary twist l = 1-k; for any
     other l the bundle parameters differ and the check passes with a recorded
     parameter mismatch.  At l = 1-k the theorem itself is inapplicable.
+    n above the region budget is rejected before the oracle list is built.
     """
+    check_region_n(n)
     boundary = grassmannian_nonvanishing(d=n + 1, r=n, k=k)
     try:
         lam = prop_ex_lambda0(n, k, l)

@@ -6,7 +6,8 @@ decided reproducibly with <= comparisons.  A region is decided row by row:
 with lambda_0 = a/b in lowest terms, row p holds exactly the q >= lo(p), an
 integer threshold found by cross-multiplication, so a region of n^2 pairs costs
 n integer steps and is stored as those thresholds.  Regions of more than
-MAX_REGION_MEMBERS pairs are rejected before any pair is built.
+MAX_REGION_MEMBERS pairs are rejected before any pair is built, and
+n > MAX_REGION_MEMBERS before any threshold is.
 """
 
 from __future__ import annotations
@@ -148,12 +149,22 @@ def _row_thresholds(n: int, lam: Fraction) -> tuple:
     return tuple(lo)
 
 
+def check_region_n(n: int) -> None:
+    """Reject n > MAX_REGION_MEMBERS before any O(n) work: row n of a region
+    alone holds n members (the m = 1 branch, with one member, is bounded too)."""
+    if n > MAX_REGION_MEMBERS:
+        raise ParamDomainError(f"n = {n} is above the region budget of {MAX_REGION_MEMBERS} "
+                               "members: row n alone holds n of them")
+
+
 def region(n: int, lam) -> VanishingRegion:
     """Pairs 1 <= p,q <= n with min{(n-q)/p, (n-p)/q} <= lambda0, exactly.
 
     Raises ParamDomainError when the region has more than MAX_REGION_MEMBERS
-    pairs; the count comes from the row thresholds, before any pair exists.
+    pairs; the count comes from the row thresholds, before any pair exists,
+    and n itself above the budget is rejected before the thresholds.
     """
+    check_region_n(n)
     lam = _checked_lambda(lam)
     reg = VanishingRegion(n=n, lambda0=lam, lo=_row_thresholds(n, lam))
     if (size := len(reg)) > MAX_REGION_MEMBERS:
@@ -169,6 +180,7 @@ def theorem_region(params: TheoremParams) -> VanishingRegion:
     vanishing pair is (n, n): row thresholds n + 1 (empty) for p < n and n for
     p = n.  lambda0 = 0 would wrongly include the whole p = n and q = n edges.
     """
+    check_region_n(params.n)
     lam = lambda0(params)
     if params.theorem in ("globally_generated", "griffiths") and params.m == 1:
         return VanishingRegion(params.n, lam, (params.n + 1,) * (params.n - 1) + (params.n,))

@@ -16,6 +16,7 @@ through without rounding.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from collections import Counter
 from itertools import combinations_with_replacement, product
@@ -161,17 +162,15 @@ def twist_by_line(Rsym: CurvatureTensor, Rline: CurvatureTensor, t) -> Curvature
 
 
 def sym_power_field(E: MetricField, k: int, m) -> MetricField:
-    """Explicit metric field z -> S^k h(z) (det h(z))^m on the monomial basis."""
+    """Explicit metric field z -> S^k h(z) (det h(z))^m on the monomial basis;
+    a ``dataclasses.replace`` of E that reads ``E.value`` once per point."""
     F = len(sym_basis(E.rank, k))
 
     def ev(z):
-        h = E(z)
+        h = E.value(z)
         s = sym_metric(h, k)
         if m != 0:
             s = s * np.linalg.det(h).real ** m
         return s
 
-    return MetricField(
-        rank=F, base_dim=E.base_dim, evaluate=ev,
-        label=f"sym{k}det{m}({E.label})", domain_radius=E.domain_radius,
-    )
+    return dataclasses.replace(E, rank=F, evaluate=ev, label=f"sym{k}det{m}({E.label})")

@@ -157,6 +157,22 @@ class TestCertifyCommand:
         assert abs(cert["eps1"] + 0.5) < 1e-6
         assert abs(cert["eps2"] - 1.5) < 1e-6
 
+    def test_builtin_id_wins_over_same_named_path(self, runner, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "tpn").mkdir()
+        result, payload = run_json(runner, [
+            "certify", "--bundle", "tpn", "--n", "2", "--test", "nakano", "--points", "1"])
+        assert result.exit_code == 0, result.output
+        assert payload["bundle"] == "tpn"
+        (tmp_path / "o(1)").write_text(json.dumps(
+            {"rank": 1, "base_dim": 2, "entries": [["(1 + abs2(z1) + abs2(z2)) ** -2"]],
+             "label": "file-o(1)"}))
+        for ident, label in (("o(1)", "o(1)"), ("./o(1)", "file-o(1)")):
+            result, payload = run_json(runner, [
+                "certify", "--bundle", ident, "--n", "2", "--test", "nakano", "--points", "1"])
+            assert result.exit_code == 0, result.output
+            assert payload["bundle"] == label
+
     def test_small_well_conditioned_metric_is_not_singular(self, runner):
         # h = (1 + |z|^2)^-20 falls below 1e-12 at |z| = 2, yet a line bundle
         # metric has condition number 1
@@ -192,6 +208,18 @@ class TestVerifyCommand:
         result, payload = run_json(runner, ["verify", "--what", "lemma-linear", *args])
         assert result.exit_code == 0, result.output
         assert payload["ok"] is True
+
+    @pytest.mark.parametrize("what,default,key", [
+        ("moments", 100000, "worst_over_3sigma"),
+        ("lemma-linear", 20000, "mc_worst_over_3sigma"),
+    ])
+    def test_samples_flag_reaches_the_harness(self, runner, what, default, key):
+        args = ["verify", "--what", what, "--seed", "1"]
+        omitted = runner.invoke(main, args)
+        assert omitted.output == runner.invoke(main, [*args, "--samples", str(default)]).output
+        result, payload = run_json(runner, [*args, "--samples", "2000"])
+        assert result.exit_code == 0, result.output
+        assert payload[key] != json.loads(omitted.output)[key]
 
     def test_lemma_linear_indefinite_metric_exit_2(self, runner):
         # the metric has eigenvalues 3 and -1 at every point
@@ -303,6 +331,11 @@ BAD_INPUT = [
                  "PARAM_DOMAIN", id="too-few-samples"),
     pytest.param(["moments", "--r", "3", "--a", "1,4", "--b", "1,4"], "PARAM_DOMAIN",
                  id="index-above-rank"),
+    *(pytest.param(["verify", "--what", what, "--samples", "50"], "PARAM_DOMAIN",
+                   id=f"verify-{what}-too-few-samples") for what in ("moments", "lemma-linear")),
+    *(pytest.param(["verify", "--what", "lemma-linear", "--bundle", ident, "--n", n],
+                   "PARAM_DOMAIN", id=f"lemma-linear-{ident}-n{n}")
+      for ident, n in (("o(1)", "0"), ("dsum(1,2)", "-1"))),
     pytest.param(["verify", "--what", "moments", "--r", "0", "--k", "1"], "PARAM_DOMAIN",
                  id="rank-0"),
     pytest.param(["verify", "--what", "estimate", "--n", "0"], "PARAM_DOMAIN",
@@ -355,6 +388,11 @@ BAD_INPUT = [
                  id="region-over-budget"),
     pytest.param(["check", "--n", "5000", "--k", "1", "--l", "5000"], "PARAM_DOMAIN",
                  id="check-over-budget"),
+    # n above 10**6: row n alone is over budget, even where the answer would be small
+    pytest.param(["region", "--n", "1000001", "--m", "1", "--theorem", "gg"], "PARAM_DOMAIN",
+                 id="region-m1-n-over-budget"),
+    pytest.param(["check", "--n", "1000001", "--k", "1", "--l", "0"], "PARAM_DOMAIN",
+                 id="check-inapplicable-n-over-budget"),
     *(pytest.param(["certify", "--bundle", _metric(domain_radius=radius), "--n", "2",
                     "--test", "nakano", "--points", "1"], "PARAM_DOMAIN",
                    id=f"metric-domain-radius-{radius}") for radius in ("x", -1, 0)),

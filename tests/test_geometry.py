@@ -4,6 +4,7 @@ import pytest
 from poslab import (
     CurvatureTensor,
     MetricField,
+    ParamDomainError,
     SingularMetricError,
     StencilOutOfChartError,
     chern_curvature,
@@ -11,9 +12,11 @@ from poslab import (
     normalize_at_point,
     o_line,
     sample_points,
+    sym_power_field,
     tangent_pn,
+    tangent_pn_twist,
 )
-from poslab.bundles import det_field, direct_sum, load_metric_json
+from poslab.bundles import builtin, det_field, direct_sum, frame_normalized, load_metric_json
 from poslab.geometry import _orthonormalizer
 
 from conftest import constant_metric, random_positive
@@ -186,6 +189,46 @@ class TestUserMetric:
             h = E(z)
             assert h[0, 0] == expect
             assert (h[0, 1], h[1, 0], h[1, 1]) == (a, b, 1)
+
+
+class TestDerivedFields:
+    @pytest.mark.parametrize("build", [
+        lambda: sym_power_field(frame_normalized(tangent_pn(2), np.zeros(2)), 2, 1),
+        lambda: det_field(tangent_pn(2)),
+        lambda: tangent_pn_twist(1, 2),
+    ], ids=["sym-of-normalized", "det", "tpn-twist"])
+    def test_one_checked_call_per_evaluation(self, monkeypatch, build):
+        field = build()
+        calls = []
+        checked_call = MetricField.__call__
+        monkeypatch.setattr(MetricField, "__call__",
+                            lambda f, z: calls.append(f.label) or checked_call(f, z))
+        field(np.array([0.3 - 0.1j, 0.2j]))
+        assert calls == [field.label]
+
+    def test_derived_field_inherits_the_domain(self):
+        E = MetricField(rank=2, base_dim=1, evaluate=lambda z: np.eye(2), domain_radius=0.5)
+        for F in (det_field(E), frame_normalized(E, [0.0]), sym_power_field(E, 2, 1)):
+            assert (F.base_dim, F.domain_radius) == (1, 0.5)
+            with pytest.raises(StencilOutOfChartError):
+                F([0.6])
+
+    def test_det_of_a_misshapen_field_raises(self):
+        # declares rank 2 but returns 3 x 3: the parent's output check still runs
+        E = MetricField(rank=2, base_dim=1, evaluate=lambda z: np.eye(3), label="bad")
+        with pytest.raises(ValueError, match="'bad' returned shape"):
+            det_field(E)([0.1])
+
+    @pytest.mark.parametrize("rank,base_dim", [(0, 2), (2, 0), (1, -1)])
+    def test_rank_and_base_dim_below_one_rejected(self, rank, base_dim):
+        with pytest.raises(ParamDomainError):
+            MetricField(rank=rank, base_dim=base_dim, evaluate=lambda z: np.eye(rank))
+
+    @pytest.mark.parametrize("ident", ["o(1)", "dsum(1,2)", "tpn", "tpn_twist(1)"])
+    def test_builtin_at_base_dim_below_one_rejected(self, ident):
+        for n in (0, -1):
+            with pytest.raises(ParamDomainError):
+                builtin(ident, n)
 
 
 class TestFrameCovariance:

@@ -13,6 +13,8 @@ from poslab import (
     prop_ex_lambda0,
     region,
 )
+from poslab import oracles
+from poslab.regions import MAX_REGION_MEMBERS
 
 
 class TestGrassmannianOracle:
@@ -121,3 +123,13 @@ class TestPropExConsistency:
                 for l in range(2 - k, 2 - k + 4):
                     rep = prop_ex_consistency(n, k, l)
                     assert rep["status"] == "PASS", (n, k, l)
+
+    @pytest.mark.parametrize("l", [0, 5])
+    def test_n_above_budget_rejected_before_the_oracle(self, monkeypatch, l):
+        # l = 0 at k = 1 is the inapplicable boundary twist, l = 5 an applicable one
+        def spy(*args, **kwargs):
+            raise AssertionError("oracle list built for an n above the budget")
+
+        monkeypatch.setattr(oracles, "grassmannian_nonvanishing", spy)
+        with pytest.raises(ParamDomainError, match="above the region budget"):
+            prop_ex_consistency(MAX_REGION_MEMBERS + 1, 1, l)

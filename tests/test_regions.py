@@ -14,6 +14,7 @@ from poslab import (
     strip_width,
     theorem_region,
 )
+from poslab import regions
 from poslab.regions import MAX_REGION_MEMBERS
 
 def reference_members(n, lam):
@@ -176,6 +177,19 @@ class TestRegionThresholds:
         assert len(region(1000, 1)) == 501_499 <= MAX_REGION_MEMBERS
         with pytest.raises(ParamDomainError, match="11116665 members"):
             region(5000, Fraction(4, 5))
+
+    def test_n_above_budget_rejected_before_any_threshold(self, monkeypatch):
+        # row n alone holds n members, so no threshold needs to be built
+        def spy(*args):
+            raise AssertionError("row thresholds built for an n above the budget")
+
+        monkeypatch.setattr(regions, "_row_thresholds", spy)
+        n = MAX_REGION_MEMBERS + 1
+        for call in (lambda: region(n, 1),
+                     lambda: theorem_region(TheoremParams(n=n, r=1, k=1, m=9, theorem="gg")),
+                     lambda: theorem_region(TheoremParams(n=n, r=1, k=1, m=1, theorem="gg"))):
+            with pytest.raises(ParamDomainError, match="above the region budget"):
+                call()
 
 
 class TestTheoremRegion:
