@@ -203,24 +203,15 @@ def load_metric_json(source) -> MetricField:
     except (KeyError, TypeError, ValueError) as exc:
         raise ParamDomainError(
             f"metric JSON needs integer rank and base_dim and entries ({exc!r})") from exc
-    if (r < 1 or n < 1 or not isinstance(rows, list) or len(rows) != r
+    if (not isinstance(rows, list) or len(rows) != r
             or any(not isinstance(row, list) or len(row) != r for row in rows)):
-        raise ParamDomainError(
-            "metric JSON needs rank >= 1, base_dim >= 1 and an r x r entries matrix")
+        raise ParamDomainError("metric JSON needs an r x r entries matrix, r = rank")
     radius = spec.get("domain_radius")
     if radius is not None and (type(radius) not in (int, float) or not radius > 0):
         raise ParamDomainError(
             f"metric JSON domain_radius must be a positive number, got {radius!r}")
     entries = _compile_entries(rows, n)
     label = str(spec.get("label", "user"))
-    # numpy floating-point warnings are silenced: a non-finite value is
-    # reported as SINGULAR_METRIC by the curvature's isfinite checks instead
-    try:
-        # evaluate once at a test point so arithmetic failures show at load time
-        with np.errstate(all="ignore"):
-            entries(np.zeros(n, dtype=complex) + 0.1)
-    except ArithmeticError as exc:
-        raise ParamDomainError(f"metric {label!r} fails at z = 0.1: {exc}") from exc
 
     def ev(z):
         try:
@@ -229,10 +220,14 @@ def load_metric_json(source) -> MetricField:
         except ArithmeticError as exc:
             raise SingularMetricError(f"metric {label!r} fails at z = {z}: {exc}") from exc
 
-    return MetricField(
-        rank=r,
-        base_dim=n,
-        evaluate=ev,
-        label=label,
-        domain_radius=radius,
-    )
+    # the field checks rank and base_dim before the probe needs them
+    field = MetricField(rank=r, base_dim=n, evaluate=ev, label=label, domain_radius=radius)
+    # numpy floating-point warnings are silenced: a non-finite value is
+    # reported as SINGULAR_METRIC by the curvature's isfinite checks instead
+    try:
+        # evaluate once at a test point so arithmetic failures show at load time
+        with np.errstate(all="ignore"):
+            entries(np.zeros(n, dtype=complex) + 0.1)
+    except ArithmeticError as exc:
+        raise ParamDomainError(f"metric {label!r} fails at z = 0.1: {exc}") from exc
+    return field

@@ -42,6 +42,7 @@ from .geometry import CurvatureTensor, MetricField, as_point, chern_curvature
 from .symbundle import (
     MultiIndex,
     _contract_with_trace,
+    check_sym_budget,
     generalized_delta,
     induced_sym_det_curvature,
     sym_basis,
@@ -222,6 +223,7 @@ def _integral_map(r: int, k: int) -> np.ndarray:
 
 def integral_formula_tensor(R: CurvatureTensor, k: int, m) -> CurvatureTensor:
     """The full S^k E (det E)^m block of the integral formula's expansion."""
+    check_sym_budget(R.rank, k)
     return _contract_with_trace(R, k, _integral_map(R.rank, k), m - 1)
 
 
@@ -237,6 +239,7 @@ def integral_formula_mc(R: CurvatureTensor, k: int, m, samples: int = 20000,
         raise FrameNotNormalizedError("integral_formula_mc needs a normalized-frame tensor")
     V = R.values.astype(complex)
     n, r = R.base_dim, R.rank
+    check_sym_budget(r, k)
     basis = sym_basis(r, k)
     F = len(basis)
     Q = (r + k) * V.transpose(2, 3, 0, 1).reshape(r, r, n * n)

@@ -9,10 +9,13 @@ with eigenvectors scaled back by D^{-1/2}; ``_gram_eigh`` is the one helper
 that solves it, for Griffiths, Nakano and dual-Nakano.
 
 Griffiths minimization is a non-convex biquadratic problem; we use
-alternating smallest-eigenvector iteration with random restarts.  A
-nonpositive minimum is a certificate (the witness reproduces it); a positive
-minimum is heuristic and labeled as such.  The maximum is minus the minimum
-of -R.
+alternating smallest-eigenvector iteration with random restarts.  The
+restarts run as a stack, one stacked eigh per half-step over every restart
+still running, each with its own stopping test, in chunks under the byte
+budget _GRIFFITHS_CHUNK_BYTES; the starts come from one Philox stream in
+restart order and the first smallest value wins.  A nonpositive minimum is a
+certificate (the witness reproduces it); a positive minimum is heuristic and
+labeled as such.  The maximum is minus the minimum of -R.
 
 ``_scan_minima`` is the one loop over sample points: ``positivity_scan`` and
 ``boundedness_scan`` apply their measures to the same normalized
@@ -40,8 +43,14 @@ from .geometry import CurvatureTensor, MetricField, as_point, chern_curvature, n
 from .symbundle import induced_sym_det_curvature, twist_by_line
 
 # an alternating Griffiths run stops when its value changes by less than this,
-# relative to 1 + |value|
+# relative to 1 + |value|, or after _GRIFFITHS_ITERS iterations
 _GRIFFITHS_TOL = 1e-10
+_GRIFFITHS_ITERS = 200
+
+# Byte budget of one (chunk, F, F) complex array of the stacked Griffiths
+# iteration: restarts run in chunks under it, so a call holds no more than
+# the one-restart-at-a-time loop did, whatever the number of restarts.
+_GRIFFITHS_CHUNK_BYTES = 1 << 16
 
 
 def _values_and_gram(R: CurvatureTensor):
@@ -85,18 +94,57 @@ def _cvec(v):
 def _gram_eigh(M, g):
     """Eigenpairs of the Hermitian pencil (M, diag g), g > 0, ascending.
 
-    Eigenvectors are normalized so that x^H diag(g) x = 1.
+    Eigenvectors are normalized so that x^H diag(g) x = 1.  M may carry
+    leading stack axes, one pencil per matrix.
     """
     sqg = np.sqrt(g)
     ew, evec = np.linalg.eigh(M / np.outer(sqg, sqg))
     return ew, evec / sqg[:, None]
 
 
+def _griffiths_stack(V, g, starts):
+    """Alternating iteration from a stack of starts (c, 2, F), real then
+    imaginary parts, as one stacked eigh per half-step.
+
+    Each restart stops on its own test (value change below _GRIFFITHS_TOL
+    relative to 1 + |value|, or _GRIFFITHS_ITERS iterations) and leaves the
+    stack with its last (val, u, v).  Returns vals (c,), us (c, n), vs (c, F).
+    """
+    c, n = len(starts), V.shape[0]
+    x = starts[:, 0] + 1j * starts[:, 1]
+    v = x / np.sqrt(np.sum(g * np.abs(x) ** 2, axis=1))[:, None]
+    vals, us, vs = np.empty(c), np.empty((c, n), complex), np.empty_like(v)
+    # prev = inf: no restart stops on its first iteration
+    live, prev = np.arange(c), np.full(c, np.inf)
+    for it in range(_GRIFFITHS_ITERS):
+        # fix v, minimize over unit u
+        Wu = np.einsum("ijab,ra,rb->rij", V, v, np.conj(v))
+        Wu = 0.5 * (Wu + Wu.conj().swapaxes(1, 2))
+        _, evec = np.linalg.eigh(Wu)
+        u = evec[:, :, 0].conj()
+        # fix u, minimize over v with <v, v>_G = 1
+        Mv = np.einsum("ijab,ri,rj->rab", V, u, np.conj(u))
+        Mv = 0.5 * (Mv + Mv.conj().swapaxes(1, 2))
+        ew2, evec2 = _gram_eigh(Mv, g)
+        v = evec2[:, :, 0].conj()
+        val = ew2[:, 0]
+        done = np.abs(val - prev) < _GRIFFITHS_TOL * (1.0 + np.abs(val))
+        done |= it == _GRIFFITHS_ITERS - 1
+        vals[live[done]], us[live[done]], vs[live[done]] = val[done], u[done], v[done]
+        live, v, prev = live[~done], v[~done], val[~done]
+        if not live.size:
+            break
+    return vals, us, vs
+
+
 def griffiths_min(R: CurvatureTensor, restarts: int = 32, seed: int = 0) -> PositivityReport:
     """Minimize the Griffiths biquadratic over unit u, unit v (multi-start).
 
-    A nonpositive minimum is certified by its witness; a positive result is
-    heuristic (finitely many restarts).  The maximum is minus the minimum of
+    The restarts run as stacks of at most _GRIFFITHS_CHUNK_BYTES per
+    (chunk, F, F) array, drawn in restart order from one Philox stream; the
+    first smallest value wins.  A nonpositive minimum is certified by its
+    witness; a positive result is heuristic (finitely many restarts).  The
+    maximum is minus the minimum of
     CurvatureTensor(-R.values, normalized=True, gram=R.gram).
     """
     if restarts < 1:
@@ -104,29 +152,15 @@ def griffiths_min(R: CurvatureTensor, restarts: int = 32, seed: int = 0) -> Posi
     V, g = _values_and_gram(R)
     F = V.shape[2]
     rng = np.random.Generator(np.random.Philox(key=seed))
-    best_val, best_u, best_v = None, None, None
-    for _ in range(restarts):
-        x = rng.standard_normal(F) + 1j * rng.standard_normal(F)
-        x /= np.sqrt(np.sum(g * np.abs(x) ** 2))
-        v = x
-        prev = None
-        for _ in range(200):
-            # fix v, minimize over unit u
-            Wu = np.einsum("ijab,a,b->ij", V, v, np.conj(v))
-            Wu = 0.5 * (Wu + Wu.conj().T)
-            ew, evec = np.linalg.eigh(Wu)
-            u = evec[:, 0].conj()
-            # fix u, minimize over v with <v, v>_G = 1
-            Mv = np.einsum("ijab,i,j->ab", V, u, np.conj(u))
-            Mv = 0.5 * (Mv + Mv.conj().T)
-            ew2, evec2 = _gram_eigh(Mv, g)
-            v = evec2[:, 0].conj()
-            val = float(ew2[0])
-            if prev is not None and abs(val - prev) < _GRIFFITHS_TOL * (1.0 + abs(val)):
-                break
-            prev = val
-        if best_val is None or val < best_val:
-            best_val, best_u, best_v = val, u, v
+    chunk = max(1, _GRIFFITHS_CHUNK_BYTES // (16 * F * F))
+    best = None
+    for start in range(0, restarts, chunk):
+        starts = rng.standard_normal((min(chunk, restarts - start), 2, F))
+        vals, us, vs = _griffiths_stack(V, g, starts)
+        i = int(np.argmin(vals))
+        if best is None or vals[i] < best[0]:
+            best = float(vals[i]), us[i], vs[i]
+    best_val, best_u, best_v = best
     return PositivityReport("griffiths", best_val, {"u": _cvec(best_u), "v": _cvec(best_v)})
 
 

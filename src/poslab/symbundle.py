@@ -20,7 +20,7 @@ import dataclasses
 import functools
 from collections import Counter
 from itertools import combinations_with_replacement, product
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import numpy as np
 
@@ -29,12 +29,31 @@ from .geometry import CurvatureTensor, MetricField
 
 MultiIndex = tuple[int, ...]
 
+# Entries allowed in one S^k integer map: the (r, r, F, F) derivation and
+# integral maps, and the (k, F, r^k) gather table of the induced metric.
+MAX_SYM_MAP_ENTRIES = 4 * 10**6
+
 
 def sym_basis(r: int, k: int) -> list[MultiIndex]:
     """Lexicographic monomial basis labels of S^k E for rank r."""
     if r < 1 or k < 0:
         raise ParamDomainError(f"need r >= 1, k >= 0, got r={r}, k={k}")
     return list(combinations_with_replacement(range(1, r + 1), k))
+
+
+@functools.lru_cache(maxsize=None)
+def check_sym_budget(r: int, k: int) -> None:
+    """Reject S^k of a rank-r bundle when its largest integer map has more
+    than MAX_SYM_MAP_ENTRIES entries: r^2 F^2 for the derivation and integral
+    maps, k F r^k for the induced metric's gather table, F = dim S^k E.
+    Every builder of those maps is called only after this check."""
+    if r < 1 or k < 0:
+        raise ParamDomainError(f"need r >= 1, k >= 0, got r={r}, k={k}")
+    F = comb(r + k - 1, k)
+    # for r >= 2 and k > 64, r^64 alone is above the budget: no need for r^k
+    if max(r * r * F * F, k * F * r ** min(k, 64)) > MAX_SYM_MAP_ENTRIES:
+        raise ParamDomainError(f"S^{k} of a rank-{r} bundle (dimension {F}) is above the "
+                               f"S^k budget of {MAX_SYM_MAP_ENTRIES} map entries")
 
 
 def generalized_delta(A: MultiIndex, B: MultiIndex) -> int:
@@ -92,6 +111,7 @@ def sym_metric(h, k: int):
     h = np.asarray(h)
     if h.dtype != object:
         h = h.astype(complex)
+    check_sym_budget(h.shape[0], k)
     flat, weight = _sym_metric_map(h.shape[0], k)
     return np.take(h.ravel(), flat).prod(axis=0) @ weight
 
@@ -147,6 +167,7 @@ def induced_sym_det_curvature(R: CurvatureTensor, k: int, m) -> CurvatureTensor:
     with A' = A with slot t replaced by gamma; the determinant part adds
     m * delta_AB * tr_fiber R.
     """
+    check_sym_budget(R.rank, k)
     return _contract_with_trace(R, k, _derivation_map(R.rank, k), m)
 
 
@@ -164,6 +185,7 @@ def twist_by_line(Rsym: CurvatureTensor, Rline: CurvatureTensor, t) -> Curvature
 def sym_power_field(E: MetricField, k: int, m) -> MetricField:
     """Explicit metric field z -> S^k h(z) (det h(z))^m on the monomial basis;
     a ``dataclasses.replace`` of E that reads ``E.value`` once per point."""
+    check_sym_budget(E.rank, k)
     F = len(sym_basis(E.rank, k))
 
     def ev(z):

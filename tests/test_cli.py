@@ -342,6 +342,11 @@ BAD_INPUT = [
                  id="estimate-n-0"),
     pytest.param(["certify", "--bundle", '{"rank":1}', "--n", "2", "--test", "nakano"],
                  "PARAM_DOMAIN", id="metric-missing-keys"),
+    # the field itself rejects base_dim -1, before the load-time probe at z = 0.1
+    pytest.param(["certify", "--bundle", '{"rank": 1, "base_dim": -1, "entries": [["1"]]}',
+                  "--n", "-1", "--test", "nakano"], "PARAM_DOMAIN", id="metric-base-dim-negative"),
+    pytest.param(["certify", "--bundle", '{"rank": 0, "base_dim": 2, "entries": []}',
+                  "--n", "2", "--test", "nakano"], "PARAM_DOMAIN", id="metric-rank-0"),
     pytest.param(["certify", "--bundle", _metric(entries=[["foo"]]), "--n", "2",
                   "--test", "nakano"], "PARAM_DOMAIN", id="metric-unknown-name"),
     pytest.param(["certify", "--bundle", _metric(entries=[["1+"]]), "--n", "2",
@@ -379,6 +384,11 @@ BAD_INPUT = [
     pytest.param(["certify", "--bundle", "tpn", "--n", "2", "--test", "griffiths",
                   "--points", "1", "--restarts", "0"], "PARAM_DOMAIN",
                  id="griffiths-restarts-0"),
+    # S^20 of rank 5: a 2.8e9-entry derivation map; S^6 of rank 6: a 1.3e8-index gather table
+    pytest.param(["certify", "--bundle", "tpn", "--n", "5", "--test", "nakano", "--sym", "20"],
+                 "PARAM_DOMAIN", id="certify-sym-over-budget"),
+    pytest.param(["verify", "--what", "lemma-linear", "--bundle", "tpn", "--n", "6", "--k", "6"],
+                 "PARAM_DOMAIN", id="lemma-linear-sym-over-budget"),
     pytest.param(["region", "--n", "3", "--r", "1", "--k", "1", "--m", "2", "--theorem", "gg",
                   "--eps1", "1/2"], "PARAM_DOMAIN", id="region-gg-eps1"),
     pytest.param(["region", "--n", "3", "--r", "1", "--k", "1", "--m", "3", "--theorem", "ample",

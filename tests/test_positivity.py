@@ -7,6 +7,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import poslab
 from poslab import (
@@ -31,7 +33,14 @@ from poslab import (
 )
 from poslab.bundles import direct_sum, det_field, load_metric_json
 from poslab.geometry import chern_curvature, normalize_at_point, fubini_study, sample_points
-from poslab.positivity import eigenvalue_bound, line_curvature_tensor, polarization_form
+from poslab import positivity
+from poslab.positivity import (
+    _gram_eigh,
+    _values_and_gram,
+    eigenvalue_bound,
+    line_curvature_tensor,
+    polarization_form,
+)
 from poslab.symbundle import induced_sym_det_curvature
 
 from conftest import random_curvature
@@ -84,6 +93,83 @@ class TestGriffiths:
     def test_needs_a_restart(self, restarts):
         with pytest.raises(ParamDomainError):
             griffiths_min(delta_tensor(2), restarts=restarts)
+
+
+def serial_griffiths_min(R, restarts, seed):
+    """Reference: the restarts one at a time, two single eigen-solves per
+    iteration, each stopping at the module tolerance or after 200 iterations;
+    returns the first smallest value."""
+    V, g = _values_and_gram(R)
+    F = V.shape[2]
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    best_val = None
+    for _ in range(restarts):
+        x = rng.standard_normal(F) + 1j * rng.standard_normal(F)
+        x /= np.sqrt(np.sum(g * np.abs(x) ** 2))
+        v = x
+        prev = None
+        for _ in range(200):
+            Wu = np.einsum("ijab,a,b->ij", V, v, np.conj(v))
+            Wu = 0.5 * (Wu + Wu.conj().T)
+            ew, evec = np.linalg.eigh(Wu)
+            u = evec[:, 0].conj()
+            Mv = np.einsum("ijab,i,j->ab", V, u, np.conj(u))
+            Mv = 0.5 * (Mv + Mv.conj().T)
+            ew2, evec2 = _gram_eigh(Mv, g)
+            v = evec2[:, 0].conj()
+            val = float(ew2[0])
+            if prev is not None and abs(val - prev) < positivity._GRIFFITHS_TOL * (1.0 + abs(val)):
+                break
+            prev = val
+        if best_val is None or val < best_val:
+            best_val = val
+    return best_val
+
+
+def gram_curvature(n, gram, seed):
+    """Random Hermitian-symmetric tensor against the Gram diagonal ``gram``."""
+    v = random_curvature(n, len(gram), seed).values
+    return CurvatureTensor(v, normalized=True, gram=np.array(gram, dtype=float))
+
+
+class TestStackedRestarts:
+    @given(n=st.integers(1, 3), gram=st.lists(st.integers(1, 3), min_size=1, max_size=6),
+           tensor_seed=st.integers(0, 2**32 - 1), restarts=st.integers(1, 40),
+           seed=st.integers(0, 2**63 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_serial_restarts(self, n, gram, tensor_seed, restarts, seed):
+        R = gram_curvature(n, gram, tensor_seed)
+        want = serial_griffiths_min(R, restarts, seed)
+        got = griffiths_min(R, restarts=restarts, seed=seed).min_value
+        assert abs(got - want) <= 1e-12 * (1 + abs(want))
+
+    @pytest.mark.parametrize("make", [
+        lambda: sym_twisted_curvature_at(tangent_pn(3), o_line(1, 3), np.full(3, 0.2), 2, 0, -1),
+        lambda: gram_curvature(2, [1, 2, 1], seed=8),
+    ], ids=["tpn3-sym2", "random-gram"])
+    def test_one_restart_per_chunk_gives_the_same_report(self, monkeypatch, make):
+        R = make()
+        want = griffiths_min(R, restarts=32, seed=4).to_json()
+        assert positivity._GRIFFITHS_CHUNK_BYTES // (16 * R.values.shape[2] ** 2) >= 32
+        monkeypatch.setattr(positivity, "_GRIFFITHS_CHUNK_BYTES", 1)
+        assert griffiths_min(R, restarts=32, seed=4).to_json() == want
+
+    def test_several_chunks_match_serial(self):
+        # F = 35: three restarts per chunk under the default budget
+        S = sym_twisted_curvature_at(tangent_pn(5), o_line(1, 5), np.zeros(5), 3, 0, 0)
+        assert positivity._GRIFFITHS_CHUNK_BYTES // (16 * 35 * 35) == 3
+        rep = griffiths_min(S, restarts=7, seed=2)
+        assert abs(rep.min_value - serial_griffiths_min(S, 7, 2)) <= 1e-12 * (1 + 3)
+        assert abs(rep.min_value - 3.0) < 1e-6
+
+    def test_one_restart(self):
+        R = gram_curvature(2, [1, 2], seed=12)
+        rep = griffiths_min(R, restarts=1, seed=9)
+        assert abs(rep.min_value - serial_griffiths_min(R, 1, 9)) <= 1e-12 * (1 + abs(rep.min_value))
+        u = np.array([complex(a, b) for a, b in rep.witness["u"]])
+        v = np.array([complex(a, b) for a, b in rep.witness["v"]])
+        val = np.einsum("ijab,i,j,a,b->", R.values, u, u.conj(), v, v.conj()).real
+        assert abs(val - rep.min_value) < 1e-8
 
 
 class TestNakano:

@@ -10,6 +10,7 @@ from poslab import (
     DimMismatchError,
     FrameNotNormalizedError,
     LengthMismatchError,
+    ParamDomainError,
     generalized_delta,
     gram_diagonal,
     induced_sym_det_curvature,
@@ -19,8 +20,11 @@ from poslab import (
     tangent_pn,
     twist_by_line,
 )
+from poslab import moments, symbundle
 from poslab.bundles import frame_normalized
 from poslab.geometry import chern_curvature
+from poslab.moments import integral_formula_mc, integral_formula_tensor
+from poslab.symbundle import MAX_SYM_MAP_ENTRIES, check_sym_budget
 
 from conftest import random_curvature, random_hermitian
 
@@ -227,3 +231,36 @@ class TestSymPowerField:
         fd = chern_curvature(sym_power_field(E, 2, 1), z).values
         scale = max(1.0, float(np.max(np.abs(alg))))
         assert np.max(np.abs(alg - fd)) < 1e-7 * scale
+
+
+class TestSymBudget:
+    @pytest.mark.parametrize("r,k", [(5, 3), (3, 4), (4, 6), (1, 0), (2, 12)])
+    def test_shapes_inside_the_budget(self, r, k):
+        F = comb(r + k - 1, k)
+        assert max(r * r * F * F, k * F * r**k) <= MAX_SYM_MAP_ENTRIES
+        check_sym_budget(r, k)
+
+    def test_largest_benchmark_block_far_inside(self):
+        # S^3 of rank 5 (F = 35): r^2 F^2 = 30 625 entries, k F r^k = 13 125
+        assert max(5 * 5 * 35 * 35, 3 * 35 * 5**3) * 100 < MAX_SYM_MAP_ENTRIES
+
+    @pytest.mark.parametrize("r,k", [(5, 20), (6, 6), (2, 22), (1, MAX_SYM_MAP_ENTRIES + 1),
+                                     (5, 10**9)])
+    def test_oversized_rejected_before_any_map(self, monkeypatch, r, k):
+        # (5, 20): a 2.8e9-entry derivation map; (6, 6): a 1.3e8-index gather table
+        def spy(*args):
+            raise AssertionError("an S^k integer map was built above the budget")
+
+        for mod, name in ((symbundle, "_derivation_map"), (symbundle, "_sym_metric_map"),
+                          (moments, "_integral_map"), (symbundle, "sym_basis"),
+                          (moments, "sym_basis")):
+            monkeypatch.setattr(mod, name, spy)
+        R = random_curvature(1, r, seed=3)
+        E = frame_normalized(tangent_pn(r), np.zeros(r))
+        for call in (lambda: induced_sym_det_curvature(R, k, 0),
+                     lambda: integral_formula_tensor(R, k, 1),
+                     lambda: integral_formula_mc(R, k, 1, samples=10),
+                     lambda: sym_metric(np.eye(r), k),
+                     lambda: sym_power_field(E, k, 0)):
+            with pytest.raises(ParamDomainError, match="above the S\\^k budget"):
+                call()
