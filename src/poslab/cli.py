@@ -15,11 +15,12 @@ from fractions import Fraction
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import __version__
 from .bundles import builtin, det_field, load_metric_json
 from .errors import DimMismatchError, ParamDomainError, PoslabError
-from .moments import moment_exact, moment_mc, moment_mc_table, verify_lemma_linear
+from .moments import moment_exact, moment_mc, verify_lemma_linear, verify_moments
 from .oracles import grassmannian_nonvanishing, pn_line_cohomology, prop_ex_consistency
 from .positivity import boundedness_scan, estimate_check, positivity_scan
 from .regions import TheoremParams, lambda0, region_svg, strip_width, theorem_region
@@ -50,6 +51,24 @@ def _multi_index(ctx, param, text):
         return tuple(int(x) for x in text.split(",")) if text else ()
     except ValueError as exc:
         raise click.BadParameter(f"{text!r} is not a comma-separated list of integers") from exc
+
+
+def _reject_unread_flags(mode_param: str, reads: dict) -> None:
+    """PARAM_DOMAIN for a flag on the command line that the selected mode does not read.
+
+    ``reads`` maps each value of the mode flag ``mode_param`` to the parameters
+    that mode reads besides the mode flag and --output.  Only flags typed on the
+    command line count, so a --config value for a flag the mode does not read
+    is ignored.
+    """
+    ctx = click.get_current_context()
+    mode = ctx.params[mode_param]
+    flags = {param.name: param.opts[0] for param in ctx.command.params}
+    unread = [flag for name, flag in flags.items()
+              if name not in (mode_param, "output", *reads[mode])
+              and ctx.get_parameter_source(name) is ParameterSource.COMMANDLINE]
+    if unread:
+        raise ParamDomainError(f"{flags[mode_param]} {mode} does not read {', '.join(unread)}")
 
 
 class _Group(click.Group):
@@ -146,9 +165,10 @@ def _resolve_bundle(ident, n, E=None):
 @click.option("--output", type=click.Path(), default=None)
 def cmd_certify(bundle, n, which, line, twist, sym, det_power, points, seed, restarts, output):
     """Positivity / boundedness certification of a built-in or user bundle."""
-    if which == "bounds" and (sym, det_power, twist) != (1, 0, 0):
-        raise ParamDomainError("--test bounds measures the bundle itself; "
-                               "it takes no --sym, --det or --twist")
+    bounds = ("bundle", "n", "line", "points", "seed", "restarts")
+    positivity = (*bounds, "twist", "sym", "det_power")
+    _reject_unread_flags("which", {"bounds": bounds, "griffiths": positivity,
+                                   "nakano": positivity, "dual": positivity})
     E = _resolve_bundle(bundle, n)
     L = _resolve_bundle(line, n, E=E)
     if which == "bounds":
@@ -187,50 +207,31 @@ _DEFAULT_SAMPLES = {"moments": 100000, "lemma-linear": 20000}
 @click.option("--output", type=click.Path(), default=None)
 def cmd_verify(what, bundle, n, r, k, m, samples, trials, seed, output):
     """Cross-verification harnesses; exits 1 when a tolerance is exceeded."""
+    _reject_unread_flags("what", {"moments": ("r", "k", "samples", "seed"),
+                                  "lemma-linear": ("bundle", "n", "k", "m", "samples", "seed"),
+                                  "estimate": ("n", "trials", "seed")})
     if samples is None:
         samples = _DEFAULT_SAMPLES.get(what)
     if what == "moments":
-        basis, est, err = moment_mc_table(r, k, samples, seed=seed)
-        worst = 0.0
-        rows = []
-        for a, A in enumerate(basis):
-            for b, B in enumerate(basis):
-                exact = moment_exact(r, A, B)
-                dev = abs(est[a, b] - float(exact))
-                z = float(dev / max(3.0 * err[a, b], 1e-12))
-                worst = max(worst, z)
-                rows.append({"A": list(A), "B": list(B), "exact": str(exact),
-                             "mc": [float(est[a, b].real), float(est[a, b].imag)],
-                             "stderr": float(err[a, b])})
-        ok = bool(worst <= 1.0)
-        _emit({"what": what, "r": r, "k": k, "samples": samples, "seed": seed,
-               "worst_over_3sigma": worst, "ok": ok, "moments": rows}, output)
-        sys.exit(0 if ok else 1)
-    if what == "lemma-linear":
-        E = _resolve_bundle(bundle, n)
-        rep = verify_lemma_linear(E, np.zeros(n, dtype=complex), k, m, mc_samples=samples,
-                                  seed=seed)
-        ok = (max(rep["dev_algebra_vs_fd"], rep["dev_algebra_vs_integral"],
-                  rep["dev_fd_vs_integral"]) <= 1e-6
-              and rep["mc_worst_over_3sigma"] <= 1.0)
-        _emit({"what": what, "ok": ok, **rep}, output)
-        sys.exit(0 if ok else 1)
-    # estimate: batches of 50 trials, each on a fresh random phi
-    if n < 1 or trials < 1:
-        raise ParamDomainError(f"need --n >= 1 and --trials >= 1, got {n} and {trials}")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    worst = float("inf")
-    for t, done in enumerate(range(0, trials, 50)):
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        phi = a @ a.conj().T + 0.05 * np.eye(n)
-        p = int(rng.integers(0, n + 1))
-        q = int(rng.integers(0, n + 1))
-        rep = estimate_check(phi, p, q, trials=min(50, trials - done), seed=seed + t)
-        worst = min(worst, rep["worst_slack"])
-    ok = worst >= -1e-9
-    _emit({"what": what, "n": n, "trials": trials, "worst_slack": worst, "ok": ok},
-          output)
-    sys.exit(0 if ok else 1)
+        rep = verify_moments(r, k, samples, seed)
+    elif what == "lemma-linear":
+        rep = verify_lemma_linear(_resolve_bundle(bundle, n), np.zeros(n, dtype=complex), k, m,
+                                  mc_samples=samples, seed=seed)
+    else:  # estimate: batches of 50 trials, each on a fresh random phi
+        if n < 1 or trials < 1:
+            raise ParamDomainError(f"need --n >= 1 and --trials >= 1, got {n} and {trials}")
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        worst = float("inf")
+        for t, done in enumerate(range(0, trials, 50)):
+            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            phi = a @ a.conj().T + 0.05 * np.eye(n)
+            p = int(rng.integers(0, n + 1))
+            q = int(rng.integers(0, n + 1))
+            rep = estimate_check(phi, p, q, trials=min(50, trials - done), seed=seed + t)
+            worst = min(worst, rep["worst_slack"])
+        rep = {"n": n, "trials": trials, "worst_slack": worst, "ok": worst >= -1e-9}
+    _emit({"what": what, **rep}, output)
+    sys.exit(0 if rep["ok"] else 1)
 
 
 @main.command("moments")
@@ -263,6 +264,7 @@ def cmd_moments(r, a_idx, b_idx, samples, seed, output):
 @click.option("--output", type=click.Path(), default=None)
 def cmd_oracle(family, d, r, k, n, p, q, l, output):
     """Known cohomology dimensions (Grassmannian family or Bott formula)."""
+    _reject_unread_flags("family", {"grassmannian": ("d", "r", "k"), "bott": ("n", "p", "q", "l")})
     if family == "grassmannian":
         if d is None or r is None or k is None:
             raise click.UsageError("grassmannian oracle needs --d --r --k")

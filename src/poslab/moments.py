@@ -21,6 +21,9 @@ involved; the Monte Carlo route is kept as an independent stochastic check.
 The expansion is a fixed integer map of (r, k), built once per process and
 applied as one contraction; ``integral_formula_rhs`` keeps the per-entry form.
 
+The two Monte Carlo harnesses, ``verify_moments`` and ``verify_lemma_linear``,
+return their own ``ok`` and judge z-scores through one gate, ``_worst_over_3sigma``.
+
 ``moment_mc``, ``moment_mc_table`` and ``integral_formula_mc`` share one
 streaming estimator, ``_sphere_moments``.  It reads the sphere stream in row
 chunks of at most _MC_CHUNK_BYTES, so memory does not grow with the sample
@@ -32,13 +35,14 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 
 from .bundles import frame_normalized
 from .errors import FrameNotNormalizedError, LengthMismatchError, ParamDomainError
 from .geometry import CurvatureTensor, MetricField, as_point, chern_curvature
+from .regions import MAX_REGION_MEMBERS
 from .symbundle import (
     MultiIndex,
     _contract_with_trace,
@@ -168,7 +172,13 @@ def moment_mc_table(r: int, k: int, samples: int, seed: int = 0):
     """All pairwise moments for |A| = |B| = k at once.
 
     Returns (basis, estimates, stderrs) with matrices indexed by basis order.
+    A table of more than MAX_REGION_MEMBERS entries, the bound on the other
+    table the CLI prints, is rejected before anything is sized or drawn.
     """
+    entries = comb(r + k - 1, k) ** 2 if r >= 1 and k >= 0 else 0
+    if entries > MAX_REGION_MEMBERS:
+        raise ParamDomainError(f"the degree-{k} moment table on rank {r} has {entries} "
+                               f"entries, above the budget of {MAX_REGION_MEMBERS}")
     basis = sym_basis(r, k)
     mean, err = _sphere_moments(r, basis, samples, seed)
     scale = factorial(r - 1)
@@ -249,6 +259,26 @@ def integral_formula_mc(R: CurvatureTensor, k: int, m, samples: int = 20000,
     return pref * mean.reshape(n, n, F, F), pref * err.reshape(n, n, F, F)
 
 
+def _worst_over_3sigma(est, exact, err, samples: int, scale: float) -> float:
+    """Largest |est - exact| / (3 stderr), 3 sigma floored at 1e-12 and at the rounding
+    bound of a mean of ``samples`` terms of size ~``scale`` (a rank-1 stderr may be 0)."""
+    floor = max(1e-12, samples * np.finfo(float).eps * scale)
+    z = np.abs(est - exact) / np.maximum(3.0 * err, floor)
+    return float(np.max(z))
+
+
+def verify_moments(r: int, k: int, samples: int, seed: int = 0) -> dict:
+    """Monte Carlo moment table for |A| = |B| = k, ``ok`` within 3 sigma of exact."""
+    basis, est, err = moment_mc_table(r, k, samples, seed=seed)
+    exact = np.array([[moment_exact(r, A, B) for B in basis] for A in basis])
+    worst = _worst_over_3sigma(est, exact.astype(float), err, samples, float(np.max(exact)))
+    rows = [{"A": list(A), "B": list(B), "exact": str(exact[a, b]),
+             "mc": [float(est[a, b].real), float(est[a, b].imag)], "stderr": float(err[a, b])}
+            for a, A in enumerate(basis) for b, B in enumerate(basis)]
+    return {"r": r, "k": k, "samples": samples, "seed": seed,
+            "worst_over_3sigma": worst, "ok": bool(worst <= 1.0), "moments": rows}
+
+
 def verify_lemma_linear(bundle: MetricField, p, k: int, m, mc_samples: int = 20000,
                         seed: int = 0) -> dict:
     """Three deterministic routes to the S^k E (det E)^m curvature, plus MC.
@@ -258,8 +288,8 @@ def verify_lemma_linear(bundle: MetricField, p, k: int, m, mc_samples: int = 200
     (c) exact moment expansion of the integral formula;
     (d) Monte Carlo quadrature of the integral formula.
 
-    Returns max pairwise relative deviations of (a)-(c) and the worst MC
-    z-score of (d) against (c).
+    Returns max pairwise relative deviations of (a)-(c), the worst MC z-score
+    of (d) against (c), and ``ok``: deviations <= 1e-6 and z-score <= 1.
     """
     z0 = as_point(p, bundle.base_dim)
     E0 = frame_normalized(bundle, z0)
@@ -278,18 +308,15 @@ def verify_lemma_linear(bundle: MetricField, p, k: int, m, mc_samples: int = 200
     def rel(x, y):
         return float(np.max(np.abs(x - y))) / denom
 
-    # For rank 1 the integrand is constant on the sphere and its stderr is
-    # pure rounding, so 3 sigma is floored at the rounding bound of a mean of
-    # mc_samples terms of size ~denom, far below any genuine stderr.
-    floor = mc_samples * np.finfo(float).eps * denom
-    z = np.abs(d_est - c) / np.maximum(3.0 * d_err, floor)
+    devs = {"dev_algebra_vs_fd": rel(a, b), "dev_algebra_vs_integral": rel(a, c),
+            "dev_fd_vs_integral": rel(b, c)}
+    worst = _worst_over_3sigma(d_est, c, d_err, mc_samples, scale)
     return {
         "bundle": bundle.label,
         "k": k,
         "m": m,
-        "dev_algebra_vs_fd": rel(a, b),
-        "dev_algebra_vs_integral": rel(a, c),
-        "dev_fd_vs_integral": rel(b, c),
-        "mc_worst_over_3sigma": float(np.max(z)) if z.size else 0.0,
+        **devs,
+        "mc_worst_over_3sigma": worst,
         "scale": scale,
+        "ok": max(devs.values()) <= 1e-6 and worst <= 1.0,
     }

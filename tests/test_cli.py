@@ -312,6 +312,15 @@ class TestConfigDefaults:
         assert result.exit_code == 0
         assert payload["params"]["n"] == 4
 
+    def test_config_value_for_an_unread_flag_is_ignored(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sym": 2}))
+        result, payload = run_json(runner, [
+            "--config", str(cfg), "certify", "--bundle", "tpn", "--n", "2", "--test", "bounds",
+            "--points", "1"])
+        assert result.exit_code == 0, result.output
+        assert abs(payload["certificate"]["eps1"] - 1.0) < 1e-6
+
     @pytest.mark.parametrize("text", ["[1, 2]", "{not json"], ids=["array", "not-json"])
     def test_config_not_an_object_exit_2(self, runner, tmp_path, text):
         cfg = tmp_path / "cfg.json"
@@ -380,7 +389,17 @@ BAD_INPUT = [
                  id="polarization-id-o(-inf)"),
     *(pytest.param(["certify", "--bundle", "tpn", "--n", "2", "--test", "bounds",
                     "--points", "1", flag, value], "PARAM_DOMAIN", id=f"bounds{flag}-{value}")
-      for flag, value in (("--sym", "2"), ("--twist", "1"))),
+      for flag, value in (("--sym", "2"), ("--twist", "1"), ("--sym", "1"))),
+    # a flag the selected mode does not read
+    pytest.param(["verify", "--what", "estimate", "--n", "2", "--trials", "60", "--samples", "7",
+                  "--bundle", "nonsense", "--k", "9"], "PARAM_DOMAIN", id="estimate-unread-flags"),
+    pytest.param(["verify", "--what", "lemma-linear", "--bundle", "o(1)", "--n", "2", "--k", "2",
+                  "--m", "0", "--r", "7", "--trials", "3"], "PARAM_DOMAIN",
+                 id="lemma-linear-unread-flags"),
+    pytest.param(["oracle", "--family", "grassmannian", "--d", "4", "--r", "2", "--k", "1",
+                  "--n", "99", "--p", "3"], "PARAM_DOMAIN", id="grassmannian-unread-flags"),
+    pytest.param(["oracle", "--family", "bott", "--n", "2", "--p", "0", "--q", "0", "--l", "1",
+                  "--d", "9"], "PARAM_DOMAIN", id="bott-unread-flags"),
     pytest.param(["certify", "--bundle", "tpn", "--n", "2", "--test", "griffiths",
                   "--points", "1", "--restarts", "0"], "PARAM_DOMAIN",
                  id="griffiths-restarts-0"),
@@ -389,6 +408,9 @@ BAD_INPUT = [
                  "PARAM_DOMAIN", id="certify-sym-over-budget"),
     pytest.param(["verify", "--what", "lemma-linear", "--bundle", "tpn", "--n", "6", "--k", "6"],
                  "PARAM_DOMAIN", id="lemma-linear-sym-over-budget"),
+    # F = 24 310: a 5.9e8-entry moments table
+    pytest.param(["verify", "--what", "moments", "--r", "10", "--k", "8"], "PARAM_DOMAIN",
+                 id="moments-table-over-budget"),
     pytest.param(["region", "--n", "3", "--r", "1", "--k", "1", "--m", "2", "--theorem", "gg",
                   "--eps1", "1/2"], "PARAM_DOMAIN", id="region-gg-eps1"),
     pytest.param(["region", "--n", "3", "--r", "1", "--k", "1", "--m", "3", "--theorem", "ample",

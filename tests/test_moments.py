@@ -1,14 +1,19 @@
+import json
+import math
 import tracemalloc
 from fractions import Fraction
 from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from poslab import (
     CurvatureTensor,
     LengthMismatchError,
     FrameNotNormalizedError,
+    ParamDomainError,
     integral_formula_mc,
     integral_formula_rhs,
     integral_formula_tensor,
@@ -75,6 +80,66 @@ class TestMomentMC:
                 single, single_err = moment_mc(2, A, B, samples, seed=4)
                 assert abs(single - est[a, b]) <= 1e-12
                 assert abs(single_err - err[a, b]) <= 1e-9 * err[a, b]
+
+    def test_table_over_budget_draws_nothing(self, monkeypatch):
+        # F^2 above 10**6 entries is rejected before the sphere stream is
+        # opened; S^8 of rank 10 (F = 24 310) would need about 14 GB
+        class Drawn(Exception):
+            pass
+
+        def spy(*args):
+            raise Drawn
+
+        monkeypatch.setattr(moments, "_sphere_blocks", spy)
+        with pytest.raises(Drawn):  # F = 1000, exactly at the budget
+            moment_mc_table(1000, 1, 100)
+        for r, k in ((1001, 1), (10, 8)):
+            with pytest.raises(ParamDomainError):
+                moment_mc_table(r, k, 100)
+
+
+def cli_moments_loop(r, k, samples, seed):
+    """Reference: the ``verify --what moments`` loop as the CLI ran it, one
+    pair at a time, with 3 sigma floored at 1e-12."""
+    basis, est, err = moment_mc_table(r, k, samples, seed=seed)
+    worst = 0.0
+    rows = []
+    for a, A in enumerate(basis):
+        for b, B in enumerate(basis):
+            exact = moment_exact(r, A, B)
+            dev = abs(est[a, b] - float(exact))
+            z = float(dev / max(3.0 * err[a, b], 1e-12))
+            worst = max(worst, z)
+            rows.append({"A": list(A), "B": list(B), "exact": str(exact),
+                         "mc": [float(est[a, b].real), float(est[a, b].imag)],
+                         "stderr": float(err[a, b])})
+    return {"r": r, "k": k, "samples": samples, "seed": seed,
+            "worst_over_3sigma": worst, "ok": bool(worst <= 1.0), "moments": rows}
+
+
+class TestVerifyMoments:
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("r,k", [(1, 3), (2, 0), (3, 2), (4, 3)])
+    def test_matches_the_pairwise_loop(self, r, k, seed):
+        # 2000 samples: the rounding floor 2000 * eps is below 1e-12, so only
+        # the vectorized abs may move the worst z, by an ulp or so
+        got = moments.verify_moments(r, k, 2000, seed)
+        want = cli_moments_loop(r, k, 2000, seed)
+        z, z_ref = got.pop("worst_over_3sigma"), want.pop("worst_over_3sigma")
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+        assert abs(z - z_ref) <= 4 * math.ulp(z_ref)
+
+    @given(k=st.integers(0, 600), samples=st.sampled_from([100, 1000]),
+           seed=st.integers(0, 2**31 - 1))
+    @example(k=600, samples=100, seed=0)
+    @settings(max_examples=25, deadline=None)
+    def test_rank_one_z_never_above_the_loop(self, k, samples, seed):
+        # rank 1: the integrand is constant on the sphere and the floor
+        # binds; samples * eps * scale alone would read 0.2 at k = 600,
+        # 100 samples, seed 0, where the 1e-12 floor reads 0.0044
+        z = moments.verify_moments(1, k, samples, seed)["worst_over_3sigma"]
+        z_ref = cli_moments_loop(1, k, samples, seed)["worst_over_3sigma"]
+        assert z <= z_ref + 4 * math.ulp(z_ref)
 
 
 class TestIntegralFormula:
@@ -190,17 +255,27 @@ class TestLemmaLinearTriangle:
 
     def test_rank_one_rounding_is_within_3sigma(self, monkeypatch):
         # For rank 1 the integrand is constant on the sphere: the stderr is 0
-        # and the quadrature misses the expansion by rounding alone, here
-        # 1.3e-13 relative, inside the bound samples * eps = 4.4e-12 of a
-        # 20 000-term mean
+        # and the Monte Carlo value misses the exact one by rounding alone,
+        # here 1.3e-13 relative, inside the bound samples * eps = 4.4e-12 of a
+        # 20 000-term mean; both harnesses go through the one floor
         def rounded(R, k, m, samples, seed):
             c = integral_formula_tensor(R, k, m).values.astype(complex)
             return c * (1 + 1.3e-13), np.zeros(c.shape)
 
+        def rounded_table(r, k, samples, seed):
+            basis = sym_basis(r, k)
+            exact = np.array([[float(moment_exact(r, A, B)) for B in basis] for A in basis])
+            return basis, exact * (1 + 1.3e-13), np.zeros(exact.shape)
+
         monkeypatch.setattr(moments, "integral_formula_mc", rounded)
+        monkeypatch.setattr(moments, "moment_mc_table", rounded_table)
         rep = verify_lemma_linear(o_line(1, 2), np.zeros(2), 3, 2)
         assert rep["scale"] > 1.0
         assert rep["mc_worst_over_3sigma"] <= 1.0
+        assert rep["ok"] is True
+        rep = moments.verify_moments(1, 3, 20000)
+        assert rep["worst_over_3sigma"] <= 1.0
+        assert rep["ok"] is True
 
     def test_tpn4_k3_memory_bounded(self):
         # the unchunked quadrature held one (20000, 4, 4, 20, 20) complex
