@@ -1,23 +1,5 @@
 """poslab: curvature positivity and vanishing regions on complex projective space."""
 
-import os
-
-
-def _forward_thread_cap() -> None:
-    """Forward POSLAB_THREADS to the BLAS thread variables left unset.
-
-    BLAS reads them once, when numpy is first imported, so this runs before
-    any submodule imports numpy; it cannot cap a numpy imported earlier.
-    The computation itself is serial and deterministic.
-    """
-    threads = os.environ.get("POSLAB_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
-
-
-_forward_thread_cap()
-
 from .bundles import (
     builtin,
     det_field,
@@ -49,7 +31,6 @@ from .geometry import (
 )
 from .moments import (
     integral_formula_mc,
-    integral_formula_rhs,
     integral_formula_tensor,
     moment_exact,
     moment_mc,

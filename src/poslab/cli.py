@@ -117,7 +117,11 @@ def main(ctx, config_path):
 @click.option("--output", type=click.Path(), default=None)
 def cmd_region(n, r, k, m, eps1, eps2, theorem, svg_path, output):
     """Vanishing region (members, lambda0, quadrilateral vertices, strip)."""
-    params = TheoremParams(n=n, r=r, k=k, m=m, theorem=theorem, eps1=eps1, eps2=eps2)
+    common = ("n", "r", "k", "m", "svg_path")
+    _reject_unread_flags("theorem", {"main1": (*common, "eps1", "eps2"), "gg": common,
+                                     "ample": common, "griffiths": common})
+    eps = {"eps1": eps1, "eps2": eps2} if theorem == "main1" else {}
+    params = TheoremParams(n=n, r=r, k=k, m=m, theorem=theorem, **eps)
     reg = theorem_region(params)
     report = {
         "params": {"n": n, "r": r, "k": k, "m": m, "theorem": params.theorem,

@@ -19,7 +19,7 @@ moment identity, to the exact multiset expansion
 where A+delta appends index delta to the multiset A.  No quadrature is
 involved; the Monte Carlo route is kept as an independent stochastic check.
 The expansion is a fixed integer map of (r, k), built once per process and
-applied as one contraction; ``integral_formula_rhs`` keeps the per-entry form.
+applied as one contraction.
 
 The two Monte Carlo harnesses, ``verify_moments`` and ``verify_lemma_linear``,
 return their own ``ok`` and judge z-scores through one gate, ``_worst_over_3sigma``.
@@ -28,7 +28,9 @@ return their own ``ok`` and judge z-scores through one gate, ``_worst_over_3sigm
 streaming estimator, ``_sphere_moments``.  It reads the sphere stream in row
 chunks of at most _MC_CHUNK_BYTES, so memory does not grow with the sample
 count, and reports one stderr, sqrt((E|X|^2 - |E X|^2) / s), from the raw
-second moment.
+second moment.  ``moment_mc`` and ``moment_mc_table`` divide by one float
+scale, (r-1)!, and reject r whose (r-1)! is above the float range (r >= 172)
+before anything is drawn.
 """
 
 from __future__ import annotations
@@ -97,11 +99,6 @@ def _sphere_blocks(r: int, samples: int, seed: int):
     return blocks()
 
 
-def sphere_samples(r: int, samples: int, seed: int) -> np.ndarray:
-    """All ``samples`` points of the sphere stream as one (samples, r) array."""
-    return np.concatenate(list(_sphere_blocks(r, samples, seed)))
-
-
 def _monomial(W: np.ndarray, A: MultiIndex) -> np.ndarray:
     v = np.ones(W.shape[0], dtype=complex)
     for a in A:
@@ -160,11 +157,20 @@ def _sphere_moments(r: int, basis, samples: int, seed: int, weight=None):
     return mean.reshape(D, F, F), np.sqrt(var / samples).reshape(D, F, F)
 
 
+def _moment_scale(r: int) -> float:
+    """(r-1)!, the factor from the sphere average to the FS moment, as a float."""
+    try:
+        return float(factorial(r - 1))
+    except OverflowError as exc:
+        raise ParamDomainError(f"the moment scale (r-1)! is above the float range "
+                               f"at r = {r}") from exc
+
+
 def moment_mc(r: int, A: MultiIndex, B: MultiIndex, samples: int, seed: int = 0):
     """Monte Carlo estimate of the moment; returns (estimate, stderr)."""
     _check_pair(r, A, B)
+    scale = _moment_scale(r)
     mean, err = _sphere_moments(r, [A, B], samples, seed)
-    scale = factorial(r - 1)
     return complex(mean[0, 0, 1]) / scale, float(err[0, 0, 1]) / scale
 
 
@@ -172,46 +178,22 @@ def moment_mc_table(r: int, k: int, samples: int, seed: int = 0):
     """All pairwise moments for |A| = |B| = k at once.
 
     Returns (basis, estimates, stderrs) with matrices indexed by basis order.
-    A table of more than MAX_REGION_MEMBERS entries, the bound on the other
-    table the CLI prints, is rejected before anything is sized or drawn.
+    A table whose F^2 entries print more than MAX_REGION_MEMBERS indices,
+    F^2 * max(k, 1), is rejected before anything is sized or drawn, as is an
+    r whose scale (r-1)! is above the float range.
     """
-    entries = comb(r + k - 1, k) ** 2 if r >= 1 and k >= 0 else 0
-    if entries > MAX_REGION_MEMBERS:
-        raise ParamDomainError(f"the degree-{k} moment table on rank {r} has {entries} "
-                               f"entries, above the budget of {MAX_REGION_MEMBERS}")
+    indices = comb(r + k - 1, k) ** 2 * max(k, 1) if r >= 1 and k >= 0 else 0
+    if indices > MAX_REGION_MEMBERS:
+        raise ParamDomainError(f"the degree-{k} moment table on rank {r} prints {indices} "
+                               f"indices, above the budget of {MAX_REGION_MEMBERS}")
     basis = sym_basis(r, k)
+    scale = _moment_scale(r)
     mean, err = _sphere_moments(r, basis, samples, seed)
-    scale = factorial(r - 1)
     return basis, mean[0] / scale, err[0] / scale
 
 
 def _multiset_add(A: MultiIndex, x: int) -> MultiIndex:
     return tuple(sorted(A + (x,)))
-
-
-def integral_formula_rhs(R: CurvatureTensor, k: int, m, i: int, j: int,
-                         A: MultiIndex, B: MultiIndex):
-    """One entry of the integral curvature formula, by exact moment reduction."""
-    if not R.normalized:
-        raise FrameNotNormalizedError("integral_formula_rhs needs a normalized-frame tensor")
-    if len(A) != len(B) or len(A) != k:
-        raise LengthMismatchError("multi-indices must both have length k")
-    V = R.values
-    r = R.rank
-    total = V[i, j, 0, 0] * 0
-    for gamma in range(1, r + 1):
-        for delta in range(1, r + 1):
-            d = generalized_delta(_multiset_add(A, delta), _multiset_add(B, gamma))
-            if d:
-                total = total + V[i, j, gamma - 1, delta - 1] * d
-    if m != 1:
-        d_ab = generalized_delta(A, B)
-        if d_ab:
-            tr = V[i, j, 0, 0]
-            for x in range(1, r):
-                tr = tr + V[i, j, x, x]
-            total = total + (m - 1) * d_ab * tr
-    return total
 
 
 @functools.lru_cache(maxsize=None)

@@ -88,17 +88,16 @@ def prop_ex_lambda0(n: int, k: int, l: int) -> Fraction:
 def prop_ex_consistency(n: int, k: int, l: int) -> dict:
     """Confront the S^k TP^n O(l) region with the Grassmannian oracle family.
 
-    The oracle's non-vanishing lives at the boundary twist l = 1-k; for any
-    other l the bundle parameters differ and the check passes with a recorded
-    parameter mismatch.  At l = 1-k the theorem itself is inapplicable.
-    n above the region budget is rejected before the oracle list is built.
+    The oracle's non-vanishing lives at the boundary twist l = 1-k, where
+    m = l+k-1 = 0 and the theorem itself is inapplicable; for any other l the
+    bundle parameters differ and the check passes with a recorded parameter
+    mismatch.  n above the region budget is rejected first.
     """
     check_region_n(n)
-    boundary = grassmannian_nonvanishing(d=n + 1, r=n, k=k)
     try:
         lam = prop_ex_lambda0(n, k, l)
     except ParamDomainError as exc:
-        active = [d.to_json() for d in boundary if d.dim > 0]
+        active = [d.to_json() for d in grassmannian_nonvanishing(d=n + 1, r=n, k=k) if d.dim > 0]
         return {
             "status": "INAPPLICABLE",
             "n": n, "k": k, "l": l,
@@ -106,15 +105,12 @@ def prop_ex_consistency(n: int, k: int, l: int) -> dict:
             "note": "theorem inapplicable -- non-vanishing oracle active at "
                     + ", ".join(f"({d['p']},{d['q']})" for d in active),
         }
-    reg = region(n, lam)
-    applicable = boundary if l == 1 - k else []
-    rep = consistency_check(reg, applicable)
+    rep = consistency_check(region(n, lam), [])
     rep.update({
         "n": n, "k": k, "l": l,
         "lambda0": str(lam),
         "oracle_twist": 1 - k,
-        "parameter_match": l == 1 - k,
+        "parameter_match": False,
+        "note": "oracle family recorded at twist l=1-k; parameters differ",
     })
-    if l != 1 - k:
-        rep["note"] = "oracle family recorded at twist l=1-k; parameters differ"
     return rep

@@ -2,16 +2,13 @@ import contextlib
 import gc
 import io
 import json
-import os
-import subprocess
-import sys
 import weakref
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
-from poslab import cli
+from poslab import cli, moments
 from poslab.cli import main
 from poslab.positivity import estimate_check
 from test_regions import reference_members
@@ -321,6 +318,19 @@ class TestConfigDefaults:
         assert result.exit_code == 0, result.output
         assert abs(payload["certificate"]["eps1"] - 1.0) < 1e-6
 
+    def test_config_eps_is_read_by_main1_alone(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eps1": "1/2", "eps2": "1"}))
+        region = ["--config", str(cfg), "region", "--n", "3", "--m", "3", "--theorem"]
+        result, payload = run_json(runner, [*region, "gg"])
+        assert result.exit_code == 0, result.output
+        assert payload["params"]["eps1"] is payload["params"]["eps2"] is None
+        assert payload["lambda0"] == "1/2"
+        result, payload = run_json(runner, [*region, "main1"])
+        assert result.exit_code == 0, result.output
+        assert [payload["params"]["eps1"], payload["params"]["eps2"]] == ["1/2", "1"]
+        assert payload["lambda0"] == "4/5"
+
     @pytest.mark.parametrize("text", ["[1, 2]", "{not json"], ids=["array", "not-json"])
     def test_config_not_an_object_exit_2(self, runner, tmp_path, text):
         cfg = tmp_path / "cfg.json"
@@ -335,7 +345,20 @@ def _metric(**spec):
     return json.dumps({"rank": 1, "base_dim": 2, "entries": [["1 + abs2(z1)"]], **spec})
 
 
+# (r-1)! above the float range at r = 200 and r = 1000; at r = 2, k = 999 the
+# moments table prints F^2 * k = 999 000 000 indices
+MOMENTS_OVER_RANGE = {
+    "moments-scale-over-float-range":
+        ["moments", "--r", "200", "--a", "1", "--b", "1", "--samples", "100"],
+    "moments-table-scale-over-float-range":
+        ["verify", "--what", "moments", "--r", "1000", "--k", "1", "--samples", "100"],
+    "moments-table-indices-over-budget":
+        ["verify", "--what", "moments", "--r", "2", "--k", "999", "--samples", "100"],
+}
+
+
 BAD_INPUT = [
+    *(pytest.param(args, "PARAM_DOMAIN", id=name) for name, args in MOMENTS_OVER_RANGE.items()),
     pytest.param(["moments", "--r", "3", "--a", "1,2", "--b", "1,2", "--samples", "50"],
                  "PARAM_DOMAIN", id="too-few-samples"),
     pytest.param(["moments", "--r", "3", "--a", "1,4", "--b", "1,4"], "PARAM_DOMAIN",
@@ -445,6 +468,17 @@ def test_bad_input_exit_2_with_error_json(runner, args, code):
     assert payload["error"]["code"] == code
 
 
+@pytest.mark.parametrize("args", list(MOMENTS_OVER_RANGE.values()), ids=list(MOMENTS_OVER_RANGE))
+def test_moments_over_range_draw_nothing(runner, monkeypatch, args):
+    def spy(*_):
+        raise AssertionError("the sphere stream was opened")
+
+    monkeypatch.setattr(moments, "_sphere_blocks", spy)
+    result, payload = run_json(runner, args)
+    assert result.exit_code == 2, result.output
+    assert payload["error"]["code"] == "PARAM_DOMAIN"
+
+
 @pytest.mark.parametrize("args", [
     ["certify", "--bundle", "PATH", "--n", "2", "--test", "nakano"],
     ["verify", "--what", "lemma-linear", "--bundle", "PATH", "--n", "2"],
@@ -486,32 +520,3 @@ def test_emit_keeps_no_reference_to_stdout():
     del out
     gc.collect()
     assert ref() is None
-
-
-THREAD_PROBE = """
-import importlib.abc, os, sys
-assert "numpy" not in sys.modules
-seen = []
-
-class Probe(importlib.abc.MetaPathFinder):
-    def find_spec(self, name, path=None, target=None):
-        if name == "numpy" and not seen:
-            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
-        return None
-
-sys.meta_path.insert(0, Probe())
-import poslab
-print(seen[0])
-"""
-
-
-class TestThreadCap:
-    def test_poslab_threads_set_before_numpy_import(self):
-        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-        env = {key: value for key, value in os.environ.items()
-               if key not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-        env["POSLAB_THREADS"] = "1"
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
-                              capture_output=True, text=True, timeout=60, check=True)
-        assert done.stdout.strip() == "1"

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -15,7 +16,6 @@ from poslab import (
     FrameNotNormalizedError,
     ParamDomainError,
     integral_formula_mc,
-    integral_formula_rhs,
     integral_formula_tensor,
     moment_exact,
     moment_mc,
@@ -26,10 +26,33 @@ from poslab import (
 )
 from poslab import moments
 from poslab.bundles import direct_sum
-from poslab.symbundle import induced_sym_det_curvature, sym_basis
+from poslab.symbundle import generalized_delta, induced_sym_det_curvature, sym_basis
 
 from conftest import constant_metric, random_curvature
 from test_symbundle import rational_curvature
+
+
+def sphere_points(r, samples, seed):
+    return np.concatenate(list(moments._sphere_blocks(r, samples, seed)))
+
+
+def integral_formula_entry(R, k, m, i, j, A, B):
+    """Reference: one entry of the integral formula's multiset expansion, term by term."""
+    V, r = R.values, R.rank
+    total = V[i, j, 0, 0] * 0
+    for gamma in range(1, r + 1):
+        for delta in range(1, r + 1):
+            d = generalized_delta(tuple(sorted(A + (delta,))), tuple(sorted(B + (gamma,))))
+            if d:
+                total = total + V[i, j, gamma - 1, delta - 1] * d
+    if m != 1:
+        d_ab = generalized_delta(A, B)
+        if d_ab:
+            tr = V[i, j, 0, 0]
+            for x in range(1, r):
+                tr = tr + V[i, j, x, x]
+            total = total + (m - 1) * d_ab * tr
+    return total
 
 
 class TestMomentExact:
@@ -72,8 +95,8 @@ class TestMomentMC:
     def test_single_and_table_read_one_stream(self):
         # 250 000 samples span three sphere blocks, the last one partial
         samples = 250_000
-        W = moments.sphere_samples(2, samples, seed=4)
-        assert np.array_equal(W[:100_000], moments.sphere_samples(2, 100_000, seed=4))
+        W = sphere_points(2, samples, seed=4)
+        assert np.array_equal(W[:100_000], sphere_points(2, 100_000, seed=4))
         basis, est, err = moment_mc_table(2, 2, samples, seed=4)
         for a, A in enumerate(basis):
             for b, B in enumerate(basis):
@@ -82,8 +105,10 @@ class TestMomentMC:
                 assert abs(single_err - err[a, b]) <= 1e-9 * err[a, b]
 
     def test_table_over_budget_draws_nothing(self, monkeypatch):
-        # F^2 above 10**6 entries is rejected before the sphere stream is
-        # opened; S^8 of rank 10 (F = 24 310) would need about 14 GB
+        # F^2 * max(k, 1) printed indices above 10**6, and an r whose scale
+        # (r-1)! is above the float range, are rejected before the sphere
+        # stream is opened; S^8 of rank 10 (F = 24 310) would need about
+        # 14 GB, and S^2 of rank 44 (F = 990) prints 1 960 200 indices
         class Drawn(Exception):
             pass
 
@@ -91,9 +116,11 @@ class TestMomentMC:
             raise Drawn
 
         monkeypatch.setattr(moments, "_sphere_blocks", spy)
-        with pytest.raises(Drawn):  # F = 1000, exactly at the budget
-            moment_mc_table(1000, 1, 100)
-        for r, k in ((1001, 1), (10, 8)):
+        # 990 000 indices at F = 100, k = 99; 170! is the largest factorial below the float range
+        for r, k in ((2, 99), (171, 1)):
+            with pytest.raises(Drawn):
+                moment_mc_table(r, k, 100)
+        for r, k in ((2, 100), (1001, 1), (10, 8), (44, 2), (172, 1)):
             with pytest.raises(ParamDomainError):
                 moment_mc_table(r, k, 100)
 
@@ -148,7 +175,7 @@ class TestIntegralFormula:
         v = np.zeros((1, 1, 2, 2), dtype=complex)
         v[0, 0] = np.eye(2)
         R = CurvatureTensor(v, normalized=True)
-        val = integral_formula_rhs(R, 1, 1, 0, 0, (1,), (1,))
+        val = integral_formula_entry(R, 1, 1, 0, 0, (1,), (1,))
         assert abs(val - 3.0) < 1e-14
 
     def test_hand_example_k1_m3(self):
@@ -156,8 +183,18 @@ class TestIntegralFormula:
         v = np.zeros((1, 1, 2, 2), dtype=complex)
         v[0, 0] = np.eye(2)
         R = CurvatureTensor(v, normalized=True)
-        val = integral_formula_rhs(R, 1, 3, 0, 0, (1,), (1,))
+        val = integral_formula_entry(R, 1, 3, 0, 0, (1,), (1,))
         assert abs(val - 7.0) < 1e-14
+
+    @pytest.mark.parametrize("n,r,k,m", [(1, 2, 1, 1), (2, 2, 2, 3), (1, 3, 2, 0),
+                                         (2, 3, 3, -1)])
+    def test_tensor_matches_the_per_entry_expansion(self, n, r, k, m):
+        R = rational_curvature(n, r, seed=10 * n + r)
+        S = integral_formula_tensor(R, k, m).values
+        basis = sym_basis(r, k)
+        for i, j, (a, A), (b, B) in itertools.product(range(n), range(n), enumerate(basis),
+                                                       enumerate(basis)):
+            assert S[i, j, a, b] == integral_formula_entry(R, k, m, i, j, A, B), (i, j, A, B)
 
     def test_k1_m1_matches_derivation_exactly(self):
         R = rational_curvature(2, 2, seed=31)
@@ -187,7 +224,7 @@ class TestIntegralFormula:
         # stderr; 64-row chunks, and the samples are not a multiple of 64
         n, r, k, m, samples = 2, 3, 2, 2, 1001
         F = len(sym_basis(r, k))
-        W = moments.sphere_samples(r, samples, seed=6)
+        W = sphere_points(r, samples, seed=6)
         mono = np.stack([np.prod(W[:, np.array(A) - 1], axis=1) for A in sym_basis(r, k)],
                         axis=1)
         if route == "integral":
@@ -229,7 +266,9 @@ class TestIntegralFormula:
         v = np.zeros((1, 1, 2, 2), dtype=complex)
         R = CurvatureTensor(v, normalized=False)
         with pytest.raises(FrameNotNormalizedError):
-            integral_formula_rhs(R, 1, 1, 0, 0, (1,), (1,))
+            integral_formula_tensor(R, 1, 1)
+        with pytest.raises(FrameNotNormalizedError):
+            integral_formula_mc(R, 1, 1)
 
 
 class TestLemmaLinearTriangle:

@@ -124,6 +124,16 @@ class TestPropExConsistency:
                     rep = prop_ex_consistency(n, k, l)
                     assert rep["status"] == "PASS", (n, k, l)
 
+    def test_applicable_twist_builds_no_oracle_list(self, monkeypatch):
+        # the oracle's twist 1-k is never the bundle's at l >= 2-k, so nothing reads its list
+        def spy(*args, **kwargs):
+            raise AssertionError("oracle list built at an applicable twist")
+
+        monkeypatch.setattr(oracles, "grassmannian_nonvanishing", spy)
+        for n, k in ((1, 1), (3, 2), (4, 3)):
+            for l in (2 - k, 5 - k):
+                assert prop_ex_consistency(n, k, l)["status"] == "PASS", (n, k, l)
+
     @pytest.mark.parametrize("l", [0, 5])
     def test_n_above_budget_rejected_before_the_oracle(self, monkeypatch, l):
         # l = 0 at k = 1 is the inapplicable boundary twist, l = 5 an applicable one
