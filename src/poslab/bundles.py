@@ -12,9 +12,9 @@ Derived fields (``tpn_twist``, ``det_field``, ``frame_normalized``,
 they inherit its ``base_dim`` and ``domain_radius``; their own call checks
 the point and their evaluator reads the parent's ``value`` on it.
 
-User metrics load from a JSON object with keys ``rank``, ``base_dim``,
-``entries`` (matrix of expression strings) and optional ``label`` and
-``domain_radius`` (a positive number).  Expressions use variables
+User metrics load from a JSON object (``read_json_object`` reads one) with
+keys ``rank``, ``base_dim``, ``entries`` (matrix of expression strings) and
+optional ``label`` and ``domain_radius`` (a positive number).  Expressions use variables
 ``z1 .. zn``, the functions ``conj(.)`` and ``abs2(.)`` with one positional
 argument, the imaginary unit ``I``, numeric literals and ``+ - * / **`` with
 parentheses; nothing else parses.  The entries are compiled once at load; an
@@ -137,7 +137,7 @@ def _lower_expr(src: str, n: int) -> ast.expr:
     """
     try:
         tree = ast.parse(src, mode="eval")
-    except SyntaxError as exc:
+    except (SyntaxError, MemoryError) as exc:  # the parser overflows on deep nesting
         raise ParamDomainError(f"metric expression {src!r} does not parse") from exc
 
     names = {f"z{i + 1}": i for i in range(n)}
@@ -172,32 +172,41 @@ def _lower_expr(src: str, n: int) -> ast.expr:
 
 
 def _compile_entries(rows, n: int):
-    """Compile an r x r matrix of entry expressions once into a function of z."""
-    body = ast.Tuple([ast.Tuple([_lower_expr(str(e), n) for e in row], ast.Load())
-                      for row in rows], ast.Load())
-    args = ast.arguments(posonlyargs=[], args=[ast.arg("z")], kwonlyargs=[],
-                         kw_defaults=[], defaults=[])
-    tree = ast.fix_missing_locations(ast.Expression(ast.Lambda(args, body)))
-    return eval(compile(tree, "<metric entries>", "eval"), {"__builtins__": {}, **_FUNCTIONS})
+    """Compile an r x r matrix of entry expressions once into a function of z;
+    nesting too deep to parse, lower or compile is a ParamDomainError."""
+    try:
+        body = ast.Tuple([ast.Tuple([_lower_expr(str(e), n) for e in row], ast.Load())
+                          for row in rows], ast.Load())
+        args = ast.arguments(posonlyargs=[], args=[ast.arg("z")], kwonlyargs=[],
+                             kw_defaults=[], defaults=[])
+        tree = ast.fix_missing_locations(ast.Expression(ast.Lambda(args, body)))
+        return eval(compile(tree, "<metric entries>", "eval"), {"__builtins__": {}, **_FUNCTIONS})
+    except RecursionError as exc:
+        raise ParamDomainError("metric expression is nested too deeply") from exc
 
 
-def load_metric_json(source) -> MetricField:
-    """Build a MetricField from a JSON description (dict, JSON text, or path)."""
-    if isinstance(source, dict):
-        spec = source
-    else:
-        text = str(source)
-        try:
-            if text.lstrip().startswith("{"):
-                spec = json.loads(text)
-            else:
-                with open(text) as fh:
-                    spec = json.load(fh)
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ParamDomainError(f"metric file {text} cannot be read: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ParamDomainError(f"metric JSON does not parse: {exc}") from exc
+def read_json_object(source: str, unreadable: str, inline: bool = False) -> dict:
+    """The JSON object in ``source``: its own text when ``inline`` and it starts with "{",
+    else the UTF-8 file at that path.  ParamDomainError naming the source when the file
+    is ``unreadable``, the text does not parse or nests too deeply, or it is no object."""
+    text = source if inline and source.lstrip().startswith("{") else None
+    name = "inline JSON" if text is not None else repr(source)
+    try:
+        if text is None:
+            with open(source, encoding="utf-8") as fh:
+                text = fh.read()
+        value = json.loads(text)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParamDomainError(f"{name} is {unreadable}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, huge ints, deep nesting
+        raise ParamDomainError(f"{name} does not parse as JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise ParamDomainError(f"{name} is not a JSON object")
+    return value
 
+
+def load_metric_json(spec: dict) -> MetricField:
+    """Build a MetricField from a JSON metric object, such as read_json_object returns."""
     try:
         r, n, rows = int(spec["rank"]), int(spec["base_dim"]), spec["entries"]
     except (KeyError, TypeError, ValueError) as exc:

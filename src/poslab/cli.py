@@ -9,7 +9,6 @@ emitted as JSON naming the violated precondition.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -18,11 +17,11 @@ import numpy as np
 from click.core import ParameterSource
 
 from . import __version__
-from .bundles import builtin, det_field, load_metric_json
+from .bundles import builtin, det_field, load_metric_json, read_json_object
 from .errors import DimMismatchError, ParamDomainError, PoslabError
 from .moments import moment_exact, moment_mc, verify_lemma_linear, verify_moments
 from .oracles import grassmannian_nonvanishing, pn_line_cohomology, prop_ex_consistency
-from .positivity import boundedness_scan, estimate_check, positivity_scan
+from .positivity import boundedness_scan, check_form_budget, estimate_check, positivity_scan
 from .regions import TheoremParams, lambda0, region_svg, strip_width, theorem_region
 
 SCHEMA = 1
@@ -90,15 +89,7 @@ class _Group(click.Group):
 def main(ctx, config_path):
     """Curvature positivity and vanishing regions on complex projective space."""
     if config_path:
-        try:
-            with open(config_path) as fh:
-                mapping = json.load(fh)
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ParamDomainError(f"config {config_path} cannot be read: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ParamDomainError(f"config {config_path} is not JSON: {exc}") from exc
-        if not isinstance(mapping, dict):
-            raise ParamDomainError(f"config {config_path} is not a JSON object")
+        mapping = read_json_object(config_path, "not a readable config file")
         # one flat mapping serves every command
         ctx.default_map = dict.fromkeys(ctx.command.commands, mapping)
 
@@ -144,10 +135,10 @@ def _resolve_bundle(ident, n, E=None):
     # a built-in ID wins over a same-named path; "./tpn" still names the file
     try:
         return builtin(ident, n)
-    except KeyError as exc:
-        if not (ident.lstrip().startswith("{") or os.path.exists(ident)):
-            raise ParamDomainError(f"unknown or malformed bundle ID {ident!r}") from exc
-    field = load_metric_json(ident)
+    except KeyError:
+        spec = read_json_object(
+            ident, "neither a built-in bundle ID nor a readable metric file", inline=True)
+    field = load_metric_json(spec)
     if field.base_dim != n:
         raise DimMismatchError(f"metric base_dim {field.base_dim} differs from --n {n}")
     return field
@@ -224,6 +215,7 @@ def cmd_verify(what, bundle, n, r, k, m, samples, trials, seed, output):
     else:  # estimate: batches of 50 trials, each on a fresh random phi
         if n < 1 or trials < 1:
             raise ParamDomainError(f"need --n >= 1 and --trials >= 1, got {n} and {trials}")
+        check_form_budget(n)  # before the first n x n phi is drawn
         rng = np.random.Generator(np.random.Philox(key=seed))
         worst = float("inf")
         for t, done in enumerate(range(0, trials, 50)):
@@ -268,16 +260,16 @@ def cmd_moments(r, a_idx, b_idx, samples, seed, output):
 @click.option("--output", type=click.Path(), default=None)
 def cmd_oracle(family, d, r, k, n, p, q, l, output):
     """Known cohomology dimensions (Grassmannian family or Bott formula)."""
-    _reject_unread_flags("family", {"grassmannian": ("d", "r", "k"), "bott": ("n", "p", "q", "l")})
+    reads = {"grassmannian": ("d", "r", "k"), "bott": ("n", "p", "q", "l")}
+    _reject_unread_flags("family", reads)
+    missing = [f"--{x}" for x in reads[family] if click.get_current_context().params[x] is None]
+    if missing:
+        raise click.UsageError(f"{family} oracle needs {' '.join(missing)}")
     if family == "grassmannian":
-        if d is None or r is None or k is None:
-            raise click.UsageError("grassmannian oracle needs --d --r --k")
         dims = grassmannian_nonvanishing(d, r, k)
         _emit({"family": family, "d": d, "r": r, "k": k,
                "dims": [x.to_json() for x in dims]}, output)
         return
-    if n is None or p is None or q is None or l is None:
-        raise click.UsageError("bott oracle needs --n --p --q --l")
     _emit({"family": family, "n": n, "p": p, "q": q, "l": l,
            "dim": pn_line_cohomology(n, p, q, l)}, output)
 

@@ -33,6 +33,10 @@ _STENCIL_WEIGHTS = np.array([1, -8, 8, -1, -1j, 8j, -8j, 1j]) / 24
 # d/dz^i d/dzbar^j: weight of the offset pair (a, b) at index 8a + b
 _MIXED_WEIGHTS = np.outer(_STENCIL_WEIGHTS, _STENCIL_WEIGHTS.conj()).ravel()
 
+# Entries allowed in the (64n^2 + 8n + 1, r, r) stencil buffer of one
+# curvature: 2^25 complex entries are 512 MiB.
+MAX_STENCIL_ENTRIES = 1 << 25
+
 
 def as_point(z, n: int) -> np.ndarray:
     """Coerce ``z`` to a length-``n`` complex chart point."""
@@ -151,12 +155,18 @@ def chern_curvature(h: MetricField, p, step: float = 1e-3) -> CurvatureTensor:
 
     The metric is evaluated once per row of ``_stencil_offsets(n)``, the base
     value subtracted, and the rows contracted with the Wirtinger weights.
-    Raises SingularMetricError when h(p) is not invertible to working
-    precision or h is not finite on the stencil, StencilOutOfChartError when
-    a stencil point leaves the declared domain of a user metric.
+    Raises ParamDomainError, before any metric evaluation, when the stencil
+    buffer would hold more than MAX_STENCIL_ENTRIES entries,
+    SingularMetricError when h(p) is not invertible to working precision or h
+    is not finite on the stencil, StencilOutOfChartError when a stencil point
+    leaves the declared domain of a user metric.
     """
     n = h.base_dim
     r = h.rank
+    if (entries := (64 * n * n + 8 * n + 1) * r * r) > MAX_STENCIL_ENTRIES:
+        raise ParamDomainError(f"the curvature stencil of rank-{r} metric {h.label!r} on n = {n} "
+                               f"needs {entries} entries, above the budget of "
+                               f"{MAX_STENCIL_ENTRIES}")
     z0 = as_point(p, n)
 
     H = h(z0)

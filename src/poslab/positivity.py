@@ -40,7 +40,7 @@ from .errors import (
     ParamDomainError,
 )
 from .geometry import CurvatureTensor, MetricField, as_point, chern_curvature, normalize_at_point, sample_points
-from .symbundle import induced_sym_det_curvature, twist_by_line
+from .symbundle import MAX_SYM_MAP_ENTRIES, induced_sym_det_curvature, twist_by_line
 
 # an alternating Griffiths run stops when its value changes by less than this,
 # relative to 1 + |value|, or after _GRIFFITHS_ITERS iterations
@@ -381,10 +381,26 @@ def eigenvalue_bound(phi, p: int, q: int) -> float:
     return max(p * l1 - (n - q) * ln, q * l1 - (n - p) * ln)
 
 
+def check_form_budget(n: int) -> None:
+    """Reject base dimension n when a Bochner array of estimate_check may have
+    more than MAX_SYM_MAP_ENTRIES entries.  Each per-trial array (form, wedge
+    map, contraction) has at most n C(n, n // 2)^2, whatever the bidegree."""
+    # C(64, 32)^2 alone is above the budget: no need for larger binomials
+    m = min(n, 64)
+    if n * comb(m, m // 2) ** 2 > MAX_SYM_MAP_ENTRIES:
+        raise ParamDomainError(f"(p, q)-forms on n = {n} are above the budget of "
+                               f"{MAX_SYM_MAP_ENTRIES} entries per Bochner array")
+
+
 def estimate_check(phi, p: int, q: int, trials: int = 1000, seed: int = 0) -> dict:
-    """Randomized check of T(u,u) >= bound * |u|^2 for the rank-1 case."""
+    """Randomized check of T(u,u) >= bound * |u|^2 for the rank-1 case.
+
+    n above the form budget (check_form_budget) is rejected before anything
+    is drawn or built.
+    """
     phi = np.asarray(phi, dtype=complex)
     n = phi.shape[0]
+    check_form_budget(n)
     if not (0 <= p <= n and 0 <= q <= n):
         raise BidegreeError(f"bidegree ({p},{q}) out of range for n={n}")
     R = line_curvature_tensor(phi)

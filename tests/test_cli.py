@@ -5,11 +5,13 @@ import json
 import weakref
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from poslab import cli, moments
+from poslab import bundles, cli, geometry, moments, oracles, positivity, regions, symbundle
 from poslab.cli import main
+from poslab.errors import ParamDomainError
 from poslab.positivity import estimate_check
 from test_regions import reference_members
 
@@ -272,6 +274,16 @@ class TestOracleCommand:
         assert result.exit_code == 0
         assert payload["dim"] == 10
 
+    @pytest.mark.parametrize("args,missing", [
+        (["--family", "bott", "--n", "2", "--q", "0"], "bott oracle needs --p --l"),
+        (["--family", "grassmannian", "--d", "4"], "grassmannian oracle needs --r --k"),
+        (["--family", "grassmannian"], "grassmannian oracle needs --d --r --k"),
+    ], ids=["bott-p-l", "grassmannian-r-k", "grassmannian-all"])
+    def test_missing_flags_are_named(self, runner, args, missing):
+        result = runner.invoke(main, ["oracle", *args])
+        assert result.exit_code == 2
+        assert result.output.rstrip().endswith(f"Error: {missing}")
+
 
 class TestCheckCommand:
     def test_inapplicable_boundary(self, runner):
@@ -343,6 +355,23 @@ class TestConfigDefaults:
 
 def _metric(**spec):
     return json.dumps({"rank": 1, "base_dim": 2, "entries": [["1 + abs2(z1)"]], **spec})
+
+
+def _sum_metric(terms):
+    """A metric entry of ``terms`` summands, a left-nested chain of that depth."""
+    return _metric(entries=[["+".join(["1"] + ["abs2(z1)"] * (terms - 1))]])
+
+
+# the curvature stencil buffer (64n^2 + 8n + 1) r^2: 8.3e8 entries for tpn on
+# n = 60, 1.4e8 for S^4 of tpn on n = 7 (r = 210)
+STENCIL_OVER_BUDGET = {
+    "certify-stencil-over-budget":
+        ["certify", "--bundle", "tpn", "--n", "60", "--test", "nakano", "--points", "1"],
+    "lemma-linear-stencil-over-budget":
+        ["verify", "--what", "lemma-linear", "--bundle", "tpn", "--n", "60", "--k", "1"],
+    "lemma-linear-sym-stencil-over-budget":
+        ["verify", "--what", "lemma-linear", "--bundle", "tpn", "--n", "7", "--k", "4"],
+}
 
 
 # (r-1)! above the float range at r = 200 and r = 1000; at r = 2, k = 999 the
@@ -434,6 +463,23 @@ BAD_INPUT = [
     # F = 24 310: a 5.9e8-entry moments table
     pytest.param(["verify", "--what", "moments", "--r", "10", "--k", "8"], "PARAM_DOMAIN",
                  id="moments-table-over-budget"),
+    *(pytest.param(args, "PARAM_DOMAIN", id=name) for name, args in STENCIL_OVER_BUDGET.items()),
+    # forms on n = 40: 40 C(40, 20)^2 entries, about 1.7e23
+    pytest.param(["verify", "--what", "estimate", "--n", "40", "--trials", "1"], "PARAM_DOMAIN",
+                 id="estimate-forms-over-budget"),
+    # dimensions of 12 039 and 4 882 digits, above the 4 300 Python prints
+    pytest.param(["oracle", "--family", "bott", "--n", "20000", "--p", "0", "--q", "0",
+                  "--l", "20000"], "PARAM_DOMAIN", id="bott-dim-over-digit-limit"),
+    pytest.param(["oracle", "--family", "grassmannian", "--d", "5000", "--r", "1",
+                  "--k", "20000"], "PARAM_DOMAIN", id="grassmannian-dim-over-digit-limit"),
+    # 1 003 002 records, above the 10**6 region budget
+    pytest.param(["oracle", "--family", "grassmannian", "--d", "2003", "--r", "1001",
+                  "--k", "1"], "PARAM_DOMAIN", id="grassmannian-records-over-budget"),
+    *(pytest.param(["certify", "--bundle", _sum_metric(terms), "--n", "2", "--test", "nakano",
+                    "--points", "1"], "PARAM_DOMAIN", id=f"metric-{terms}-terms")
+      for terms in (1200, 3000)),
+    pytest.param(["certify", "--bundle", '{"rank": 1' + "0" * 5000 + "}", "--n", "2",
+                  "--test", "nakano"], "PARAM_DOMAIN", id="metric-int-over-digit-limit"),
     pytest.param(["region", "--n", "3", "--r", "1", "--k", "1", "--m", "2", "--theorem", "gg",
                   "--eps1", "1/2"], "PARAM_DOMAIN", id="region-gg-eps1"),
     pytest.param(["region", "--n", "3", "--r", "1", "--k", "1", "--m", "3", "--theorem", "ample",
@@ -479,18 +525,72 @@ def test_moments_over_range_draw_nothing(runner, monkeypatch, args):
     assert payload["error"]["code"] == "PARAM_DOMAIN"
 
 
+@pytest.mark.parametrize("args,spy", [
+    # the polarization o(1) is differentiated first; tpn's metric is never evaluated
+    (STENCIL_OVER_BUDGET["certify-stencil-over-budget"], (bundles, "fubini_study")),
+    (STENCIL_OVER_BUDGET["lemma-linear-stencil-over-budget"], (geometry, "_stencil_offsets")),
+    # route (a) runs; the S^4 field of route (b) is never evaluated
+    (STENCIL_OVER_BUDGET["lemma-linear-sym-stencil-over-budget"], (symbundle, "sym_metric")),
+    (["verify", "--what", "estimate", "--n", "40", "--trials", "1"], (cli.np.random, "Philox")),
+    (["verify", "--what", "estimate", "--n", "40", "--trials", "1"], (positivity, "_interior_map")),
+    (["oracle", "--family", "bott", "--n", "20000", "--p", "0", "--q", "0", "--l", "20000"],
+     (oracles, "comb")),
+    (["oracle", "--family", "grassmannian", "--d", "5000", "--r", "1", "--k", "20000"],
+     (oracles, "CohomologyDim")),
+    (["oracle", "--family", "grassmannian", "--d", "2003", "--r", "1001", "--k", "1"],
+     (oracles, "CohomologyDim")),
+], ids=["certify-stencil", "lemma-linear-stencil", "lemma-linear-sym-stencil", "estimate-draw",
+        "estimate-wedge-map", "bott-digits", "grassmannian-digits", "grassmannian-records"])
+def test_over_budget_is_rejected_before_the_work(runner, monkeypatch, args, spy):
+    def fail(*_, **__):
+        raise AssertionError(f"{spy[1]} ran before the budget check")
+
+    monkeypatch.setattr(*spy, fail)
+    result, payload = run_json(runner, args)
+    assert result.exit_code == 2, result.output
+    assert payload["error"]["code"] == "PARAM_DOMAIN"
+
+
+@pytest.mark.parametrize("owner,budget,at_budget,call", [
+    # tpn on n = 2: (64 * 4 + 16 + 1) * 2^2 stencil entries
+    (geometry, "MAX_STENCIL_ENTRIES", 273 * 4,
+     lambda: geometry.chern_curvature(bundles.tangent_pn(2), [0, 0])),
+    # forms on n = 3: 3 * C(3, 1)^2 entries per Bochner array
+    (positivity, "MAX_SYM_MAP_ENTRIES", 27,
+     lambda: estimate_check(np.eye(3), 1, 2, trials=1)),
+    # H^0(P^2, O(3)) has dimension C(5, 3) C(2, 0) = 10, two digits
+    (oracles, "MAX_DIM_DIGITS", 2, lambda: oracles.pn_line_cohomology(2, 0, 0, 3)),
+    # G(2, 5) has n = 6
+    (regions, "MAX_REGION_MEMBERS", 6, lambda: oracles.grassmannian_nonvanishing(5, 2, 1)),
+], ids=["stencil", "forms", "dim-digits", "grassmannian-records"])
+def test_budget_edge(monkeypatch, owner, budget, at_budget, call):
+    monkeypatch.setattr(owner, budget, at_budget)
+    call()
+    monkeypatch.setattr(owner, budget, at_budget - 1)
+    with pytest.raises(ParamDomainError):
+        call()
+
+
+def test_expression_below_the_depth_limit_loads(runner):
+    result, payload = run_json(runner, [
+        "certify", "--bundle", _sum_metric(900), "--n", "2", "--test", "nakano", "--points", "1"])
+    assert result.exit_code == 0, result.output
+
+
 @pytest.mark.parametrize("args", [
     ["certify", "--bundle", "PATH", "--n", "2", "--test", "nakano"],
     ["verify", "--what", "lemma-linear", "--bundle", "PATH", "--n", "2"],
     ["--config", "PATH", "region", "--n", "3"],
 ], ids=["certify", "verify-lemma-linear", "config"])
-@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+@pytest.mark.parametrize("kind", ["directory", "not-utf8", "nested-too-deeply"])
 def test_unreadable_file_exit_2_with_error_json(runner, tmp_path, args, kind):
     path = tmp_path / "input.json"
     if kind == "directory":
         path.mkdir()
-    else:
+    elif kind == "not-utf8":
         path.write_bytes(b"\xff\xfe{")
+    else:
+        path.write_text("[" * 100_000 + "]" * 100_000)
     result, payload = run_json(runner, [str(path) if a == "PATH" else a for a in args])
     assert result.exit_code == 2, result.output
     assert payload["error"]["code"] == "PARAM_DOMAIN"
