@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from typing import Callable
 
 import numpy as np
@@ -96,11 +97,15 @@ class CurvatureTensor:
     with g(p) = Id); the positivity and symmetric-power routines require it.
     ``gram`` is the diagonal of the fiber basis's Gram matrix: all ones by
     default, the multiplicity factorials for a symmetric-power block.
+    ``samples`` is the (64n^2 + 8n + 1, r, r) stack of metric values that
+    chern_curvature differentiated, one per row of ``_stencil_offsets(n)``;
+    it is None on every tensor that chern_curvature did not return.
     """
 
     values: np.ndarray
     normalized: bool = False
     gram: np.ndarray | None = None
+    samples: np.ndarray | None = None
 
     def __post_init__(self):
         if self.gram is None:
@@ -150,49 +155,82 @@ def _stencil_offsets(n: int) -> np.ndarray:
     return table
 
 
-def chern_curvature(h: MetricField, p, step: float = 1e-3) -> CurvatureTensor:
-    """Finite-difference Chern curvature of (E, h) at ``p``, in the frame of h.
-
-    The metric is evaluated once per row of ``_stencil_offsets(n)``, the base
-    value subtracted, and the rows contracted with the Wirtinger weights.
-    Raises ParamDomainError, before any metric evaluation, when the stencil
-    buffer would hold more than MAX_STENCIL_ENTRIES entries,
-    SingularMetricError when h(p) is not invertible to working precision or h
-    is not finite on the stencil, StencilOutOfChartError when a stencil point
-    leaves the declared domain of a user metric.
-    """
-    n = h.base_dim
-    r = h.rank
+def check_stencil_budget(n: int, r: int, label: str) -> None:
+    """Reject the curvature stencil of rank-``r`` metric ``label`` on base dimension
+    ``n`` when its (64n^2 + 8n + 1, r, r) buffer has more than MAX_STENCIL_ENTRIES
+    entries; callers run it before the first metric evaluation."""
     if (entries := (64 * n * n + 8 * n + 1) * r * r) > MAX_STENCIL_ENTRIES:
-        raise ParamDomainError(f"the curvature stencil of rank-{r} metric {h.label!r} on n = {n} "
+        raise ParamDomainError(f"the curvature stencil of rank-{r} metric {label!r} on n = {n} "
                                f"needs {entries} entries, above the budget of "
                                f"{MAX_STENCIL_ENTRIES}")
-    z0 = as_point(p, n)
 
-    H = h(z0)
+
+def _base_inverse(H: np.ndarray, label: str) -> np.ndarray:
+    """h(p)^-1, or SingularMetricError when h(p) is not finite or not invertible."""
     if not np.isfinite(H).all():
-        raise SingularMetricError(f"metric {h.label!r} not finite at the evaluation point")
+        raise SingularMetricError(f"metric {label!r} not finite at the evaluation point")
     ev = np.linalg.eigvalsh(H)
     # relative to the largest eigenvalue: a constant factor on h leaves the
     # curvature unchanged, so a small but well-conditioned h(p) is fine
     if np.min(np.abs(ev)) <= 1e-12 * np.max(np.abs(ev)):
-        raise SingularMetricError(f"metric {h.label!r} singular at the evaluation point")
-    Hinv = np.linalg.inv(H)
+        raise SingularMetricError(f"metric {label!r} singular at the evaluation point")
+    return np.linalg.inv(H)
 
+
+def _curvature_from_samples(vals: np.ndarray, label: str, step: float = 1e-3,
+                            Hinv: np.ndarray | None = None) -> np.ndarray:
+    """R_{i jbar alpha betabar} from the metric ``vals`` at the rows of
+    ``_stencil_offsets(n)``, row 0 the base value h(p); ``vals`` is not modified.
+
+    ``Hinv`` is h(p)^-1 when the caller has already checked h(p) with
+    ``_base_inverse``.  The base value is subtracted from each row and the
+    rows are contracted with the Wirtinger weights, the mixed rows one
+    d/dz^i at a time, so no second full-size buffer is made.
+    """
+    # len(vals) = 64n^2 + 8n + 1, so 4 len(vals) - 3 = (16n + 1)^2
+    n = (math.isqrt(4 * len(vals) - 3) - 1) // 16
+    r = vals.shape[1]
+    H = vals[0]
+    if Hinv is None:
+        Hinv = _base_inverse(H, label)
+    if not np.isfinite(vals).all():
+        raise SingularMetricError(f"metric {label!r} not finite on the stencil")
+    # every weight row sums to 0: subtracting h(p) leaves the derivatives
+    # unchanged and makes those of a constant field exactly 0
+    dh = (_STENCIL_WEIGHTS @ (vals[1:1 + 8 * n] - H).reshape(n, 8, r * r)).reshape(n, r, r) / step
+    mixed = vals[1 + 8 * n:].reshape(n, 64 * n, r, r)
+    dd = np.stack([_MIXED_WEIGHTS @ (mixed[i] - H).reshape(n, 64, r * r)
+                   for i in range(n)]).reshape(n, n, r, r)
+    return np.einsum("iab,jdb->ijad", dh @ Hinv, dh.conj()) - dd / step**2
+
+
+def chern_curvature(h: MetricField, p, step: float = 1e-3) -> CurvatureTensor:
+    """Finite-difference Chern curvature of (E, h) at ``p``, in the frame of h.
+
+    The metric is evaluated once per row of ``_stencil_offsets(n)`` and the
+    rows go through ``_curvature_from_samples``; the returned tensor keeps
+    them as ``samples``, so a field derived pointwise from h can be
+    differentiated on them without evaluating h again.  Raises
+    ParamDomainError, before any metric evaluation, when the stencil buffer
+    would hold more than MAX_STENCIL_ENTRIES entries, SingularMetricError when
+    h(p) is not invertible to working precision or h is not finite on the
+    stencil, StencilOutOfChartError when a stencil point leaves the declared
+    domain of a user metric.
+    """
+    n = h.base_dim
+    r = h.rank
+    check_stencil_budget(n, r, h.label)
+    z0 = as_point(p, n)
+
+    H = h(z0)
+    Hinv = _base_inverse(H, h.label)
     points = z0 + step * _stencil_offsets(n)
     vals = np.empty((len(points), r, r), dtype=complex)
     vals[0] = H
     for row in range(1, len(points)):
         vals[row] = h(points[row])
-    if not np.isfinite(vals).all():
-        raise SingularMetricError(f"metric {h.label!r} not finite on the stencil")
-    # every weight row sums to 0: subtracting h(p) leaves the derivatives
-    # unchanged and makes those of a constant field exactly 0
-    vals -= H
-    dh = (_STENCIL_WEIGHTS @ vals[1:1 + 8 * n].reshape(n, 8, r * r)).reshape(n, r, r) / step
-    dd = (_MIXED_WEIGHTS @ vals[1 + 8 * n:].reshape(n * n, 64, r * r)).reshape(n, n, r, r)
-    R = np.einsum("iab,jdb->ijad", dh @ Hinv, dh.conj()) - dd / step**2
-    return CurvatureTensor(R, normalized=False)
+    R = _curvature_from_samples(vals, h.label, step, Hinv)
+    return CurvatureTensor(R, normalized=False, samples=vals)
 
 
 def _orthonormalizer(a: np.ndarray) -> np.ndarray:

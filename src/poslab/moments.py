@@ -23,6 +23,8 @@ applied as one contraction.
 
 The two Monte Carlo harnesses, ``verify_moments`` and ``verify_lemma_linear``,
 return their own ``ok`` and judge z-scores through one gate, ``_worst_over_3sigma``.
+``verify_lemma_linear`` samples the metric once: route (b) lifts the stencil
+samples of route (a)'s curvature to S^k h (det h)^m and differentiates those.
 
 ``moment_mc``, ``moment_mc_table`` and ``integral_formula_mc`` share one
 streaming estimator, ``_sphere_moments``.  It reads the sphere stream in row
@@ -43,20 +45,28 @@ import numpy as np
 
 from .bundles import frame_normalized
 from .errors import FrameNotNormalizedError, LengthMismatchError, ParamDomainError
-from .geometry import CurvatureTensor, MetricField, as_point, chern_curvature
+from .geometry import (
+    CurvatureTensor,
+    MetricField,
+    _curvature_from_samples,
+    as_point,
+    check_stencil_budget,
+    chern_curvature,
+)
 from .regions import MAX_REGION_MEMBERS
 from .symbundle import (
     MultiIndex,
     _contract_with_trace,
+    _sym_metric_rows,
     check_sym_budget,
     generalized_delta,
     induced_sym_det_curvature,
     sym_basis,
-    sym_power_field,
 )
 
 # Byte budget of one row chunk of the Monte Carlo estimator, whose per-sample
-# terms phi x V form a (D, F) complex array.
+# terms phi x V form a (D, F) complex array, and of the (rows, F, r^k) gather
+# product that lifts metric samples to S^k h.
 _MC_CHUNK_BYTES = 1 << 22
 
 # Samples per block of the sphere stream.  Changing it changes every stream
@@ -261,25 +271,58 @@ def verify_moments(r: int, k: int, samples: int, seed: int = 0) -> dict:
             "worst_over_3sigma": worst, "ok": bool(worst <= 1.0), "moments": rows}
 
 
+def _sym_power_curvature(R: CurvatureTensor, k: int, m, label: str) -> np.ndarray:
+    """Finite-difference curvature of S^k h (det h)^m on the metric samples that
+    chern_curvature kept on ``R``; ``label`` names the field in errors.
+
+    The samples are lifted in row chunks of at most _MC_CHUNK_BYTES of gather
+    product.  Each power det(h)^m is taken on a float scalar, as
+    ``sym_power_field`` does, so the lifted values are those of that field.
+    The caller checks the S^k and stencil budgets.
+    """
+    hs = R.samples
+    N, r = hs.shape[:2]
+    F = comb(r + k - 1, k)
+    rows = max(1, _MC_CHUNK_BYTES // (16 * F * r**k))
+    lifted = np.empty((N, F, F), dtype=complex)
+    for lo in range(0, N, rows):
+        chunk = hs[lo:lo + rows]
+        s = _sym_metric_rows(chunk, k)
+        if m != 0:
+            s = s * np.array([d ** m for d in np.linalg.det(chunk).real])[:, None, None]
+        lifted[lo:lo + rows] = s
+    return _curvature_from_samples(lifted, label)
+
+
 def verify_lemma_linear(bundle: MetricField, p, k: int, m, mc_samples: int = 20000,
                         seed: int = 0) -> dict:
     """Three deterministic routes to the S^k E (det E)^m curvature, plus MC.
 
     (a) derivation-rule algebra on the pointwise curvature of E;
-    (b) finite-difference curvature of the explicit S^k h (det h)^m field;
+    (b) finite-difference curvature of the explicit S^k h (det h)^m metric,
+        lifted from the metric samples that (a)'s curvature took;
     (c) exact moment expansion of the integral formula;
     (d) Monte Carlo quadrature of the integral formula.
 
-    Returns max pairwise relative deviations of (a)-(c), the worst MC z-score
-    of (d) against (c), and ``ok``: deviations <= 1e-6 and z-score <= 1.
+    The metric of E is evaluated once at p to normalize the frame and once
+    per stencil row, 64n^2 + 8n + 1 times.  Every budget (E's stencil, the
+    S^k maps, route (b)'s (64n^2 + 8n + 1, F, F) stack) is checked before the
+    first evaluation.  Returns max pairwise relative deviations of (a)-(c), the
+    worst MC z-score of (d) against (c), and ``ok``: deviations <= 1e-6 and
+    z-score <= 1.
     """
-    z0 = as_point(p, bundle.base_dim)
+    n, r = bundle.base_dim, bundle.rank
+    z0 = as_point(p, n)
+    sym_label = f"sym{k}det{m}({bundle.label})"
+    check_stencil_budget(n, r, bundle.label)
+    check_sym_budget(r, k)
+    check_stencil_budget(n, comb(r + k - 1, k), sym_label)
     E0 = frame_normalized(bundle, z0)
     R = chern_curvature(E0, z0)
     Rn = CurvatureTensor(R.values, normalized=True)
 
     a = induced_sym_det_curvature(Rn, k, m).values.astype(complex)
-    b = chern_curvature(sym_power_field(E0, k, m), z0).values
+    b = _sym_power_curvature(R, k, m, sym_label)
     c = integral_formula_tensor(Rn, k, m).values.astype(complex)
     d_est, d_err = integral_formula_mc(Rn, k, m, samples=mc_samples, seed=seed)
 

@@ -39,8 +39,16 @@ from .errors import (
     NonpositivePolarizationError,
     ParamDomainError,
 )
-from .geometry import CurvatureTensor, MetricField, as_point, chern_curvature, normalize_at_point, sample_points
-from .symbundle import MAX_SYM_MAP_ENTRIES, induced_sym_det_curvature, twist_by_line
+from .geometry import (
+    CurvatureTensor,
+    MetricField,
+    as_point,
+    check_stencil_budget,
+    chern_curvature,
+    normalize_at_point,
+    sample_points,
+)
+from .symbundle import MAX_SYM_MAP_ENTRIES, check_sym_budget, induced_sym_det_curvature, twist_by_line
 
 # an alternating Griffiths run stops when its value changes by less than this,
 # relative to 1 + |value|, or after _GRIFFITHS_ITERS iterations
@@ -229,8 +237,12 @@ def _scan_minima(E: MetricField, L: MetricField, measures, n_points: int, seed: 
     """Apply each measure (block -> PositivityReport) at every sample point.
 
     Returns the first smallest report per measure, its point in ``points``,
-    and the scanned points.
+    and the scanned points.  The stencils of L and E and the S^k maps are
+    checked against their budgets before the first metric evaluation.
     """
+    check_stencil_budget(L.base_dim, L.rank, L.label)
+    check_stencil_budget(E.base_dim, E.rank, E.label)
+    check_sym_budget(E.rank, k)
     best = [None] * len(measures)
     scanned = []
     for p in sample_points(E.base_dim, n_points, seed=seed):

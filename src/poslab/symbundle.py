@@ -102,18 +102,38 @@ def _sym_metric_map(r: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return flat, weight
 
 
+def _sym_metric_rows(hs: np.ndarray, k: int) -> np.ndarray:
+    """S^k h of every matrix of a (rows, r, r) stack, a (rows, F, F) array.
+
+    The k gathers of ``_sym_metric_map`` are multiplied in one at a time, so
+    no more than three (rows, F, r^k) arrays exist at once, then the product
+    meets the weight matrix in one matmul.  The product is never formed in
+    place: numpy rounds an in-place complex product of length 1 differently,
+    so rank 1 would depend on the number of rows.  The caller checks the S^k
+    budget.
+    """
+    rows, r = hs.shape[:2]
+    flat, weight = _sym_metric_map(r, k)
+    hs = hs.reshape(rows, r * r)
+    if k == 0:
+        return np.ones((rows, 1, 1), dtype=hs.dtype) @ weight
+    acc = hs[:, flat[0]]
+    for j in range(1, k):
+        acc = acc * hs[:, flat[j]]
+    return acc @ weight
+
+
 def sym_metric(h, k: int):
     """Induced metric on S^k E: (S^k h)_{A Bbar} = permanent of h[A_j, B_l].
 
     For h = Id this reduces exactly to the generalized delta Gram matrix.
-    Accepts any square array-like (complex or exact object entries).
+    Accepts one square array-like (complex or exact object entries).
     """
     h = np.asarray(h)
     if h.dtype != object:
         h = h.astype(complex)
     check_sym_budget(h.shape[0], k)
-    flat, weight = _sym_metric_map(h.shape[0], k)
-    return np.take(h.ravel(), flat).prod(axis=0) @ weight
+    return _sym_metric_rows(h[None], k)[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -184,7 +204,9 @@ def twist_by_line(Rsym: CurvatureTensor, Rline: CurvatureTensor, t) -> Curvature
 
 def sym_power_field(E: MetricField, k: int, m) -> MetricField:
     """Explicit metric field z -> S^k h(z) (det h(z))^m on the monomial basis;
-    a ``dataclasses.replace`` of E that reads ``E.value`` once per point."""
+    a ``dataclasses.replace`` of E that reads ``E.value`` once per point.  The
+    point-by-point reference for route (b) of ``verify_lemma_linear``, which
+    lifts a whole stack of metric samples instead."""
     check_sym_budget(E.rank, k)
     F = len(sym_basis(E.rank, k))
 

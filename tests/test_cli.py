@@ -526,11 +526,15 @@ def test_moments_over_range_draw_nothing(runner, monkeypatch, args):
 
 
 @pytest.mark.parametrize("args,spy", [
-    # the polarization o(1) is differentiated first; tpn's metric is never evaluated
     (STENCIL_OVER_BUDGET["certify-stencil-over-budget"], (bundles, "fubini_study")),
     (STENCIL_OVER_BUDGET["lemma-linear-stencil-over-budget"], (geometry, "_stencil_offsets")),
-    # route (a) runs; the S^4 field of route (b) is never evaluated
     (STENCIL_OVER_BUDGET["lemma-linear-sym-stencil-over-budget"], (symbundle, "sym_metric")),
+    # no metric is evaluated: not the polarization's stencil, not route (a)'s
+    (STENCIL_OVER_BUDGET["certify-stencil-over-budget"], (geometry.MetricField, "__call__")),
+    (["certify", "--bundle", "tpn", "--n", "5", "--test", "nakano", "--sym", "20"],
+     (geometry.MetricField, "__call__")),
+    (STENCIL_OVER_BUDGET["lemma-linear-sym-stencil-over-budget"],
+     (geometry.MetricField, "__call__")),
     (["verify", "--what", "estimate", "--n", "40", "--trials", "1"], (cli.np.random, "Philox")),
     (["verify", "--what", "estimate", "--n", "40", "--trials", "1"], (positivity, "_interior_map")),
     (["oracle", "--family", "bott", "--n", "20000", "--p", "0", "--q", "0", "--l", "20000"],
@@ -539,7 +543,9 @@ def test_moments_over_range_draw_nothing(runner, monkeypatch, args):
      (oracles, "CohomologyDim")),
     (["oracle", "--family", "grassmannian", "--d", "2003", "--r", "1001", "--k", "1"],
      (oracles, "CohomologyDim")),
-], ids=["certify-stencil", "lemma-linear-stencil", "lemma-linear-sym-stencil", "estimate-draw",
+], ids=["certify-stencil", "lemma-linear-stencil", "lemma-linear-sym-stencil",
+        "certify-stencil-no-metric-call", "certify-sym-no-metric-call",
+        "lemma-linear-sym-stencil-no-metric-call", "estimate-draw",
         "estimate-wedge-map", "bott-digits", "grassmannian-digits", "grassmannian-records"])
 def test_over_budget_is_rejected_before_the_work(runner, monkeypatch, args, spy):
     def fail(*_, **__):

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -25,11 +26,22 @@ from poslab import (
     verify_lemma_linear,
 )
 from poslab import moments
-from poslab.bundles import direct_sum
-from poslab.symbundle import generalized_delta, induced_sym_det_curvature, sym_basis
+from poslab.bundles import direct_sum, frame_normalized, load_metric_json
+from poslab.geometry import MetricField, chern_curvature
+from poslab.symbundle import generalized_delta, induced_sym_det_curvature, sym_basis, sym_power_field
 
 from conftest import constant_metric, random_curvature
 from test_symbundle import rational_curvature
+
+
+# a rank-2 metric on P^2 without U(2) symmetry, positive definite everywhere
+USER_METRIC = {
+    "rank": 2, "base_dim": 2, "label": "user",
+    "entries": [["(1 + abs2(z1) + abs2(z2)) ** -1 * (1 + 0.6 * abs2(z1))",
+                 "(1 + abs2(z1) + abs2(z2)) ** -1 * 0.2 * z1 * conj(z2)"],
+                ["(1 + abs2(z1) + abs2(z2)) ** -1 * 0.2 * conj(z1) * z2",
+                 "(1 + abs2(z1) + abs2(z2)) ** -1 * (1 + 0.4 * abs2(z2))"]],
+}
 
 
 def sphere_points(r, samples, seed):
@@ -315,6 +327,49 @@ class TestLemmaLinearTriangle:
         rep = moments.verify_moments(1, 3, 20000)
         assert rep["worst_over_3sigma"] <= 1.0
         assert rep["ok"] is True
+
+    @pytest.mark.parametrize("build,z", [
+        (lambda: tangent_pn(2), [0.3 - 0.1j, 0.2j]),
+        (lambda: tangent_pn(3), [0.1, -0.2j, 0.25 + 0.05j]),
+        (lambda: direct_sum([1, 1, 1], 2), [0.4, -0.2 + 0.1j]),
+        (lambda: load_metric_json(USER_METRIC), [0.2 + 0.1j, -0.3]),
+        (lambda: o_line(1, 2), [0.1j, 0.3]),
+    ], ids=["tpn-n2", "tpn-n3", "dsum111", "user", "o1"])
+    def test_route_b_equals_the_sym_power_field(self, build, z):
+        # route (b) lifts route (a)'s samples; the per-point field is the reference
+        z = np.array(z, dtype=complex)
+        E0 = frame_normalized(build(), z)
+        R = chern_curvature(E0, z)
+        for k in range(1, 5):
+            for m in (-1, 0, 1, 3):
+                b = moments._sym_power_curvature(R, k, m, "route-b")
+                ref = chern_curvature(sym_power_field(E0, k, m), z).values
+                assert np.array_equal(b, ref), (k, m)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_metric_evaluation_per_stencil_row(self, monkeypatch, n):
+        # the frame point once, then 64n^2 + 8n + 1 stencil rows shared by routes (a) and (b)
+        calls = collections.Counter()
+        checked_call = MetricField.__call__
+        monkeypatch.setattr(MetricField, "__call__",
+                            lambda f, z: calls.update([f.label]) or checked_call(f, z))
+        rep = verify_lemma_linear(tangent_pn(n), np.zeros(n), 2, 1, mc_samples=100)
+        assert rep["dev_algebra_vs_fd"] <= 1e-6
+        assert calls == {"tpn": 1, "tpn@norm": 64 * n * n + 8 * n + 1}
+
+    def test_one_row_chunks_change_nothing(self, monkeypatch):
+        E = load_metric_json(USER_METRIC)
+        z = np.array([0.2 + 0.1j, -0.3])
+        R = chern_curvature(frame_normalized(E, z), z)
+        whole = moments._sym_power_curvature(R, 3, 2, "route-b")
+        rep = verify_lemma_linear(E, z, 3, 2, mc_samples=100)
+        monkeypatch.setattr(moments, "_MC_CHUNK_BYTES", 1)
+        assert np.array_equal(moments._sym_power_curvature(R, 3, 2, "route-b"), whole)
+        # the Monte Carlo sums run in the same chunks, so only its z-score is rounded anew
+        one_row = verify_lemma_linear(E, z, 3, 2, mc_samples=100)
+        z_score = one_row.pop("mc_worst_over_3sigma")
+        assert z_score == pytest.approx(rep.pop("mc_worst_over_3sigma"), rel=1e-12)
+        assert one_row == rep
 
     def test_tpn4_k3_memory_bounded(self):
         # the unchunked quadrature held one (20000, 4, 4, 20, 20) complex

@@ -144,6 +144,28 @@ class TestSymMetric:
         assert s.dtype == object
         assert all(s[a, b] == brute[a, b] for a in range(4) for b in range(4))
 
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_stacked_kernel_matches_one_matrix_at_a_time(self, r):
+        # one gather-product-matmul over a stack gives each matrix's sym_metric bit for bit
+        rng = np.random.Generator(np.random.Philox(key=r))
+        hs = rng.standard_normal((9, r, r)) + 1j * rng.standard_normal((9, r, r))
+        for k in range(5):
+            stacked = symbundle._sym_metric_rows(hs, k)
+            assert stacked.dtype == complex
+            assert np.array_equal(stacked, np.stack([sym_metric(h, k) for h in hs]))
+
+    @pytest.mark.parametrize("r,k", [(1, 3), (2, 0), (2, 3), (3, 2)])
+    def test_stacked_kernel_exact_on_fractions(self, r, k):
+        rng = np.random.Generator(np.random.Philox(key=(r, k)))
+        hs = np.empty((3, r, r), dtype=object)
+        for idx in np.ndindex(hs.shape):
+            hs[idx] = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7)))
+        stacked = symbundle._sym_metric_rows(hs, k)
+        assert stacked.dtype == object
+        for h, s in zip(hs, stacked):
+            brute = brute_force_sym_metric(h, k)
+            assert (s == brute).all() and (sym_metric(h, k) == brute).all()
+
     def test_gram_diagonal(self):
         assert gram_diagonal(2, 2) == [2, 1, 2]
         assert gram_diagonal(2, 3) == [6, 2, 2, 6]
