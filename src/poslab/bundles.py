@@ -11,6 +11,9 @@ Derived fields (``tpn_twist``, ``det_field``, ``frame_normalized``,
 ``sym_power_field``) are ``dataclasses.replace`` copies of their parent, so
 they inherit its ``base_dim`` and ``domain_radius``; their own call checks
 the point and their evaluator reads the parent's ``value`` on it.
+``frame_normalized`` and ``sym_power_field`` are per-point references for
+tests: the harnesses change frame once per point, in
+``geometry.normalize_at_point``.
 
 User metrics load from a JSON object (``read_json_object`` reads one) with
 keys ``rank``, ``base_dim``, ``entries`` (matrix of expression strings) and
@@ -82,7 +85,8 @@ def det_field(E: MetricField) -> MetricField:
 
 
 def frame_normalized(E: MetricField, p) -> MetricField:
-    """Conjugate E by a constant frame change so the metric at ``p`` is Id.
+    """Conjugate E by a constant frame change so the metric at ``p`` is Id; the
+    per-point reference for the stacked congruence of ``verify_lemma_linear``.
 
     Raises SingularMetricError when the metric at ``p`` is not positive definite.
     """

@@ -160,10 +160,11 @@ def _resolve_bundle(ident, n, E=None):
 @click.option("--output", type=click.Path(), default=None)
 def cmd_certify(bundle, n, which, line, twist, sym, det_power, points, seed, restarts, output):
     """Positivity / boundedness certification of a built-in or user bundle."""
-    bounds = ("bundle", "n", "line", "points", "seed", "restarts")
-    positivity = (*bounds, "twist", "sym", "det_power")
-    _reject_unread_flags("which", {"bounds": bounds, "griffiths": positivity,
-                                   "nakano": positivity, "dual": positivity})
+    scan = ("bundle", "n", "line", "points", "seed")
+    block = (*scan, "twist", "sym", "det_power")
+    _reject_unread_flags("which", {"bounds": (*scan, "restarts"),
+                                   "griffiths": (*block, "restarts"),
+                                   "nakano": block, "dual": block})
     E = _resolve_bundle(bundle, n)
     L = _resolve_bundle(line, n, E=E)
     if which == "bounds":

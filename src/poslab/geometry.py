@@ -97,9 +97,9 @@ class CurvatureTensor:
     with g(p) = Id); the positivity and symmetric-power routines require it.
     ``gram`` is the diagonal of the fiber basis's Gram matrix: all ones by
     default, the multiplicity factorials for a symmetric-power block.
-    ``samples`` is the (64n^2 + 8n + 1, r, r) stack of metric values that
-    chern_curvature differentiated, one per row of ``_stencil_offsets(n)``;
-    it is None on every tensor that chern_curvature did not return.
+    ``samples`` is the metric on the 64n^2 + 8n + 1 rows of ``_stencil_offsets(n)``,
+    in the field's own frame, with row 0 = h(p); chern_curvature and
+    normalize_at_point set it, and it is None on every other tensor.
     """
 
     values: np.ndarray
@@ -166,14 +166,15 @@ def check_stencil_budget(n: int, r: int, label: str) -> None:
 
 
 def _base_inverse(H: np.ndarray, label: str) -> np.ndarray:
-    """h(p)^-1, or SingularMetricError when h(p) is not finite or not invertible."""
+    """h(p)^-1, or SingularMetricError when h(p) is not finite or not positive definite."""
     if not np.isfinite(H).all():
         raise SingularMetricError(f"metric {label!r} not finite at the evaluation point")
     ev = np.linalg.eigvalsh(H)
     # relative to the largest eigenvalue: a constant factor on h leaves the
     # curvature unchanged, so a small but well-conditioned h(p) is fine
-    if np.min(np.abs(ev)) <= 1e-12 * np.max(np.abs(ev)):
-        raise SingularMetricError(f"metric {label!r} singular at the evaluation point")
+    if ev[0] <= 1e-12 * np.max(np.abs(ev)):
+        raise SingularMetricError(f"metric {label!r} not positive definite at the "
+                                  f"evaluation point")
     return np.linalg.inv(H)
 
 
@@ -213,8 +214,8 @@ def chern_curvature(h: MetricField, p, step: float = 1e-3) -> CurvatureTensor:
     differentiated on them without evaluating h again.  Raises
     ParamDomainError, before any metric evaluation, when the stencil buffer
     would hold more than MAX_STENCIL_ENTRIES entries, SingularMetricError when
-    h(p) is not invertible to working precision or h is not finite on the
-    stencil, StencilOutOfChartError when a stencil point leaves the declared
+    h(p) is not positive definite to working precision or h is not finite on
+    the stencil, StencilOutOfChartError when a stencil point leaves the declared
     domain of a user metric.
     """
     n = h.base_dim
@@ -254,18 +255,15 @@ def normalize_at_point(h: MetricField, g: np.ndarray | None, p) -> CurvatureTens
     ``g`` is the polarization form at p, an n x n Hermitian positive matrix,
     or None for the identity.  The new tangent vectors are the columns of
     P = _orthonormalizer(g), the new frame vectors those of
-    Q = _orthonormalizer(h(p)).
+    Q = _orthonormalizer(h(p)), h(p) being row 0 of the samples the result keeps.
     """
     n = h.base_dim
-    z0 = as_point(p, n)
-    R = chern_curvature(h, z0)
-
+    R = chern_curvature(h, as_point(p, n))
     gp = np.eye(n, dtype=complex) if g is None else np.asarray(g, dtype=complex)
-    hp = h(z0)
     P = _orthonormalizer(gp)
-    Q = _orthonormalizer(hp)
+    Q = _orthonormalizer(R.samples[0])
     vals = np.einsum("ijab,ix,jy,au,bv->xyuv", R.values, P, P.conj(), Q, Q.conj())
-    return CurvatureTensor(vals, normalized=True)
+    return CurvatureTensor(vals, normalized=True, samples=R.samples)
 
 
 _SAMPLE_RADIUS = 2.0

@@ -24,7 +24,7 @@ applied as one contraction.
 The two Monte Carlo harnesses, ``verify_moments`` and ``verify_lemma_linear``,
 return their own ``ok`` and judge z-scores through one gate, ``_worst_over_3sigma``.
 ``verify_lemma_linear`` samples the metric once: route (b) lifts the stencil
-samples of route (a)'s curvature to S^k h (det h)^m and differentiates those.
+samples of ``normalize_at_point``'s tensor, in its frame, to S^k h (det h)^m.
 
 ``moment_mc``, ``moment_mc_table`` and ``integral_formula_mc`` share one
 streaming estimator, ``_sphere_moments``.  It reads the sphere stream in row
@@ -43,15 +43,15 @@ from math import comb, factorial
 
 import numpy as np
 
-from .bundles import frame_normalized
 from .errors import FrameNotNormalizedError, LengthMismatchError, ParamDomainError
 from .geometry import (
     CurvatureTensor,
     MetricField,
     _curvature_from_samples,
+    _orthonormalizer,
     as_point,
     check_stencil_budget,
-    chern_curvature,
+    normalize_at_point,
 )
 from .regions import MAX_REGION_MEMBERS
 from .symbundle import (
@@ -88,16 +88,21 @@ def moment_exact(r: int, A: MultiIndex, B: MultiIndex) -> Fraction:
     return Fraction(generalized_delta(A, B), factorial(r + k - 1))
 
 
+def check_samples(samples: int) -> None:
+    """Reject a Monte Carlo sample count below the floor of 100 that every
+    estimator shares."""
+    if samples < 100:
+        raise ParamDomainError(f"need at least 100 samples, got {samples}")
+
+
 def _sphere_blocks(r: int, samples: int, seed: int):
     """Uniform points on the unit sphere of C^r (counter-based Philox stream) in
     blocks of _SPHERE_BLOCK; a block draws its real parts, then its imaginary parts.
 
-    Every Monte Carlo estimator shares this floor of 100 samples.  It is
-    checked on the call, not at the first block, because callers size their
-    buffers from the count before they draw.
+    The sample floor is checked on the call, not at the first block, because
+    callers size their buffers from the count before they draw.
     """
-    if samples < 100:
-        raise ParamDomainError(f"need at least 100 samples, got {samples}")
+    check_samples(samples)
     rng = np.random.Generator(np.random.Philox(key=seed))
 
     def blocks():
@@ -271,16 +276,15 @@ def verify_moments(r: int, k: int, samples: int, seed: int = 0) -> dict:
             "worst_over_3sigma": worst, "ok": bool(worst <= 1.0), "moments": rows}
 
 
-def _sym_power_curvature(R: CurvatureTensor, k: int, m, label: str) -> np.ndarray:
-    """Finite-difference curvature of S^k h (det h)^m on the metric samples that
-    chern_curvature kept on ``R``; ``label`` names the field in errors.
+def _sym_power_curvature(hs: np.ndarray, k: int, m, label: str) -> np.ndarray:
+    """Finite-difference curvature of S^k h (det h)^m on the metric samples ``hs``,
+    one per row of ``_stencil_offsets(n)``; ``label`` names the field in errors.
 
     The samples are lifted in row chunks of at most _MC_CHUNK_BYTES of gather
     product.  Each power det(h)^m is taken on a float scalar, as
     ``sym_power_field`` does, so the lifted values are those of that field.
     The caller checks the S^k and stencil budgets.
     """
-    hs = R.samples
     N, r = hs.shape[:2]
     F = comb(r + k - 1, k)
     rows = max(1, _MC_CHUNK_BYTES // (16 * F * r**k))
@@ -298,18 +302,18 @@ def verify_lemma_linear(bundle: MetricField, p, k: int, m, mc_samples: int = 200
                         seed: int = 0) -> dict:
     """Three deterministic routes to the S^k E (det E)^m curvature, plus MC.
 
-    (a) derivation-rule algebra on the pointwise curvature of E;
+    (a) derivation-rule algebra on the normalize_at_point curvature of E;
     (b) finite-difference curvature of the explicit S^k h (det h)^m metric,
-        lifted from the metric samples that (a)'s curvature took;
+        lifted from (a)'s samples, taken to (a)'s frame by one congruence;
     (c) exact moment expansion of the integral formula;
     (d) Monte Carlo quadrature of the integral formula.
 
-    The metric of E is evaluated once at p to normalize the frame and once
-    per stencil row, 64n^2 + 8n + 1 times.  Every budget (E's stencil, the
-    S^k maps, route (b)'s (64n^2 + 8n + 1, F, F) stack) is checked before the
-    first evaluation.  Returns max pairwise relative deviations of (a)-(c), the
-    worst MC z-score of (d) against (c), and ``ok``: deviations <= 1e-6 and
-    z-score <= 1.
+    The metric of E is evaluated once per stencil row, 64n^2 + 8n + 1 times.
+    Every budget (E's stencil, the S^k maps, route (b)'s
+    (64n^2 + 8n + 1, F, F) stack) and (d)'s sample floor are checked before
+    the first evaluation.  Returns max pairwise relative deviations of (a)-(c),
+    the worst MC z-score of (d) against (c), and ``ok``: deviations <= 1e-6
+    and z-score <= 1.
     """
     n, r = bundle.base_dim, bundle.rank
     z0 = as_point(p, n)
@@ -317,12 +321,12 @@ def verify_lemma_linear(bundle: MetricField, p, k: int, m, mc_samples: int = 200
     check_stencil_budget(n, r, bundle.label)
     check_sym_budget(r, k)
     check_stencil_budget(n, comb(r + k - 1, k), sym_label)
-    E0 = frame_normalized(bundle, z0)
-    R = chern_curvature(E0, z0)
-    Rn = CurvatureTensor(R.values, normalized=True)
+    check_samples(mc_samples)
+    Rn = normalize_at_point(bundle, None, z0)
+    Q = _orthonormalizer(Rn.samples[0])
 
     a = induced_sym_det_curvature(Rn, k, m).values.astype(complex)
-    b = _sym_power_curvature(R, k, m, sym_label)
+    b = _sym_power_curvature(Q.T @ Rn.samples @ Q.conj(), k, m, sym_label)
     c = integral_formula_tensor(Rn, k, m).values.astype(complex)
     d_est, d_err = integral_formula_mc(Rn, k, m, samples=mc_samples, seed=seed)
 

@@ -145,6 +145,13 @@ def _griffiths_stack(V, g, starts):
     return vals, us, vs
 
 
+def check_restarts(restarts: int) -> None:
+    """Reject a Griffiths restart count below 1; the scans run it before their
+    first metric evaluation."""
+    if restarts < 1:
+        raise ParamDomainError(f"need restarts >= 1, got {restarts}")
+
+
 def griffiths_min(R: CurvatureTensor, restarts: int = 32, seed: int = 0) -> PositivityReport:
     """Minimize the Griffiths biquadratic over unit u, unit v (multi-start).
 
@@ -155,8 +162,7 @@ def griffiths_min(R: CurvatureTensor, restarts: int = 32, seed: int = 0) -> Posi
     maximum is minus the minimum of
     CurvatureTensor(-R.values, normalized=True, gram=R.gram).
     """
-    if restarts < 1:
-        raise ParamDomainError(f"need restarts >= 1, got {restarts}")
+    check_restarts(restarts)
     V, g = _values_and_gram(R)
     F = V.shape[2]
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -202,13 +208,14 @@ def dual_nakano_min(R: CurvatureTensor) -> PositivityReport:
 
 
 def polarization_form(L: MetricField, p) -> np.ndarray:
-    """omega_L at p as an n x n matrix: frame-normalized curvature of L."""
+    """omega_L at p as an n x n matrix: frame-normalized curvature of L, with
+    h_L(p) read from row 0 of its stencil."""
     if L.rank != 1:
         raise DimMismatchError(
             f"polarization {L.label!r} has rank {L.rank}; it must be a line bundle")
     z0 = as_point(p, L.base_dim)
     R = chern_curvature(L, z0)
-    hL = L(z0)[0, 0].real
+    hL = R.samples[0, 0, 0].real
     gmat = R.values[:, :, 0, 0] / hL
     if np.min(np.linalg.eigvalsh(0.5 * (gmat + gmat.conj().T))) <= 0:
         raise NonpositivePolarizationError(
@@ -260,7 +267,10 @@ def positivity_scan(E: MetricField, L: MetricField, test: str, n_points: int = 5
                     seed: int = 0, restarts: int = 32, k: int = 1, m=0,
                     l=0) -> PositivityReport:
     """Smallest "griffiths", "nakano" or "dual" value of S^k E (det E)^m L^l
-    over the sample points; the report's ``points`` is where it was found."""
+    over the sample points; the report's ``points`` is where it was found.
+    Only "griffiths" reads ``restarts``."""
+    if test == "griffiths":
+        check_restarts(restarts)
     measure = {"griffiths": lambda R: griffiths_min(R, restarts=restarts, seed=seed),
                "nakano": nakano_min, "dual": dual_nakano_min}[test]
     (best,), _ = _scan_minima(E, L, [measure], n_points, seed, k, m, l)
@@ -277,6 +287,8 @@ def boundedness_scan(E: MetricField, L: MetricField, n_points: int = 50, seed: i
     Theta - eps * omega_L x Id is not identically zero on the scan.  The
     k = 1 block is E's own normalized curvature.
     """
+    check_restarts(restarts)
+
     def low(R):
         return griffiths_min(R, restarts=restarts, seed=seed)
 

@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -33,3 +35,13 @@ def constant_metric(mat, n, label="const"):
 @pytest.fixture
 def origin2():
     return np.zeros(2, dtype=complex)
+
+
+@pytest.fixture
+def metric_calls(monkeypatch):
+    """Counter of MetricField calls by field label, for the rest of the test."""
+    calls = collections.Counter()
+    checked_call = MetricField.__call__
+    monkeypatch.setattr(MetricField, "__call__",
+                        lambda f, z: calls.update([f.label]) or checked_call(f, z))
+    return calls

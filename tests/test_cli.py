@@ -455,6 +455,10 @@ BAD_INPUT = [
     pytest.param(["certify", "--bundle", "tpn", "--n", "2", "--test", "griffiths",
                   "--points", "1", "--restarts", "0"], "PARAM_DOMAIN",
                  id="griffiths-restarts-0"),
+    # nakano and dual read no --restarts, whatever its value
+    *(pytest.param(["certify", "--bundle", "tpn", "--n", "2", "--test", test,
+                    "--restarts", value], "PARAM_DOMAIN", id=f"{test}-restarts-{value}")
+      for test, value in (("nakano", "5"), ("dual", "-5"))),
     # S^20 of rank 5: a 2.8e9-entry derivation map; S^6 of rank 6: a 1.3e8-index gather table
     pytest.param(["certify", "--bundle", "tpn", "--n", "5", "--test", "nakano", "--sym", "20"],
                  "PARAM_DOMAIN", id="certify-sym-over-budget"),
@@ -555,6 +559,31 @@ def test_over_budget_is_rejected_before_the_work(runner, monkeypatch, args, spy)
     result, payload = run_json(runner, args)
     assert result.exit_code == 2, result.output
     assert payload["error"]["code"] == "PARAM_DOMAIN"
+
+
+_INDEFINITE = '{"rank": 1, "base_dim": 2, "entries": [["-1"]], "label": "indefinite"}'
+_ROWS_N2 = 64 * 4 + 8 * 2 + 1
+
+
+@pytest.mark.parametrize("args,code,calls", [
+    *(pytest.param(["certify", "--bundle", "tpn", "--n", "4", "--test", test, "--restarts", "0"],
+                   "PARAM_DOMAIN", {}, id=f"{test}-restarts-0") for test in ("griffiths", "bounds")),
+    pytest.param(["verify", "--what", "lemma-linear", "--bundle", "tpn", "--n", "4", "--k", "3",
+                  "--samples", "50"], "PARAM_DOMAIN", {}, id="lemma-linear-too-few-samples"),
+    # h(p) is row 0 of E's stencil: the scan samples L at the origin, then E once
+    pytest.param(["certify", "--bundle", _INDEFINITE, "--n", "2", "--test", "nakano"],
+                 "SINGULAR_METRIC", {"o(1)": _ROWS_N2, "indefinite": 1},
+                 id="certify-indefinite-metric"),
+    pytest.param(["verify", "--what", "lemma-linear", "--bundle", _INDEFINITE, "--n", "2"],
+                 "SINGULAR_METRIC", {"indefinite": 1}, id="lemma-linear-indefinite-metric"),
+])
+def test_rejected_after_exactly_these_metric_calls(runner, metric_calls, args, code, calls):
+    result, payload = run_json(runner, args)
+    assert result.exit_code == 2, result.output
+    assert payload["error"]["code"] == code
+    assert metric_calls == calls
+    if code == "SINGULAR_METRIC":
+        assert "'indefinite' not positive definite" in payload["error"]["message"]
 
 
 @pytest.mark.parametrize("owner,budget,at_budget,call", [

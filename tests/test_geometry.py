@@ -292,6 +292,26 @@ class TestNormalizeAtPoint:
                 assert 1 - 1e-6 <= val <= 2 + 1e-6
 
 
+class TestOneEvaluationPerStencilRow:
+    @pytest.mark.parametrize("z", [[0.0, 0.0], [0.3 - 0.1j, 0.2j]], ids=["origin", "off-origin"])
+    def test_normalize_at_point_reads_h_p_from_row_0(self, metric_calls, z):
+        E = direct_sum([2, -1], 2)
+        Rn = normalize_at_point(E, random_positive(2, seed=3), z)
+        assert metric_calls == {E.label: 64 * 4 + 8 * 2 + 1}
+        # the samples stay in E's own frame, row 0 at p
+        R = chern_curvature(E, z)
+        assert np.array_equal(Rn.samples, R.samples)
+        assert np.array_equal(Rn.samples[0], E(z))
+
+    @pytest.mark.parametrize("entries", [[[-1.0]], [[1.0, 0.0], [0.0, -2.0]]],
+                             ids=["negative-line", "indefinite-rank-2"])
+    def test_metric_not_positive_definite_at_p_rejected_at_row_0(self, metric_calls, entries):
+        E = constant_metric(entries, 2, label="indefinite")
+        with pytest.raises(SingularMetricError, match="'indefinite' not positive definite"):
+            normalize_at_point(E, None, np.zeros(2))
+        assert metric_calls == {"indefinite": 1}
+
+
 class TestSamplePoints:
     def test_deterministic_and_bounded(self):
         a = sample_points(2, 10, seed=4)

@@ -1,4 +1,3 @@
-import collections
 import itertools
 import json
 import math
@@ -27,7 +26,7 @@ from poslab import (
 )
 from poslab import moments
 from poslab.bundles import direct_sum, frame_normalized, load_metric_json
-from poslab.geometry import MetricField, chern_curvature
+from poslab.geometry import chern_curvature
 from poslab.symbundle import generalized_delta, induced_sym_det_curvature, sym_basis, sym_power_field
 
 from conftest import constant_metric, random_curvature
@@ -283,6 +282,17 @@ class TestIntegralFormula:
             integral_formula_mc(R, 1, 1)
 
 
+# off-origin points where route (b) is compared with its per-point reference
+ROUTE_B_POINTS = [
+    (lambda: tangent_pn(2), [0.3 - 0.1j, 0.2j]),
+    (lambda: tangent_pn(3), [0.1, -0.2j, 0.25 + 0.05j]),
+    (lambda: direct_sum([1, 1, 1], 2), [0.4, -0.2 + 0.1j]),
+    (lambda: load_metric_json(USER_METRIC), [0.2 + 0.1j, -0.3]),
+    (lambda: o_line(1, 2), [0.1j, 0.3]),
+]
+ROUTE_B_IDS = ["tpn-n2", "tpn-n3", "dsum111", "user", "o1"]
+
+
 class TestLemmaLinearTriangle:
     @pytest.mark.parametrize("k,m", [(1, 1), (2, 2), (3, 1)])
     def test_tangent_p2(self, k, m):
@@ -328,43 +338,47 @@ class TestLemmaLinearTriangle:
         assert rep["worst_over_3sigma"] <= 1.0
         assert rep["ok"] is True
 
-    @pytest.mark.parametrize("build,z", [
-        (lambda: tangent_pn(2), [0.3 - 0.1j, 0.2j]),
-        (lambda: tangent_pn(3), [0.1, -0.2j, 0.25 + 0.05j]),
-        (lambda: direct_sum([1, 1, 1], 2), [0.4, -0.2 + 0.1j]),
-        (lambda: load_metric_json(USER_METRIC), [0.2 + 0.1j, -0.3]),
-        (lambda: o_line(1, 2), [0.1j, 0.3]),
-    ], ids=["tpn-n2", "tpn-n3", "dsum111", "user", "o1"])
+    @pytest.mark.parametrize("build,z", ROUTE_B_POINTS, ids=ROUTE_B_IDS)
     def test_route_b_equals_the_sym_power_field(self, build, z):
         # route (b) lifts route (a)'s samples; the per-point field is the reference
         z = np.array(z, dtype=complex)
         E0 = frame_normalized(build(), z)
-        R = chern_curvature(E0, z)
+        hs = chern_curvature(E0, z).samples
         for k in range(1, 5):
             for m in (-1, 0, 1, 3):
-                b = moments._sym_power_curvature(R, k, m, "route-b")
+                b = moments._sym_power_curvature(hs, k, m, "route-b")
                 ref = chern_curvature(sym_power_field(E0, k, m), z).values
                 assert np.array_equal(b, ref), (k, m)
 
+    @pytest.mark.parametrize("build,z", ROUTE_B_POINTS, ids=ROUTE_B_IDS)
+    def test_route_b_input_is_the_frame_normalized_samples(self, monkeypatch, build, z):
+        # one stacked congruence of the stencil samples equals the per-row one
+        # of frame_normalized, bit for bit
+        z = np.array(z, dtype=complex)
+        E = build()
+        seen = []
+        lift = moments._sym_power_curvature
+        monkeypatch.setattr(moments, "_sym_power_curvature",
+                            lambda hs, *rest: seen.append(hs) or lift(hs, *rest))
+        verify_lemma_linear(E, z, 2, 1, mc_samples=100)
+        ref = chern_curvature(frame_normalized(E, z), z).samples
+        assert len(seen) == 1 and np.array_equal(seen[0], ref)
+
     @pytest.mark.parametrize("n", [2, 3])
-    def test_one_metric_evaluation_per_stencil_row(self, monkeypatch, n):
-        # the frame point once, then 64n^2 + 8n + 1 stencil rows shared by routes (a) and (b)
-        calls = collections.Counter()
-        checked_call = MetricField.__call__
-        monkeypatch.setattr(MetricField, "__call__",
-                            lambda f, z: calls.update([f.label]) or checked_call(f, z))
+    def test_one_metric_evaluation_per_stencil_row(self, metric_calls, n):
+        # 64n^2 + 8n + 1 stencil rows, row 0 at p, shared by every route
         rep = verify_lemma_linear(tangent_pn(n), np.zeros(n), 2, 1, mc_samples=100)
         assert rep["dev_algebra_vs_fd"] <= 1e-6
-        assert calls == {"tpn": 1, "tpn@norm": 64 * n * n + 8 * n + 1}
+        assert metric_calls == {"tpn": 64 * n * n + 8 * n + 1}
 
     def test_one_row_chunks_change_nothing(self, monkeypatch):
         E = load_metric_json(USER_METRIC)
         z = np.array([0.2 + 0.1j, -0.3])
-        R = chern_curvature(frame_normalized(E, z), z)
-        whole = moments._sym_power_curvature(R, 3, 2, "route-b")
+        hs = chern_curvature(frame_normalized(E, z), z).samples
+        whole = moments._sym_power_curvature(hs, 3, 2, "route-b")
         rep = verify_lemma_linear(E, z, 3, 2, mc_samples=100)
         monkeypatch.setattr(moments, "_MC_CHUNK_BYTES", 1)
-        assert np.array_equal(moments._sym_power_curvature(R, 3, 2, "route-b"), whole)
+        assert np.array_equal(moments._sym_power_curvature(hs, 3, 2, "route-b"), whole)
         # the Monte Carlo sums run in the same chunks, so only its z-score is rounded anew
         one_row = verify_lemma_linear(E, z, 3, 2, mc_samples=100)
         z_score = one_row.pop("mc_worst_over_3sigma")

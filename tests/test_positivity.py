@@ -415,6 +415,26 @@ class TestOneScan:
         got = boundedness_scan(E, L, n_points=3, seed=2, restarts=4)
         assert got.to_json() == reference_boundedness_scan(E, L, 3, 2, 4)
 
+    @pytest.mark.parametrize("scan", [
+        lambda E, L: positivity_scan(E, L, "nakano", n_points=3, seed=1, k=2, l=1),
+        lambda E, L: boundedness_scan(E, L, n_points=3, seed=1, restarts=2),
+    ], ids=["positivity", "boundedness"])
+    @pytest.mark.parametrize("E", [tangent_pn(2), load_metric_json(_USER_RANK2)],
+                             ids=["tpn", "user-rank2"])
+    def test_one_metric_evaluation_per_stencil_row(self, metric_calls, scan, E):
+        # each point samples L's stencil, then E's; h(p) of each is its row 0
+        scan(E, o_line(1, 2))
+        rows = 64 * 4 + 8 * 2 + 1
+        assert metric_calls == {E.label: 3 * rows, "o(1)": 3 * rows}
+
+    def test_polarization_form_one_evaluation_per_stencil_row(self, metric_calls):
+        L = o_line(2, 2)
+        z = np.array([0.3 - 0.1j, 0.2j])
+        g = polarization_form(L, z)
+        assert metric_calls == {"o(2)": 64 * 4 + 8 * 2 + 1}
+        # O(2) has curvature 2 omega_FS
+        assert np.allclose(g, 2 * fubini_study(2, z), atol=1e-7)
+
     def test_report_sign_rule(self):
         assert PositivityReport("nakano", 0.5, {}).to_json() == {
             "mode": "nakano", "min_value": 0.5, "witness": {}, "points": [],
