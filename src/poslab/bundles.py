@@ -11,9 +11,9 @@ Derived fields (``tpn_twist``, ``det_field``, ``frame_normalized``,
 ``sym_power_field``) are ``dataclasses.replace`` copies of their parent, so
 they inherit its ``base_dim`` and ``domain_radius``; their own call checks
 the point and their evaluator reads the parent's ``value`` on it.
-``frame_normalized`` and ``sym_power_field`` are per-point references for
-tests: the harnesses change frame once per point, in
-``geometry.normalize_at_point``.
+``det_field``, ``frame_normalized`` and ``sym_power_field`` are per-point
+references that no command uses: ``certify --l det`` lifts E's samples, and
+the harnesses change frame once per point, in ``geometry.normalize_at_point``.
 
 User metrics load from a JSON object (``read_json_object`` reads one) with
 keys ``rank``, ``base_dim``, ``entries`` (matrix of expression strings) and

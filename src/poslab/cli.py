@@ -17,8 +17,9 @@ import numpy as np
 from click.core import ParameterSource
 
 from . import __version__
-from .bundles import builtin, det_field, load_metric_json, read_json_object
+from .bundles import builtin, load_metric_json, read_json_object
 from .errors import DimMismatchError, ParamDomainError, PoslabError
+from .geometry import philox
 from .moments import moment_exact, moment_mc, verify_lemma_linear, verify_moments
 from .oracles import grassmannian_nonvanishing, pn_line_cohomology, prop_ex_consistency
 from .positivity import boundedness_scan, check_form_budget, estimate_check, positivity_scan
@@ -127,11 +128,7 @@ def cmd_region(n, r, k, m, eps1, eps2, theorem, svg_path, output):
             fh.write(region_svg(reg))
 
 
-def _resolve_bundle(ident, n, E=None):
-    if ident == "det":
-        if E is None:
-            raise click.UsageError("--L det needs a bundle to take the determinant of")
-        return det_field(E)
+def _resolve_bundle(ident, n):
     # a built-in ID wins over a same-named path; "./tpn" still names the file
     try:
         return builtin(ident, n)
@@ -166,17 +163,18 @@ def cmd_certify(bundle, n, which, line, twist, sym, det_power, points, seed, res
                                    "griffiths": (*block, "restarts"),
                                    "nakano": block, "dual": block})
     E = _resolve_bundle(bundle, n)
-    L = _resolve_bundle(line, n, E=E)
+    L = None if line == "det" else _resolve_bundle(line, n)  # None: det E, from E's samples
+    polarization = f"det({E.label})" if L is None else L.label
     if which == "bounds":
         cert = boundedness_scan(E, L, n_points=points, seed=seed, restarts=restarts)
-        _emit({"bundle": E.label, "polarization": L.label, "certificate": cert.to_json()},
-              output)
+        _emit({"bundle": E.label, "polarization": polarization,
+               "certificate": cert.to_json()}, output)
         return
     rep = positivity_scan(E, L, which, n_points=points, seed=seed, restarts=restarts,
                           k=sym, m=det_power, l=twist)
     _emit({
         "bundle": E.label,
-        "polarization": L.label,
+        "polarization": polarization,
         "sym": sym,
         "det": det_power,
         "twist": twist,
@@ -217,7 +215,7 @@ def cmd_verify(what, bundle, n, r, k, m, samples, trials, seed, output):
         if n < 1 or trials < 1:
             raise ParamDomainError(f"need --n >= 1 and --trials >= 1, got {n} and {trials}")
         check_form_budget(n)  # before the first n x n phi is drawn
-        rng = np.random.Generator(np.random.Philox(key=seed))
+        rng = philox(seed)
         worst = float("inf")
         for t, done in enumerate(range(0, trials, 50)):
             a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

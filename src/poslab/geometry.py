@@ -166,9 +166,13 @@ def check_stencil_budget(n: int, r: int, label: str) -> None:
 
 
 def _base_inverse(H: np.ndarray, label: str) -> np.ndarray:
-    """h(p)^-1, or SingularMetricError when h(p) is not finite or not positive definite."""
+    """h(p)^-1, or SingularMetricError when h(p) is not finite, not Hermitian or not
+    positive definite."""
     if not np.isfinite(H).all():
         raise SingularMetricError(f"metric {label!r} not finite at the evaluation point")
+    # eigvalsh and cholesky read one triangle: an unchecked defect would go unseen
+    if np.max(np.abs(H - H.conj().T)) > 1e-12 * np.max(np.abs(H)):
+        raise SingularMetricError(f"metric {label!r} not Hermitian at the evaluation point")
     ev = np.linalg.eigvalsh(H)
     # relative to the largest eigenvalue: a constant factor on h leaves the
     # curvature unchanged, so a small but well-conditioned h(p) is fine
@@ -249,21 +253,34 @@ def _orthonormalizer(a: np.ndarray) -> np.ndarray:
     return np.linalg.inv(L).T
 
 
-def normalize_at_point(h: MetricField, g: np.ndarray | None, p) -> CurvatureTensor:
+def normalize_at_point(h: MetricField | CurvatureTensor, g: np.ndarray | None, p) -> CurvatureTensor:
     """Curvature of h at p in g-orthonormal coordinates and h-orthonormal frame.
 
-    ``g`` is the polarization form at p, an n x n Hermitian positive matrix,
-    or None for the identity.  The new tangent vectors are the columns of
-    P = _orthonormalizer(g), the new frame vectors those of
+    ``h`` is the metric field, or its ``chern_curvature`` at p when already
+    sampled.  ``g`` is the polarization form at p, an n x n Hermitian positive
+    matrix, or None for the identity.  The new tangent vectors are the columns
+    of P = _orthonormalizer(g), the new frame vectors those of
     Q = _orthonormalizer(h(p)), h(p) being row 0 of the samples the result keeps.
     """
     n = h.base_dim
-    R = chern_curvature(h, as_point(p, n))
+    R = h if isinstance(h, CurvatureTensor) else chern_curvature(h, as_point(p, n))
     gp = np.eye(n, dtype=complex) if g is None else np.asarray(g, dtype=complex)
     P = _orthonormalizer(gp)
     Q = _orthonormalizer(R.samples[0])
     vals = np.einsum("ijab,ix,jy,au,bv->xyuv", R.values, P, P.conj(), Q, Q.conj())
     return CurvatureTensor(vals, normalized=True, samples=R.samples)
+
+
+def philox(seed) -> np.random.Generator:
+    """The counter-based Philox generator keyed by ``seed``, the one constructor
+    of every random stream.  A key numpy does not take (an int outside
+    0 .. 2**128 - 1, or a pair with an entry outside 0 .. 2**64 - 1) is a
+    ParamDomainError."""
+    try:
+        return np.random.Generator(np.random.Philox(key=seed))
+    except (ValueError, OverflowError) as exc:
+        raise ParamDomainError(f"seed is not a Philox key (an int in 0 .. 2**128 - 1, or a "
+                               f"pair of ints in 0 .. 2**64 - 1): {exc}") from exc
 
 
 _SAMPLE_RADIUS = 2.0
@@ -273,7 +290,7 @@ def sample_points(n: int, count: int, seed: int = 0) -> list[np.ndarray]:
     """Origin plus radial-uniform points with |z| <= 2, deterministic."""
     if n < 1 or count < 1:
         raise ParamDomainError(f"need base dimension and point count >= 1, got {n} and {count}")
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = philox(seed)
     pts = [np.zeros(n, dtype=complex)]
     while len(pts) < count:
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)

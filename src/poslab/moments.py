@@ -52,12 +52,14 @@ from .geometry import (
     as_point,
     check_stencil_budget,
     normalize_at_point,
+    philox,
 )
 from .regions import MAX_REGION_MEMBERS
 from .symbundle import (
     MultiIndex,
     _contract_with_trace,
     _sym_metric_rows,
+    check_float_range,
     check_sym_budget,
     generalized_delta,
     induced_sym_det_curvature,
@@ -103,7 +105,7 @@ def _sphere_blocks(r: int, samples: int, seed: int):
     callers size their buffers from the count before they draw.
     """
     check_samples(samples)
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = philox(seed)
 
     def blocks():
         for lo in range(0, samples, _SPHERE_BLOCK):
@@ -310,10 +312,10 @@ def verify_lemma_linear(bundle: MetricField, p, k: int, m, mc_samples: int = 200
 
     The metric of E is evaluated once per stencil row, 64n^2 + 8n + 1 times.
     Every budget (E's stencil, the S^k maps, route (b)'s
-    (64n^2 + 8n + 1, F, F) stack) and (d)'s sample floor are checked before
-    the first evaluation.  Returns max pairwise relative deviations of (a)-(c),
-    the worst MC z-score of (d) against (c), and ``ok``: deviations <= 1e-6
-    and z-score <= 1.
+    (64n^2 + 8n + 1, F, F) stack), the float range of m, (d)'s sample floor
+    and its seed are checked before the first evaluation.  Returns max
+    pairwise relative deviations of (a)-(c), the worst MC z-score of (d)
+    against (c), and ``ok``: deviations <= 1e-6 and z-score <= 1.
     """
     n, r = bundle.base_dim, bundle.rank
     z0 = as_point(p, n)
@@ -321,7 +323,9 @@ def verify_lemma_linear(bundle: MetricField, p, k: int, m, mc_samples: int = 200
     check_stencil_budget(n, r, bundle.label)
     check_sym_budget(r, k)
     check_stencil_budget(n, comb(r + k - 1, k), sym_label)
+    check_float_range(m=m)
     check_samples(mc_samples)
+    philox(seed)  # a seed numpy cannot key fails here, not after the sampling
     Rn = normalize_at_point(bundle, None, z0)
     Q = _orthonormalizer(Rn.samples[0])
 

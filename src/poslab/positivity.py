@@ -19,7 +19,8 @@ labeled as such.  The maximum is minus the minimum of -R.
 
 ``_scan_minima`` is the one loop over sample points: ``positivity_scan`` and
 ``boundedness_scan`` apply their measures to the same normalized
-S^k E (det E)^m L^l block at each point.
+S^k E (det E)^m L^l block at each point; L is a rank-1 field, or None for
+det E, lifted from E's own stencil samples, so no field is sampled twice.
 """
 
 from __future__ import annotations
@@ -46,9 +47,17 @@ from .geometry import (
     check_stencil_budget,
     chern_curvature,
     normalize_at_point,
+    philox,
     sample_points,
 )
-from .symbundle import MAX_SYM_MAP_ENTRIES, check_sym_budget, induced_sym_det_curvature, twist_by_line
+from .moments import _sym_power_curvature
+from .symbundle import (
+    MAX_SYM_MAP_ENTRIES,
+    check_float_range,
+    check_sym_budget,
+    induced_sym_det_curvature,
+    twist_by_line,
+)
 
 # an alternating Griffiths run stops when its value changes by less than this,
 # relative to 1 + |value|, or after _GRIFFITHS_ITERS iterations
@@ -165,7 +174,7 @@ def griffiths_min(R: CurvatureTensor, restarts: int = 32, seed: int = 0) -> Posi
     check_restarts(restarts)
     V, g = _values_and_gram(R)
     F = V.shape[2]
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = philox(seed)
     chunk = max(1, _GRIFFITHS_CHUNK_BYTES // (16 * F * F))
     best = None
     for start in range(0, restarts, chunk):
@@ -213,43 +222,54 @@ def polarization_form(L: MetricField, p) -> np.ndarray:
     if L.rank != 1:
         raise DimMismatchError(
             f"polarization {L.label!r} has rank {L.rank}; it must be a line bundle")
-    z0 = as_point(p, L.base_dim)
-    R = chern_curvature(L, z0)
-    hL = R.samples[0, 0, 0].real
-    gmat = R.values[:, :, 0, 0] / hL
+    R = chern_curvature(L, as_point(p, L.base_dim))
+    return _positive_form(R.values / R.samples[0, 0, 0].real, L.label)
+
+
+def _positive_form(omega: np.ndarray, label: str) -> np.ndarray:
+    """omega[:, :, 0, 0] of a frame-normalized line curvature, checked positive definite."""
+    gmat = omega[:, :, 0, 0]
     if np.min(np.linalg.eigvalsh(0.5 * (gmat + gmat.conj().T))) <= 0:
         raise NonpositivePolarizationError(
-            f"curvature of {L.label!r} is not positive at the sampled point"
+            f"curvature of {label!r} is not positive at the sampled point"
         )
     return gmat
 
 
-def sym_twisted_curvature_at(E: MetricField, L: MetricField, p, k: int, m,
+def sym_twisted_curvature_at(E: MetricField, L: MetricField | None, p, k: int, m,
                              l) -> CurvatureTensor:
     """Normalized curvature block of S^k E (det E)^m L^l at a point.
 
     Coordinates are orthonormalized against omega_L, so the line-bundle twist
-    contributes l * Id exactly.
+    contributes l * Id exactly.  L = None is det E: omega is the curvature of
+    S^0 h (det h)^1 = det h lifted from E's stencil samples, over det h(p).
     """
     z0 = as_point(p, E.base_dim)
-    Rn = normalize_at_point(E, polarization_form(L, z0), z0)
+    if L is None:
+        R, label = chern_curvature(E, z0), f"det({E.label})"
+        omega = _sym_power_curvature(R.samples, 0, 1, label) / np.linalg.det(R.samples[0]).real
+        Rn = normalize_at_point(R, _positive_form(omega, label), z0)
+    else:
+        Rn = normalize_at_point(E, polarization_form(L, z0), z0)
     Rsym = induced_sym_det_curvature(Rn, k, m)
     if l != 0:
         Rsym = twist_by_line(Rsym, line_curvature_tensor(np.eye(E.base_dim)), l)
     return Rsym
 
 
-def _scan_minima(E: MetricField, L: MetricField, measures, n_points: int, seed: int,
+def _scan_minima(E: MetricField, L: MetricField | None, measures, n_points: int, seed: int,
                  k: int, m, l):
     """Apply each measure (block -> PositivityReport) at every sample point.
 
     Returns the first smallest report per measure, its point in ``points``,
-    and the scanned points.  The stencils of L and E and the S^k maps are
-    checked against their budgets before the first metric evaluation.
+    and the scanned points.  The stencils of E and of L (unless None, det E),
+    the S^k maps, m, l and the seed are checked before the first metric call.
     """
-    check_stencil_budget(L.base_dim, L.rank, L.label)
+    if L is not None:
+        check_stencil_budget(L.base_dim, L.rank, L.label)
     check_stencil_budget(E.base_dim, E.rank, E.label)
     check_sym_budget(E.rank, k)
+    check_float_range(m=m, l=l)
     best = [None] * len(measures)
     scanned = []
     for p in sample_points(E.base_dim, n_points, seed=seed):
@@ -263,12 +283,12 @@ def _scan_minima(E: MetricField, L: MetricField, measures, n_points: int, seed: 
     return best, scanned
 
 
-def positivity_scan(E: MetricField, L: MetricField, test: str, n_points: int = 50,
+def positivity_scan(E: MetricField, L: MetricField | None, test: str, n_points: int = 50,
                     seed: int = 0, restarts: int = 32, k: int = 1, m=0,
                     l=0) -> PositivityReport:
     """Smallest "griffiths", "nakano" or "dual" value of S^k E (det E)^m L^l
-    over the sample points; the report's ``points`` is where it was found.
-    Only "griffiths" reads ``restarts``."""
+    over the sample points, L = None for det E; the report's ``points`` is
+    where it was found.  Only "griffiths" reads ``restarts``."""
     if test == "griffiths":
         check_restarts(restarts)
     measure = {"griffiths": lambda R: griffiths_min(R, restarts=restarts, seed=seed),
@@ -277,15 +297,15 @@ def positivity_scan(E: MetricField, L: MetricField, test: str, n_points: int = 5
     return best
 
 
-def boundedness_scan(E: MetricField, L: MetricField, n_points: int = 50, seed: int = 0,
+def boundedness_scan(E: MetricField, L: MetricField | None, n_points: int = 50, seed: int = 0,
                      restarts: int = 8) -> BoundednessCertificate:
     """Scan sample points for the extremal Griffiths values of E against omega_L.
 
     eps1 / eps2 are the global min / max of the normalized biquadratic
     Q(u, v) / omega_L(u, ubar) over the samples; ``strict`` records whether
-    eps2 exceeds eps1 by more than 1e-9, i.e. whether
-    Theta - eps * omega_L x Id is not identically zero on the scan.  The
-    k = 1 block is E's own normalized curvature.
+    eps2 exceeds eps1 by more than 1e-9, i.e. whether Theta - eps * omega_L x Id
+    is not identically zero on the scan.  The k = 1 block is E's own
+    normalized curvature; L = None is det E.
     """
     check_restarts(restarts)
 
@@ -337,7 +357,7 @@ class Form:
     @classmethod
     def random(cls, n, p, q, fiber_rank=1, seed=0):
         """A random form of unit coefficient norm."""
-        rng = np.random.Generator(np.random.Philox(key=seed))
+        rng = philox(seed)
         u = cls.zero(n, p, q, fiber_rank)
         c = rng.standard_normal(u.coeffs.shape) + 1j * rng.standard_normal(u.coeffs.shape)
         u.coeffs = c / np.linalg.norm(c)

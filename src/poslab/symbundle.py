@@ -156,6 +156,18 @@ def _derivation_map(r: int, k: int) -> np.ndarray:
     return T
 
 
+def check_float_range(**coefficients) -> None:
+    """Reject a coefficient (an exponent m or a twist l) that no float holds; the
+    float paths run it before their first metric evaluation.  ``_add_diagonal``
+    itself takes any int or Fraction into an object array."""
+    for name, value in coefficients.items():
+        try:
+            float(value)
+        except OverflowError as exc:
+            raise ParamDomainError(f"{name} in S^k E (det E)^m L^l is beyond the float "
+                                   f"range") from exc
+
+
 def _add_diagonal(out: np.ndarray, form: np.ndarray, coeff, gram: np.ndarray) -> None:
     """Add coeff * form_{i jbar} * delta_AB * gram_A to ``out`` in place."""
     if coeff != 0:

@@ -152,6 +152,7 @@ class TestCertifyCommand:
             "certify", "--bundle", "dsum(3,-1)", "--n", "2", "--test", "bounds",
             "--l", "det", "--points", "3", "--restarts", "6"])
         assert result.exit_code == 0
+        assert payload["polarization"] == "det(dsum(3,-1))"
         cert = payload["certificate"]
         assert abs(cert["eps1"] + 0.5) < 1e-6
         assert abs(cert["eps2"] - 1.5) < 1e-6
@@ -386,8 +387,34 @@ MOMENTS_OVER_RANGE = {
 }
 
 
+# seeds numpy's Philox cannot key, and coefficients that no float holds
+_BAD_SEEDS = {"negative": "-1", "2^128": str(2**128)}
+_HUGE = str(10**320)
+SEED_AND_RANGE = {
+    **{f"certify-seed-{name}": ["certify", "--bundle", "tpn", "--n", "2", "--test", "nakano",
+                                "--points", "1", "--seed", seed]
+       for name, seed in _BAD_SEEDS.items()},
+    **{f"verify-{what}-seed-{name}": ["verify", "--what", what, "--seed", seed]
+       for what in ("moments", "lemma-linear", "estimate") for name, seed in _BAD_SEEDS.items()},
+    "moments-seed-negative": ["moments", "--r", "2", "--a", "1", "--b", "1", "--seed", "-1"],
+    # estimate keys its forms by the pair (seed + batch, trial) of 64-bit ints
+    "verify-estimate-seed-2^64": ["verify", "--what", "estimate", "--n", "2", "--trials", "1",
+                           "--seed", str(2**64)],
+    **{f"certify{flag}-321-digits": ["certify", "--bundle", "tpn", "--n", "2", "--test", "nakano",
+                                     "--points", "1", flag, value]
+       for flag, value in (("--det", _HUGE), ("--twist", "-" + _HUGE))},
+    "lemma-linear-m-321-digits": ["verify", "--what", "lemma-linear", "--m", _HUGE],
+}
+# h(p) = [[1, 5], [0, 1]]: eigvalsh and cholesky read one triangle, and each
+# triangle alone is positive definite
+_SKEW = '{"rank": 2, "base_dim": 1, "entries": [["1", "5"], ["0", "1"]], "label": "skew"}'
+
 BAD_INPUT = [
     *(pytest.param(args, "PARAM_DOMAIN", id=name) for name, args in MOMENTS_OVER_RANGE.items()),
+    *(pytest.param(args, "PARAM_DOMAIN", id=name) for name, args in SEED_AND_RANGE.items()),
+    *(pytest.param([*args, "--bundle", _SKEW, "--n", "1"], "SINGULAR_METRIC", id=f"{name}-skew")
+      for name, args in (("certify", ["certify", "--test", "nakano", "--points", "2"]),
+                         ("lemma-linear", ["verify", "--what", "lemma-linear"]))),
     pytest.param(["moments", "--r", "3", "--a", "1,2", "--b", "1,2", "--samples", "50"],
                  "PARAM_DOMAIN", id="too-few-samples"),
     pytest.param(["moments", "--r", "3", "--a", "1,4", "--b", "1,4"], "PARAM_DOMAIN",
@@ -576,6 +603,14 @@ _ROWS_N2 = 64 * 4 + 8 * 2 + 1
                  id="certify-indefinite-metric"),
     pytest.param(["verify", "--what", "lemma-linear", "--bundle", _INDEFINITE, "--n", "2"],
                  "SINGULAR_METRIC", {"indefinite": 1}, id="lemma-linear-indefinite-metric"),
+    # det E comes from E's own stencil, so E is sampled first and stops at h(p)
+    pytest.param(["certify", "--bundle", _INDEFINITE, "--n", "2", "--test", "bounds",
+                  "--l", "det"], "SINGULAR_METRIC", {"indefinite": 1},
+                 id="certify-det-indefinite-metric"),
+    *(pytest.param(SEED_AND_RANGE[name], "PARAM_DOMAIN", {}, id=name)
+      for name in ("certify-seed-negative", "verify-lemma-linear-seed-2^128",
+                   "certify--det-321-digits", "certify--twist-321-digits",
+                   "lemma-linear-m-321-digits")),
 ])
 def test_rejected_after_exactly_these_metric_calls(runner, metric_calls, args, code, calls):
     result, payload = run_json(runner, args)
@@ -584,6 +619,28 @@ def test_rejected_after_exactly_these_metric_calls(runner, metric_calls, args, c
     assert metric_calls == calls
     if code == "SINGULAR_METRIC":
         assert "'indefinite' not positive definite" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize("args,calls", [
+    (["certify", "--test", "nakano", "--points", "2"], {"o(1)": 64 + 8 + 1, "skew": 1}),
+    (["verify", "--what", "lemma-linear"], {"skew": 1}),
+], ids=["certify", "lemma-linear"])
+def test_non_hermitian_metric_rejected_at_h_p(runner, metric_calls, args, calls):
+    result, payload = run_json(runner, [*args, "--bundle", _SKEW, "--n", "1"])
+    assert result.exit_code == 2, result.output
+    assert payload["error"]["code"] == "SINGULAR_METRIC"
+    assert "'skew' not Hermitian" in payload["error"]["message"]
+    assert metric_calls == calls
+
+
+def test_bundle_det_is_an_unknown_bundle(runner):
+    # "det" names a polarization only; as a bundle it is an ID like any other
+    result, payload = run_json(runner, ["certify", "--bundle", "det", "--n", "2",
+                                        "--test", "nakano"])
+    assert result.exit_code == 2, result.output
+    message = payload["error"]["message"]
+    assert "neither a built-in bundle ID" in message
+    assert "--L" not in message and "--l" not in message
 
 
 @pytest.mark.parametrize("owner,budget,at_budget,call", [

@@ -31,8 +31,9 @@ from poslab import (
     sym_twisted_curvature_at,
     tangent_pn,
 )
-from poslab.bundles import direct_sum, det_field, load_metric_json
+from poslab.bundles import direct_sum, det_field, load_metric_json, tangent_pn_twist
 from poslab.geometry import chern_curvature, normalize_at_point, fubini_study, sample_points
+from poslab.moments import _sym_power_curvature
 from poslab import positivity
 from poslab.positivity import (
     _gram_eigh,
@@ -441,6 +442,72 @@ class TestOneScan:
             "certified_sign": "positive"}
         for val in (0.0, -1.0):
             assert PositivityReport("griffiths", val, {}).certified_sign == "nonpositive_found"
+
+
+# benchmark user metric 5
+_USER5 = {
+    "rank": 2, "base_dim": 2, "label": "user5", "domain_radius": 10.0,
+    "entries": [[f"{_W} * (1 + 0.714 * abs2(z1))", f"{_W} * -0.264 * z1 * conj(z2)"],
+                [f"{_W} * -0.264 * conj(z1) * z2", f"{_W} * (1 + 0.468 * abs2(z2))"]],
+}
+_DET_FIELDS = {
+    "tpn3": lambda: tangent_pn(3),
+    "dsum123": lambda: direct_sum([1, 2, 3], 3),
+    "tpn_twist-1": lambda: tangent_pn_twist(-1, 2),
+    "user5": lambda: load_metric_json(_USER5),
+}
+
+
+class TestDetPolarization:
+    """L = None polarizes by det E, lifted from E's own stencil samples."""
+
+    @pytest.mark.parametrize("make", _DET_FIELDS.values(), ids=_DET_FIELDS.keys())
+    def test_lift_equals_det_field_curvature_bit_for_bit(self, make):
+        E = make()
+        for p in sample_points(E.base_dim, 3, seed=4)[1:]:
+            R = chern_curvature(E, p)
+            want = chern_curvature(det_field(E), p)
+            lift = _sym_power_curvature(R.samples, 0, 1, "det")
+            assert np.array_equal(lift, want.values)
+            assert np.linalg.det(R.samples[0]).real == want.samples[0, 0, 0].real
+            # and so the whole block against det E equals the one against det_field(E)
+            assert np.array_equal(sym_twisted_curvature_at(E, None, p, 2, 1, -1).values,
+                                  sym_twisted_curvature_at(E, det_field(E), p, 2, 1, -1).values)
+
+    @pytest.mark.parametrize("make", [lambda: tangent_pn(3), lambda: tangent_pn(5),
+                                      lambda: direct_sum([1, 2, 3], 3),
+                                      lambda: tangent_pn_twist(-1, 2)],
+                             ids=["tpn3", "tpn5", "dsum123", "tpn_twist-1"])
+    def test_lift_is_the_trace_of_theta_e(self, make):
+        # the paper's identity Theta_det E = tr_h Theta_E, the stored curvature of
+        # det h over det h(p)
+        E = make()
+        for p in sample_points(E.base_dim, 2, seed=9):
+            R = chern_curvature(E, p)
+            trace = np.einsum("ijab,ba->ij", R.values, np.linalg.inv(R.samples[0]))
+            lift = (_sym_power_curvature(R.samples, 0, 1, "det")[:, :, 0, 0]
+                    / np.linalg.det(R.samples[0]).real)
+            assert np.max(np.abs(lift - trace)) <= 1e-8 * np.max(np.abs(trace))
+
+    @pytest.mark.parametrize("scan", [
+        lambda E: positivity_scan(E, None, "nakano", n_points=3, seed=1, k=2, m=1, l=1),
+        lambda E: boundedness_scan(E, None, n_points=3, seed=1, restarts=2),
+    ], ids=["positivity", "boundedness"])
+    @pytest.mark.parametrize("E", [tangent_pn(2), direct_sum([1, 2], 2)],
+                             ids=["tpn", "dsum12"])
+    def test_one_metric_evaluation_per_stencil_row_of_e(self, metric_calls, scan, E):
+        # det E is lifted from E's samples: E once per stencil row, no second field
+        scan(E)
+        assert metric_calls == {E.label: 3 * (64 * 4 + 8 * 2 + 1)}
+
+    def test_bounds_of_a_sum_against_its_det(self):
+        cert = boundedness_scan(direct_sum([1, 2, 3], 3), None, n_points=2, seed=0, restarts=6)
+        assert abs(cert.eps1 - 1 / 6) < 1e-6
+        assert abs(cert.eps2 - 1 / 2) < 1e-6
+
+    def test_nonpositive_det_rejected(self):
+        with pytest.raises(NonpositivePolarizationError, match=r"det\(dsum\(1,-3\)\)"):
+            boundedness_scan(direct_sum([1, -3], 2), None, n_points=1)
 
 
 def loop_curvature_term(R, u):

@@ -227,6 +227,17 @@ class TestTwistByLine:
                 expect = 3 * S.gram[a] * np.eye(2) if a == b else np.zeros((2, 2))
                 assert np.allclose(diff[:, :, a, b].astype(complex), expect)
 
+    def test_exact_path_takes_coefficients_beyond_the_float_range(self):
+        # the float paths reject such an m or l before sampling; object arrays stay exact
+        big = 10**320
+        R = rational_curvature(1, 2, seed=4)
+        line = CurvatureTensor(np.full((1, 1, 1, 1), Fraction(1), dtype=object), normalized=True)
+        T = twist_by_line(induced_sym_det_curvature(R, 1, big), line, -big)
+        V = R.values[0, 0]
+        assert T.values[0, 0, 0, 0] == V[0, 0] + big * (V[0, 0] + V[1, 1]) - big
+        with pytest.raises(ParamDomainError):
+            symbundle.check_float_range(m=big)
+
     def test_rank_check(self):
         R = random_curvature(2, 2, seed=5)
         S = induced_sym_det_curvature(R, 1, 0)
