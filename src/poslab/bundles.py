@@ -62,7 +62,7 @@ def direct_sum(powers, n: int) -> MetricField:
 
     def ev(z):
         s = 1.0 + _norm2(z)
-        return np.diag([s ** (-a) for a in powers]).astype(complex)
+        return np.diag(np.array([s ** (-a) for a in powers], dtype=complex))
 
     label = "dsum(" + ",".join(f"{a:g}" for a in powers) + ")"
     return MetricField(rank=len(powers), base_dim=n, evaluate=ev, label=label)

@@ -16,6 +16,7 @@ coordinates, with d/dz = (d/dx - i d/dy)/2.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import functools
 import math
@@ -44,7 +45,7 @@ def as_point(z, n: int) -> np.ndarray:
     p = np.asarray(z, dtype=complex)
     if p.shape != (n,):
         raise ValueError(f"chart point must have {n} coordinates, got shape {p.shape}")
-    if not np.isfinite(p).all():
+    if not all(map(cmath.isfinite, p.tolist())):
         raise ValueError("chart point has non-finite coordinates")
     return p
 
@@ -135,7 +136,7 @@ def fubini_study(n: int, z) -> np.ndarray:
     p = as_point(z, n)
     s = 1.0 + float(np.vdot(p, p).real)
     g = p.conj()[:, None] * p / -(s**2)
-    g.flat[:: n + 1] += 1.0 / s
+    g.ravel()[:: n + 1] += 1.0 / s
     return g
 
 
@@ -232,8 +233,8 @@ def chern_curvature(h: MetricField, p, step: float = 1e-3) -> CurvatureTensor:
     points = z0 + step * _stencil_offsets(n)
     vals = np.empty((len(points), r, r), dtype=complex)
     vals[0] = H
-    for row in range(1, len(points)):
-        vals[row] = h(points[row])
+    for row, z in enumerate(points[1:], 1):
+        vals[row] = h(z)
     R = _curvature_from_samples(vals, h.label, step, Hinv)
     return CurvatureTensor(R, normalized=False, samples=vals)
 
@@ -261,22 +262,33 @@ def normalize_at_point(h: MetricField | CurvatureTensor, g: np.ndarray | None, p
     matrix, or None for the identity.  The new tangent vectors are the columns
     of P = _orthonormalizer(g), the new frame vectors those of
     Q = _orthonormalizer(h(p)), h(p) being row 0 of the samples the result keeps.
+
+    The change R[x, y, u, v] = sum R[i, j, a, b] P[i, x] conj(P[j, y]) Q[a, u]
+    conj(Q[b, v]) runs as three matrix products, P^T over i, P^H over j and
+    Q^T . conj(Q) over the fiber, so it costs n^3 r^2 + n^2 r^3 rather than
+    the n^4 r^4 of one unoptimized contraction over all four indices.
     """
     n = h.base_dim
     R = h if isinstance(h, CurvatureTensor) else chern_curvature(h, as_point(p, n))
+    r = R.rank
     gp = np.eye(n, dtype=complex) if g is None else np.asarray(g, dtype=complex)
     P = _orthonormalizer(gp)
     Q = _orthonormalizer(R.samples[0])
-    vals = np.einsum("ijab,ix,jy,au,bv->xyuv", R.values, P, P.conj(), Q, Q.conj())
-    return CurvatureTensor(vals, normalized=True, samples=R.samples)
+    vals = (P.T @ R.values.reshape(n, -1)).reshape(n, n, r * r)
+    vals = (P.conj().T @ vals).reshape(n, n, r, r)
+    return CurvatureTensor(Q.T @ vals @ Q.conj(), normalized=True, samples=R.samples)
 
 
 def philox(seed) -> np.random.Generator:
     """The counter-based Philox generator keyed by ``seed``, the one constructor
-    of every random stream.  A key numpy does not take (an int outside
-    0 .. 2**128 - 1, or a pair with an entry outside 0 .. 2**64 - 1) is a
-    ParamDomainError."""
+    of every random stream.  A key outside the Philox key range (an int outside
+    0 .. 2**128 - 1, or a tuple or list pair of ints with an entry outside
+    0 .. 2**64 - 1) is a ParamDomainError."""
     try:
+        if isinstance(seed, (tuple, list)):
+            # numpy would wrap a negative entry to uint64 and can round one above
+            # 2**63 through float64; as uint64 each int entry is exact or an OverflowError
+            seed = np.array(seed, dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=seed))
     except (ValueError, OverflowError) as exc:
         raise ParamDomainError(f"seed is not a Philox key (an int in 0 .. 2**128 - 1, or a "

@@ -16,10 +16,56 @@ from poslab import (
     tangent_pn,
     tangent_pn_twist,
 )
+from poslab import bundles
 from poslab.bundles import builtin, det_field, direct_sum, frame_normalized, load_metric_json
-from poslab.geometry import _orthonormalizer
+from poslab.geometry import _orthonormalizer, as_point, philox
 
-from conftest import constant_metric, random_positive
+from conftest import constant_metric, random_curvature, random_positive
+
+_NON_FINITE = [complex(np.nan, 0), complex(np.inf, 0), complex(-np.inf, 0),
+               complex(0, np.nan), complex(0, np.inf), complex(0, -np.inf)]
+_NON_FINITE_IDS = ["nan-re", "inf-re", "-inf-re", "nan-im", "inf-im", "-inf-im"]
+
+
+class TestChartPoint:
+    @pytest.mark.parametrize("z", [[0.5, -1.0], (0.5, -1.0), np.array([0.5, -1.0]),
+                                   np.array([0.5 + 0j, -1.0])],
+                             ids=["list", "tuple", "real-array", "complex-array"])
+    def test_accepted_inputs_become_complex_points(self, z):
+        p = as_point(z, 2)
+        assert p.dtype == complex and p.shape == (2,)
+        assert np.array_equal(p, [0.5, -1.0])
+
+    @pytest.mark.parametrize("bad", _NON_FINITE, ids=_NON_FINITE_IDS)
+    def test_non_finite_coordinate_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            as_point([0.1, bad], 2)
+
+    @pytest.mark.parametrize("z", [[0.1], [0.1, 0.2, 0.3], [[0.1, 0.2]], 0.1],
+                             ids=["short", "long", "2-d", "scalar"])
+    def test_wrong_shape_rejected(self, z):
+        with pytest.raises(ValueError, match="must have 2 coordinates"):
+            as_point(z, 2)
+
+    @pytest.mark.parametrize("bad", _NON_FINITE, ids=_NON_FINITE_IDS)
+    def test_metric_call_rejects_before_evaluate(self, bad):
+        seen = []
+        E = MetricField(rank=1, base_dim=2, label="watched",
+                        evaluate=lambda z: seen.append(z) or np.eye(1))
+        with pytest.raises(ValueError, match="non-finite"):
+            E([bad, 0.0])
+        with pytest.raises(ValueError, match="must have 2 coordinates"):
+            E([0.0])
+        assert seen == []
+
+    @pytest.mark.parametrize("z", [[0.5, -1.0], (0.5, -1.0), np.array([0.5, -1.0])],
+                             ids=["list", "tuple", "real-array"])
+    def test_metric_call_passes_a_complex_point(self, z):
+        seen = []
+        E = MetricField(rank=1, base_dim=2, label="watched",
+                        evaluate=lambda z: seen.append(z) or np.eye(1))
+        assert np.array_equal(E(z), np.eye(1))
+        assert seen[0].dtype == complex and np.array_equal(seen[0], [0.5, -1.0])
 
 
 class TestFubiniStudy:
@@ -71,6 +117,15 @@ class TestChernCurvature:
                         evaluate=lambda z: points.append(z) or fubini_study(n, z))
         chern_curvature(E, np.zeros(n))
         assert len(points) == 64 * n * n + 8 * n + 1
+
+    def test_tpn_stencil_rows_reach_fubini_study_by_name(self, monkeypatch):
+        # tangent_pn evaluates through the module-global name bundles.fubini_study,
+        # one call per stencil row; a trace that rebinds that name relies on it
+        calls = []
+        fs = bundles.fubini_study
+        monkeypatch.setattr(bundles, "fubini_study", lambda n, z: calls.append(z) or fs(n, z))
+        chern_curvature(tangent_pn(2), np.array([0.2 - 0.1j, 0.3j]))
+        assert len(calls) == 64 * 2 * 2 + 8 * 2 + 1 == 273
 
     def test_hermitian_symmetry(self):
         for p in sample_points(2, 6, seed=1):
@@ -251,6 +306,12 @@ class TestFrameCovariance:
         assert np.max(np.abs(Rt - expect)) < 1e-7 * scale
 
 
+def five_operand_frame_change(values, g, h_p):
+    """normalize_at_point's frame change as one unoptimized five-operand einsum."""
+    P, Q = _orthonormalizer(g), _orthonormalizer(h_p)
+    return np.einsum("ijab,ix,jy,au,bv->xyuv", values, P, P.conj(), Q, Q.conj())
+
+
 class TestNormalizeAtPoint:
     def test_identity_data_unchanged(self):
         E = o_line(1, 2)
@@ -268,6 +329,28 @@ class TestNormalizeAtPoint:
         Rn = normalize_at_point(E, None, np.zeros(2))
         Rn4 = normalize_at_point(E4, None, np.zeros(2))
         assert np.allclose(Rn.values, Rn4.values, atol=1e-9)
+
+    @pytest.mark.parametrize("n,r", [(1, 3), (3, 2), (2, 4), (6, 6)])
+    def test_matches_five_operand_contraction(self, n, r):
+        R = random_curvature(n, r, seed=100 + 10 * n + r, normalized=False)
+        rng = np.random.Generator(np.random.Philox(key=n * r))
+        R.samples = rng.standard_normal((3, r, r)) + 0j
+        R.samples[0] = random_positive(r, seed=200 + r)
+        g = random_positive(n, seed=300 + n)
+        p = 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        want = five_operand_frame_change(R.values, g, R.samples[0])
+        Rn = normalize_at_point(R, g, p)
+        assert Rn.values.shape == (n, n, r, r)
+        assert np.max(np.abs(Rn.values - want)) <= 1e-13 * np.max(np.abs(want))
+        assert Rn.normalized and Rn.samples is R.samples
+
+    def test_field_off_origin_matches_five_operand_contraction(self):
+        E, p = tangent_pn_twist(1, 3), np.array([0.4 - 0.2j, 0.1j, -0.3])
+        g = random_positive(3, seed=17)
+        R = chern_curvature(E, p)
+        want = five_operand_frame_change(R.values, g, E(p))
+        got = normalize_at_point(E, g, p).values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_pairing_convention(self):
         # after normalization the indices-down pairing of g is the plain norm:
@@ -310,6 +393,31 @@ class TestOneEvaluationPerStencilRow:
         with pytest.raises(SingularMetricError, match="'indefinite' not positive definite"):
             normalize_at_point(E, None, np.zeros(2))
         assert metric_calls == {"indefinite": 1}
+
+
+class TestPhilox:
+    @pytest.mark.parametrize("seed", [(-1, 2), (2, -1), [-3, 0], -1, (2**64, 0), 2**128,
+                                      (1, 2, 3), ()],
+                             ids=["negative-first", "negative-second", "negative-in-list",
+                                  "negative-int", "entry-too-large", "int-too-large", "triple",
+                                  "empty"])
+    def test_key_outside_range_rejected(self, seed):
+        # numpy itself wraps a negative pair entry to uint64
+        with pytest.raises(ParamDomainError, match="not a Philox key"):
+            philox(seed)
+
+    def test_valid_keys_unchanged(self):
+        for seed in (0, 7, 2**128 - 1, (0, 0), (5, 9), [3, 4], np.array([5, 9], dtype=np.uint64)):
+            want = np.random.Generator(np.random.Philox(key=seed)).random(3)
+            assert np.array_equal(philox(seed).random(3), want)
+
+    def test_large_pair_entries_keyed_exactly(self):
+        # a tuple with an entry above 2**63 reaches numpy as float64, where
+        # 2**64 - 1 and 2**64 - 2 round to one key
+        for seed in ((2**64 - 1, 0), (2**64 - 2, 0), (2**63 + 5, 1)):
+            want = np.random.Generator(np.random.Philox(key=np.array(seed, dtype=np.uint64)))
+            assert np.array_equal(philox(seed).random(3), want.random(3))
+        assert philox((2**64 - 1, 0)).random() != philox((2**64 - 2, 0)).random()
 
 
 class TestSamplePoints:

@@ -624,3 +624,8 @@ class TestEstimate:
     def test_bad_bidegree(self):
         with pytest.raises(BidegreeError):
             estimate_check(np.eye(2), 3, 0)
+
+    def test_negative_seed_rejected(self):
+        # trial t draws from the pair key (seed, t): numpy would wrap -1 to 2**64 - 1
+        with pytest.raises(ParamDomainError, match="not a Philox key"):
+            estimate_check(np.eye(2), 1, 1, seed=-1)
