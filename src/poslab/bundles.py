@@ -12,8 +12,8 @@ Derived fields (``tpn_twist``, ``det_field``, ``frame_normalized``,
 they inherit its ``base_dim`` and ``domain_radius``; their own call checks
 the point and their evaluator reads the parent's ``value`` on it.
 ``det_field``, ``frame_normalized`` and ``sym_power_field`` are per-point
-references that no command uses: ``certify --l det`` lifts E's samples, and
-the harnesses change frame once per point, in ``geometry.normalize_at_point``.
+references that no command uses: ``certify --l det`` and lemma-linear lift the samples
+of E's ``chern_curvature``, whose frame ``geometry.normalize_at_point`` changes once.
 
 User metrics load from a JSON object (``read_json_object`` reads one) with
 keys ``rank``, ``base_dim``, ``entries`` (matrix of expression strings) and

@@ -216,6 +216,7 @@ def cmd_verify(what, bundle, n, r, k, m, samples, trials, seed, output):
             raise ParamDomainError(f"need --n >= 1 and --trials >= 1, got {n} and {trials}")
         check_form_budget(n)  # before the first n x n phi is drawn
         rng = philox(seed)
+        philox((seed + (trials - 1) // 50, 0))  # the last batch's form key, before any draw
         worst = float("inf")
         for t, done in enumerate(range(0, trials, 50)):
             a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

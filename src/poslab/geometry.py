@@ -20,6 +20,7 @@ import cmath
 import dataclasses
 import functools
 import math
+import operator
 from typing import Callable
 
 import numpy as np
@@ -27,9 +28,10 @@ import numpy as np
 from .errors import ParamDomainError, SingularMetricError, StencilOutOfChartError
 
 # 4th-order Wirtinger stencil d/dz = (d/dx - i d/dy)/2 at chart offsets
-# o * step: weights c/2 on the real axis and -i c/2 on the imaginary axis, for
+# o * _STEP: weights c/2 on the real axis and -i c/2 on the imaginary axis, for
 # the central first-derivative coefficients c = (1, -8, 8, -1)/12.  d/dzbar
-# takes the conjugate weights.
+# takes the conjugate weights.  Every curvature, sampled or lifted, is taken at _STEP.
+_STEP = 1e-3
 _STENCIL_OFFS = np.array([-2, -1, 1, 2, -2j, -1j, 1j, 2j])
 _STENCIL_WEIGHTS = np.array([1, -8, 8, -1, -1j, 8j, -8j, 1j]) / 24
 # d/dz^i d/dzbar^j: weight of the offset pair (a, b) at index 8a + b
@@ -98,9 +100,9 @@ class CurvatureTensor:
     with g(p) = Id); the positivity and symmetric-power routines require it.
     ``gram`` is the diagonal of the fiber basis's Gram matrix: all ones by
     default, the multiplicity factorials for a symmetric-power block.
-    ``samples`` is the metric on the 64n^2 + 8n + 1 rows of ``_stencil_offsets(n)``,
-    in the field's own frame, with row 0 = h(p); chern_curvature and
-    normalize_at_point set it, and it is None on every other tensor.
+    ``samples`` is the metric on the 64n^2 + 8n + 1 rows of ``_stencil_offsets(n)``
+    at _STEP, in the field's own frame, with row 0 = h(p); only chern_curvature
+    sets it, and it is None on every other tensor.
     """
 
     values: np.ndarray
@@ -183,7 +185,7 @@ def _base_inverse(H: np.ndarray, label: str) -> np.ndarray:
     return np.linalg.inv(H)
 
 
-def _curvature_from_samples(vals: np.ndarray, label: str, step: float = 1e-3,
+def _curvature_from_samples(vals: np.ndarray, label: str,
                             Hinv: np.ndarray | None = None) -> np.ndarray:
     """R_{i jbar alpha betabar} from the metric ``vals`` at the rows of
     ``_stencil_offsets(n)``, row 0 the base value h(p); ``vals`` is not modified.
@@ -203,14 +205,14 @@ def _curvature_from_samples(vals: np.ndarray, label: str, step: float = 1e-3,
         raise SingularMetricError(f"metric {label!r} not finite on the stencil")
     # every weight row sums to 0: subtracting h(p) leaves the derivatives
     # unchanged and makes those of a constant field exactly 0
-    dh = (_STENCIL_WEIGHTS @ (vals[1:1 + 8 * n] - H).reshape(n, 8, r * r)).reshape(n, r, r) / step
+    dh = (_STENCIL_WEIGHTS @ (vals[1:1 + 8 * n] - H).reshape(n, 8, r * r)).reshape(n, r, r) / _STEP
     mixed = vals[1 + 8 * n:].reshape(n, 64 * n, r, r)
     dd = np.stack([_MIXED_WEIGHTS @ (mixed[i] - H).reshape(n, 64, r * r)
                    for i in range(n)]).reshape(n, n, r, r)
-    return np.einsum("iab,jdb->ijad", dh @ Hinv, dh.conj()) - dd / step**2
+    return np.einsum("iab,jdb->ijad", dh @ Hinv, dh.conj()) - dd / _STEP**2
 
 
-def chern_curvature(h: MetricField, p, step: float = 1e-3) -> CurvatureTensor:
+def chern_curvature(h: MetricField, p) -> CurvatureTensor:
     """Finite-difference Chern curvature of (E, h) at ``p``, in the frame of h.
 
     The metric is evaluated once per row of ``_stencil_offsets(n)`` and the
@@ -230,12 +232,12 @@ def chern_curvature(h: MetricField, p, step: float = 1e-3) -> CurvatureTensor:
 
     H = h(z0)
     Hinv = _base_inverse(H, h.label)
-    points = z0 + step * _stencil_offsets(n)
+    points = z0 + _STEP * _stencil_offsets(n)
     vals = np.empty((len(points), r, r), dtype=complex)
     vals[0] = H
     for row, z in enumerate(points[1:], 1):
         vals[row] = h(z)
-    R = _curvature_from_samples(vals, h.label, step, Hinv)
+    R = _curvature_from_samples(vals, h.label, Hinv)
     return CurvatureTensor(R, normalized=False, samples=vals)
 
 
@@ -254,43 +256,40 @@ def _orthonormalizer(a: np.ndarray) -> np.ndarray:
     return np.linalg.inv(L).T
 
 
-def normalize_at_point(h: MetricField | CurvatureTensor, g: np.ndarray | None, p) -> CurvatureTensor:
-    """Curvature of h at p in g-orthonormal coordinates and h-orthonormal frame.
+def normalize_at_point(R: CurvatureTensor, g: np.ndarray | None) -> CurvatureTensor:
+    """The ``chern_curvature`` tensor R in g-orthonormal coordinates and h-orthonormal frame.
 
-    ``h`` is the metric field, or its ``chern_curvature`` at p when already
-    sampled.  ``g`` is the polarization form at p, an n x n Hermitian positive
+    ``g`` is the polarization form at R's point, an n x n Hermitian positive
     matrix, or None for the identity.  The new tangent vectors are the columns
     of P = _orthonormalizer(g), the new frame vectors those of
-    Q = _orthonormalizer(h(p)), h(p) being row 0 of the samples the result keeps.
+    Q = _orthonormalizer(h(p)), h(p) being row 0 of R's samples; the result has none.
 
     The change R[x, y, u, v] = sum R[i, j, a, b] P[i, x] conj(P[j, y]) Q[a, u]
     conj(Q[b, v]) runs as three matrix products, P^T over i, P^H over j and
     Q^T . conj(Q) over the fiber, so it costs n^3 r^2 + n^2 r^3 rather than
     the n^4 r^4 of one unoptimized contraction over all four indices.
     """
-    n = h.base_dim
-    R = h if isinstance(h, CurvatureTensor) else chern_curvature(h, as_point(p, n))
-    r = R.rank
+    n, r = R.base_dim, R.rank
     gp = np.eye(n, dtype=complex) if g is None else np.asarray(g, dtype=complex)
     P = _orthonormalizer(gp)
     Q = _orthonormalizer(R.samples[0])
     vals = (P.T @ R.values.reshape(n, -1)).reshape(n, n, r * r)
     vals = (P.conj().T @ vals).reshape(n, n, r, r)
-    return CurvatureTensor(Q.T @ vals @ Q.conj(), normalized=True, samples=R.samples)
+    return CurvatureTensor(Q.T @ vals @ Q.conj(), normalized=True)
 
 
 def philox(seed) -> np.random.Generator:
     """The counter-based Philox generator keyed by ``seed``, the one constructor
     of every random stream.  A key outside the Philox key range (an int outside
-    0 .. 2**128 - 1, or a tuple or list pair of ints with an entry outside
-    0 .. 2**64 - 1) is a ParamDomainError."""
+    0 .. 2**128 - 1, or a tuple, list or array pair with an entry that is not an
+    int in 0 .. 2**64 - 1) is a ParamDomainError."""
     try:
-        if isinstance(seed, (tuple, list)):
-            # numpy would wrap a negative entry to uint64 and can round one above
-            # 2**63 through float64; as uint64 each int entry is exact or an OverflowError
-            seed = np.array(seed, dtype=np.uint64)
+        if isinstance(seed, (tuple, list)) or isinstance(seed, np.ndarray) and seed.ndim:
+            # numpy would wrap a negative entry, truncate a float one and can round one
+            # above 2**63 through float64; each operator.index entry is exact or an error
+            seed = np.array([operator.index(x) for x in seed], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=seed))
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, TypeError) as exc:
         raise ParamDomainError(f"seed is not a Philox key (an int in 0 .. 2**128 - 1, or a "
                                f"pair of ints in 0 .. 2**64 - 1): {exc}") from exc
 

@@ -23,12 +23,12 @@ applied as one contraction.
 
 The two Monte Carlo harnesses, ``verify_moments`` and ``verify_lemma_linear``,
 return their own ``ok`` and judge z-scores through one gate, ``_worst_over_3sigma``.
-``verify_lemma_linear`` samples the metric once: route (b) lifts the stencil
-samples of ``normalize_at_point``'s tensor, in its frame, to S^k h (det h)^m.
+``verify_lemma_linear`` samples the metric once: route (b) lifts the samples of
+E's ``chern_curvature``, in route (a)'s frame, to S^k h (det h)^m.
 
 ``moment_mc``, ``moment_mc_table`` and ``integral_formula_mc`` share one
 streaming estimator, ``_sphere_moments``.  It reads the sphere stream in row
-chunks of at most _MC_CHUNK_BYTES, so memory does not grow with the sample
+chunks of at most _CHUNK_BYTES, so memory does not grow with the sample
 count, and reports one stderr, sqrt((E|X|^2 - |E X|^2) / s), from the raw
 second moment.  ``moment_mc`` and ``moment_mc_table`` divide by one float
 scale, (r-1)!, and reject r whose (r-1)! is above the float range (r >= 172)
@@ -47,29 +47,25 @@ from .errors import FrameNotNormalizedError, LengthMismatchError, ParamDomainErr
 from .geometry import (
     CurvatureTensor,
     MetricField,
-    _curvature_from_samples,
     _orthonormalizer,
     as_point,
     check_stencil_budget,
+    chern_curvature,
     normalize_at_point,
     philox,
 )
 from .regions import MAX_REGION_MEMBERS
 from .symbundle import (
+    _CHUNK_BYTES,
     MultiIndex,
     _contract_with_trace,
-    _sym_metric_rows,
+    _sym_power_curvature,
     check_float_range,
     check_sym_budget,
     generalized_delta,
     induced_sym_det_curvature,
     sym_basis,
 )
-
-# Byte budget of one row chunk of the Monte Carlo estimator, whose per-sample
-# terms phi x V form a (D, F) complex array, and of the (rows, F, r^k) gather
-# product that lifts metric samples to S^k h.
-_MC_CHUNK_BYTES = 1 << 22
 
 # Samples per block of the sphere stream.  Changing it changes every stream
 # longer than one block.
@@ -147,7 +143,7 @@ def _sphere_moments(r: int, basis, samples: int, seed: int, weight=None):
         Q = Q.reshape(r * r, D)
     else:
         D = 1
-    chunk = max(1, _MC_CHUNK_BYTES // (16 * D * F))
+    chunk = max(1, _CHUNK_BYTES // (16 * D * F))
     first = np.zeros((D * F, F), dtype=complex)
     second = np.zeros((D * F, F))
     if weight is not None:
@@ -278,35 +274,13 @@ def verify_moments(r: int, k: int, samples: int, seed: int = 0) -> dict:
             "worst_over_3sigma": worst, "ok": bool(worst <= 1.0), "moments": rows}
 
 
-def _sym_power_curvature(hs: np.ndarray, k: int, m, label: str) -> np.ndarray:
-    """Finite-difference curvature of S^k h (det h)^m on the metric samples ``hs``,
-    one per row of ``_stencil_offsets(n)``; ``label`` names the field in errors.
-
-    The samples are lifted in row chunks of at most _MC_CHUNK_BYTES of gather
-    product.  Each power det(h)^m is taken on a float scalar, as
-    ``sym_power_field`` does, so the lifted values are those of that field.
-    The caller checks the S^k and stencil budgets.
-    """
-    N, r = hs.shape[:2]
-    F = comb(r + k - 1, k)
-    rows = max(1, _MC_CHUNK_BYTES // (16 * F * r**k))
-    lifted = np.empty((N, F, F), dtype=complex)
-    for lo in range(0, N, rows):
-        chunk = hs[lo:lo + rows]
-        s = _sym_metric_rows(chunk, k)
-        if m != 0:
-            s = s * np.array([d ** m for d in np.linalg.det(chunk).real])[:, None, None]
-        lifted[lo:lo + rows] = s
-    return _curvature_from_samples(lifted, label)
-
-
 def verify_lemma_linear(bundle: MetricField, p, k: int, m, mc_samples: int = 20000,
                         seed: int = 0) -> dict:
     """Three deterministic routes to the S^k E (det E)^m curvature, plus MC.
 
     (a) derivation-rule algebra on the normalize_at_point curvature of E;
     (b) finite-difference curvature of the explicit S^k h (det h)^m metric,
-        lifted from (a)'s samples, taken to (a)'s frame by one congruence;
+        lifted from E's stencil samples, taken to (a)'s frame by one congruence;
     (c) exact moment expansion of the integral formula;
     (d) Monte Carlo quadrature of the integral formula.
 
@@ -326,11 +300,12 @@ def verify_lemma_linear(bundle: MetricField, p, k: int, m, mc_samples: int = 200
     check_float_range(m=m)
     check_samples(mc_samples)
     philox(seed)  # a seed numpy cannot key fails here, not after the sampling
-    Rn = normalize_at_point(bundle, None, z0)
-    Q = _orthonormalizer(Rn.samples[0])
+    R = chern_curvature(bundle, z0)
+    Rn = normalize_at_point(R, None)
+    Q = _orthonormalizer(R.samples[0])
 
     a = induced_sym_det_curvature(Rn, k, m).values.astype(complex)
-    b = _sym_power_curvature(Q.T @ Rn.samples @ Q.conj(), k, m, sym_label)
+    b = _sym_power_curvature(Q.T @ R.samples @ Q.conj(), k, m, sym_label)
     c = integral_formula_tensor(Rn, k, m).values.astype(complex)
     d_est, d_err = integral_formula_mc(Rn, k, m, samples=mc_samples, seed=seed)
 

@@ -20,7 +20,7 @@ labeled as such.  The maximum is minus the minimum of -R.
 ``_scan_minima`` is the one loop over sample points: ``positivity_scan`` and
 ``boundedness_scan`` apply their measures to the same normalized
 S^k E (det E)^m L^l block at each point; L is a rank-1 field, or None for
-det E, lifted from E's own stencil samples, so no field is sampled twice.
+det E, lifted from the samples of E's ``chern_curvature``, so no field is sampled twice.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ from .geometry import (
     philox,
     sample_points,
 )
-from .moments import _sym_power_curvature
 from .symbundle import (
     MAX_SYM_MAP_ENTRIES,
+    _sym_power_curvature,
     check_float_range,
     check_sym_budget,
     induced_sym_det_curvature,
@@ -248,10 +248,11 @@ def sym_twisted_curvature_at(E: MetricField, L: MetricField | None, p, k: int, m
     if L is None:
         R, label = chern_curvature(E, z0), f"det({E.label})"
         omega = _sym_power_curvature(R.samples, 0, 1, label) / np.linalg.det(R.samples[0]).real
-        Rn = normalize_at_point(R, _positive_form(omega, label), z0)
+        g = _positive_form(omega, label)
     else:
-        Rn = normalize_at_point(E, polarization_form(L, z0), z0)
-    Rsym = induced_sym_det_curvature(Rn, k, m)
+        g = polarization_form(L, z0)  # L's stencil before E's
+        R = chern_curvature(E, z0)
+    Rsym = induced_sym_det_curvature(normalize_at_point(R, g), k, m)
     if l != 0:
         Rsym = twist_by_line(Rsym, line_curvature_tensor(np.eye(E.base_dim)), l)
     return Rsym

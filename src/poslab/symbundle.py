@@ -25,13 +25,16 @@ from math import comb, factorial, prod
 import numpy as np
 
 from .errors import DimMismatchError, FrameNotNormalizedError, LengthMismatchError, ParamDomainError
-from .geometry import CurvatureTensor, MetricField
+from .geometry import CurvatureTensor, MetricField, _curvature_from_samples
 
 MultiIndex = tuple[int, ...]
 
 # Entries allowed in one S^k integer map: the (r, r, F, F) derivation and
 # integral maps, and the (k, F, r^k) gather table of the induced metric.
 MAX_SYM_MAP_ENTRIES = 4 * 10**6
+
+# Byte budget of one row chunk of the S^k sample lift and of the Monte Carlo terms.
+_CHUNK_BYTES = 1 << 22
 
 
 def sym_basis(r: int, k: int) -> list[MultiIndex]:
@@ -214,11 +217,32 @@ def twist_by_line(Rsym: CurvatureTensor, Rline: CurvatureTensor, t) -> Curvature
     return CurvatureTensor(out, normalized=Rsym.normalized, gram=Rsym.gram)
 
 
+def _sym_power_curvature(hs: np.ndarray, k: int, m, label: str) -> np.ndarray:
+    """Finite-difference curvature of S^k h (det h)^m on the stencil samples ``hs``
+    of a ``chern_curvature``; ``label`` names the field in errors.
+
+    The samples are lifted in row chunks of at most _CHUNK_BYTES of gather
+    product, each det(h)^m taken on a float scalar as ``sym_power_field`` takes
+    it, so the lifted values are that field's.  The caller checks the budgets.
+    """
+    N, r = hs.shape[:2]
+    F = comb(r + k - 1, k)
+    rows = max(1, _CHUNK_BYTES // (16 * F * r**k))
+    lifted = np.empty((N, F, F), dtype=complex)
+    for lo in range(0, N, rows):
+        chunk = hs[lo:lo + rows]
+        s = _sym_metric_rows(chunk, k)
+        if m != 0:
+            s = s * np.array([d ** m for d in np.linalg.det(chunk).real])[:, None, None]
+        lifted[lo:lo + rows] = s
+    return _curvature_from_samples(lifted, label)
+
+
 def sym_power_field(E: MetricField, k: int, m) -> MetricField:
     """Explicit metric field z -> S^k h(z) (det h(z))^m on the monomial basis;
     a ``dataclasses.replace`` of E that reads ``E.value`` once per point.  The
-    point-by-point reference for route (b) of ``verify_lemma_linear``, which
-    lifts a whole stack of metric samples instead."""
+    point-by-point reference for ``_sym_power_curvature``, which lifts a whole
+    stack of metric samples instead."""
     check_sym_budget(E.rank, k)
     F = len(sym_basis(E.rank, k))
 

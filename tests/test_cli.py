@@ -250,6 +250,21 @@ class TestVerifyCommand:
         assert result.exit_code == 0
         assert payload["trials"] == sum(ran) == trials
 
+    @pytest.mark.parametrize("trials,code", [(100, 2), (50, 0)])
+    def test_estimate_seed_range_checked_before_the_first_batch(self, runner, monkeypatch,
+                                                                 trials, code):
+        # at seed 2**64 - 1 the second batch of 50 would key its forms by (2**64, t)
+        ran = []
+        monkeypatch.setattr(cli, "estimate_check", lambda *a, **kw: ran.append(kw["trials"])
+                            or estimate_check(*a, **kw))
+        result, payload = run_json(runner, ["verify", "--what", "estimate", "--n", "3",
+                                            "--trials", str(trials), "--seed", str(2**64 - 1)])
+        assert result.exit_code == code
+        if code == 2:
+            assert payload["error"]["code"] == "PARAM_DOMAIN" and ran == []
+        else:
+            assert payload["trials"] == sum(ran) == 50
+
 
 class TestMomentsCommand:
     def test_single_pair(self, runner):

@@ -16,7 +16,7 @@ from poslab import (
     tangent_pn,
     tangent_pn_twist,
 )
-from poslab import bundles
+from poslab import bundles, geometry
 from poslab.bundles import builtin, det_field, direct_sum, frame_normalized, load_metric_json
 from poslab.geometry import _orthonormalizer, as_point, philox
 
@@ -134,14 +134,15 @@ class TestChernCurvature:
             assert R.hermitian_defect() < 1e-8 * scale
             assert R.hermitian_defect() <= 1e-9 * scale
 
-    def test_richardson_order(self):
+    def test_richardson_order(self, monkeypatch):
         # error against the closed form should shrink at 4th order; demand >= 1.8
         z = np.array([0.4 + 0.2j, -0.1 + 0.3j])
         h = o_line(1, 2)(z)[0, 0].real
         exact = fubini_study(2, z)
 
         def err(step):
-            R = chern_curvature(o_line(1, 2), z, step=step)
+            monkeypatch.setattr(geometry, "_STEP", step)
+            R = chern_curvature(o_line(1, 2), z)
             return float(np.max(np.abs(R.values[:, :, 0, 0] / h - exact)))
 
         e1, e2 = err(0.08), err(0.04)
@@ -158,7 +159,7 @@ class TestChernCurvature:
                "domain_radius": 0.5}
         E = load_metric_json(src)
         with pytest.raises(StencilOutOfChartError):
-            chern_curvature(E, [0.4999], step=1e-3)
+            chern_curvature(E, [0.4999])
 
 
 def nested_curvature(h, p, step=1e-3):
@@ -316,7 +317,7 @@ class TestNormalizeAtPoint:
     def test_identity_data_unchanged(self):
         E = o_line(1, 2)
         R0 = chern_curvature(E, np.zeros(2))
-        Rn = normalize_at_point(E, None, np.zeros(2))
+        Rn = normalize_at_point(chern_curvature(E, np.zeros(2)), None)
         assert np.allclose(_orthonormalizer(np.eye(2)), np.eye(2))
         assert np.allclose(_orthonormalizer(E(np.zeros(2))), np.eye(1))
         assert np.allclose(Rn.values, R0.values, atol=1e-10)
@@ -326,8 +327,8 @@ class TestNormalizeAtPoint:
         # scaling h by a constant scales R linearly; the normalized tensor is unchanged
         E = o_line(1, 2)
         E4 = MetricField(rank=1, base_dim=2, evaluate=lambda z: 4.0 * E(z), label="4*o(1)")
-        Rn = normalize_at_point(E, None, np.zeros(2))
-        Rn4 = normalize_at_point(E4, None, np.zeros(2))
+        Rn = normalize_at_point(chern_curvature(E, np.zeros(2)), None)
+        Rn4 = normalize_at_point(chern_curvature(E4, np.zeros(2)), None)
         assert np.allclose(Rn.values, Rn4.values, atol=1e-9)
 
     @pytest.mark.parametrize("n,r", [(1, 3), (3, 2), (2, 4), (6, 6)])
@@ -337,19 +338,18 @@ class TestNormalizeAtPoint:
         R.samples = rng.standard_normal((3, r, r)) + 0j
         R.samples[0] = random_positive(r, seed=200 + r)
         g = random_positive(n, seed=300 + n)
-        p = 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         want = five_operand_frame_change(R.values, g, R.samples[0])
-        Rn = normalize_at_point(R, g, p)
+        Rn = normalize_at_point(R, g)
         assert Rn.values.shape == (n, n, r, r)
         assert np.max(np.abs(Rn.values - want)) <= 1e-13 * np.max(np.abs(want))
-        assert Rn.normalized and Rn.samples is R.samples
+        assert Rn.normalized and Rn.samples is None
 
     def test_field_off_origin_matches_five_operand_contraction(self):
         E, p = tangent_pn_twist(1, 3), np.array([0.4 - 0.2j, 0.1j, -0.3])
         g = random_positive(3, seed=17)
         R = chern_curvature(E, p)
         want = five_operand_frame_change(R.values, g, E(p))
-        got = normalize_at_point(E, g, p).values
+        got = normalize_at_point(R, g).values
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_pairing_convention(self):
@@ -365,7 +365,7 @@ class TestNormalizeAtPoint:
         rng = np.random.Generator(np.random.Philox(key=3))
         for p in sample_points(n, 5, seed=9):
             g = fubini_study(n, p)
-            Rn = normalize_at_point(tangent_pn(n), g, p)
+            Rn = normalize_at_point(chern_curvature(tangent_pn(n), p), g)
             for _ in range(20):
                 u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -379,35 +379,39 @@ class TestOneEvaluationPerStencilRow:
     @pytest.mark.parametrize("z", [[0.0, 0.0], [0.3 - 0.1j, 0.2j]], ids=["origin", "off-origin"])
     def test_normalize_at_point_reads_h_p_from_row_0(self, metric_calls, z):
         E = direct_sum([2, -1], 2)
-        Rn = normalize_at_point(E, random_positive(2, seed=3), z)
-        assert metric_calls == {E.label: 64 * 4 + 8 * 2 + 1}
-        # the samples stay in E's own frame, row 0 at p
         R = chern_curvature(E, z)
-        assert np.array_equal(Rn.samples, R.samples)
-        assert np.array_equal(Rn.samples[0], E(z))
+        Rn = normalize_at_point(R, random_positive(2, seed=3))
+        # normalize_at_point makes no metric call; the samples stay in E's own
+        # frame, with R, row 0 at p
+        assert metric_calls == {E.label: 64 * 4 + 8 * 2 + 1}
+        assert Rn.samples is None
+        assert np.array_equal(R.samples[0], E(z))
 
     @pytest.mark.parametrize("entries", [[[-1.0]], [[1.0, 0.0], [0.0, -2.0]]],
                              ids=["negative-line", "indefinite-rank-2"])
     def test_metric_not_positive_definite_at_p_rejected_at_row_0(self, metric_calls, entries):
         E = constant_metric(entries, 2, label="indefinite")
         with pytest.raises(SingularMetricError, match="'indefinite' not positive definite"):
-            normalize_at_point(E, None, np.zeros(2))
+            normalize_at_point(chern_curvature(E, np.zeros(2)), None)
         assert metric_calls == {"indefinite": 1}
 
 
 class TestPhilox:
     @pytest.mark.parametrize("seed", [(-1, 2), (2, -1), [-3, 0], -1, (2**64, 0), 2**128,
-                                      (1, 2, 3), ()],
+                                      (1, 2, 3), (), np.array([0, -1]), (np.int64(-1), 2),
+                                      (1.5, 2)],
                              ids=["negative-first", "negative-second", "negative-in-list",
                                   "negative-int", "entry-too-large", "int-too-large", "triple",
-                                  "empty"])
+                                  "empty", "negative-in-int64-array", "negative-np-int64",
+                                  "float-entry"])
     def test_key_outside_range_rejected(self, seed):
-        # numpy itself wraps a negative pair entry to uint64
+        # numpy itself wraps a negative pair entry to uint64 and truncates a float one
         with pytest.raises(ParamDomainError, match="not a Philox key"):
             philox(seed)
 
     def test_valid_keys_unchanged(self):
-        for seed in (0, 7, 2**128 - 1, (0, 0), (5, 9), [3, 4], np.array([5, 9], dtype=np.uint64)):
+        for seed in (0, 7, 2**128 - 1, (0, 0), (5, 9), [3, 4], np.array([5, 9], dtype=np.uint64),
+                     np.array(5)):
             want = np.random.Generator(np.random.Philox(key=seed)).random(3)
             assert np.array_equal(philox(seed).random(3), want)
 

@@ -24,7 +24,7 @@ from poslab import (
     tangent_pn,
     verify_lemma_linear,
 )
-from poslab import moments
+from poslab import geometry, moments, symbundle
 from poslab.bundles import direct_sum, frame_normalized, load_metric_json
 from poslab.geometry import chern_curvature
 from poslab.symbundle import generalized_delta, induced_sym_det_curvature, sym_basis, sym_power_field
@@ -239,7 +239,7 @@ class TestIntegralFormula:
         mono = np.stack([np.prod(W[:, np.array(A) - 1], axis=1) for A in sym_basis(r, k)],
                         axis=1)
         if route == "integral":
-            monkeypatch.setattr(moments, "_MC_CHUNK_BYTES", 64 * 16 * n * n * F)
+            monkeypatch.setattr(moments, "_CHUNK_BYTES", 64 * 16 * n * n * F)
             R = random_curvature(n, r, seed=41)
             est, err = integral_formula_mc(R, k, m, samples=samples, seed=6)
             quad = np.einsum("ijgd,sg,sd->sij", R.values, W.conj(), W)
@@ -247,7 +247,7 @@ class TestIntegralFormula:
             vals = np.einsum("sa,sb,sij->sijab", mono, mono.conj(), phi)
             pref = factorial(r + k - 1) / factorial(r - 1)
         else:
-            monkeypatch.setattr(moments, "_MC_CHUNK_BYTES", 64 * 16 * F)
+            monkeypatch.setattr(moments, "_CHUNK_BYTES", 64 * 16 * F)
             _, est, err = moment_mc_table(r, k, samples, seed=6)
             vals = np.einsum("sa,sb->sab", mono, mono.conj())
             pref = 1 / factorial(r - 1)
@@ -346,7 +346,7 @@ class TestLemmaLinearTriangle:
         hs = chern_curvature(E0, z).samples
         for k in range(1, 5):
             for m in (-1, 0, 1, 3):
-                b = moments._sym_power_curvature(hs, k, m, "route-b")
+                b = symbundle._sym_power_curvature(hs, k, m, "route-b")
                 ref = chern_curvature(sym_power_field(E0, k, m), z).values
                 assert np.array_equal(b, ref), (k, m)
 
@@ -357,12 +357,19 @@ class TestLemmaLinearTriangle:
         z = np.array(z, dtype=complex)
         E = build()
         seen = []
-        lift = moments._sym_power_curvature
+        lift = symbundle._sym_power_curvature
         monkeypatch.setattr(moments, "_sym_power_curvature",
                             lambda hs, *rest: seen.append(hs) or lift(hs, *rest))
         verify_lemma_linear(E, z, 2, 1, mc_samples=100)
         ref = chern_curvature(frame_normalized(E, z), z).samples
         assert len(seen) == 1 and np.array_equal(seen[0], ref)
+
+    def test_route_b_contracts_at_the_sampled_step(self, monkeypatch):
+        # the lift differentiates the stack at the step it was sampled at
+        monkeypatch.setattr(geometry, "_STEP", 2e-3)
+        rep = verify_lemma_linear(tangent_pn(2), np.array([0.2 - 0.1j, 0.3j]), 2, 1,
+                                  mc_samples=100)
+        assert rep["dev_algebra_vs_fd"] <= 1e-6
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_one_metric_evaluation_per_stencil_row(self, metric_calls, n):
@@ -375,10 +382,11 @@ class TestLemmaLinearTriangle:
         E = load_metric_json(USER_METRIC)
         z = np.array([0.2 + 0.1j, -0.3])
         hs = chern_curvature(frame_normalized(E, z), z).samples
-        whole = moments._sym_power_curvature(hs, 3, 2, "route-b")
+        whole = symbundle._sym_power_curvature(hs, 3, 2, "route-b")
         rep = verify_lemma_linear(E, z, 3, 2, mc_samples=100)
-        monkeypatch.setattr(moments, "_MC_CHUNK_BYTES", 1)
-        assert np.array_equal(moments._sym_power_curvature(hs, 3, 2, "route-b"), whole)
+        monkeypatch.setattr(symbundle, "_CHUNK_BYTES", 1)
+        monkeypatch.setattr(moments, "_CHUNK_BYTES", 1)
+        assert np.array_equal(symbundle._sym_power_curvature(hs, 3, 2, "route-b"), whole)
         # the Monte Carlo sums run in the same chunks, so only its z-score is rounded anew
         one_row = verify_lemma_linear(E, z, 3, 2, mc_samples=100)
         z_score = one_row.pop("mc_worst_over_3sigma")

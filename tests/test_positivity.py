@@ -33,8 +33,8 @@ from poslab import (
 )
 from poslab.bundles import direct_sum, det_field, load_metric_json, tangent_pn_twist
 from poslab.geometry import chern_curvature, normalize_at_point, fubini_study, sample_points
-from poslab.moments import _sym_power_curvature
-from poslab import positivity
+from poslab.symbundle import _sym_power_curvature
+from poslab import geometry, positivity
 from poslab.positivity import (
     _gram_eigh,
     _values_and_gram,
@@ -70,7 +70,7 @@ class TestGriffiths:
         # O(3) + O(-1) against omega_{O(1)}: min is -1 with witness along e2
         E = direct_sum([3, -1], 2)
         g = fubini_study(2, np.zeros(2))
-        Rn = normalize_at_point(E, g, np.zeros(2))
+        Rn = normalize_at_point(chern_curvature(E, np.zeros(2)), g)
         rep = griffiths_min(Rn, restarts=8)
         assert abs(rep.min_value + 1.0) < 1e-8
         assert rep.certified_sign == "nonpositive_found"
@@ -184,7 +184,7 @@ class TestNakano:
     def test_tangent_p2_not_strictly_positive(self):
         # min over Nakano vectors is exactly 0 for TP^2 (antisymmetric witness)
         g = fubini_study(2, np.zeros(2))
-        Rn = normalize_at_point(tangent_pn(2), g, np.zeros(2))
+        Rn = normalize_at_point(chern_curvature(tangent_pn(2), np.zeros(2)), g)
         rep = nakano_min(Rn)
         assert abs(rep.min_value) < 1e-8
 
@@ -209,7 +209,7 @@ class TestDualNakano:
 
     def test_tangent_p2_strictly_positive(self):
         g = fubini_study(2, np.zeros(2))
-        Rn = normalize_at_point(tangent_pn(2), g, np.zeros(2))
+        Rn = normalize_at_point(chern_curvature(tangent_pn(2), np.zeros(2)), g)
         rep = dual_nakano_min(Rn)
         assert abs(rep.min_value - 1.0) < 1e-7
 
@@ -332,7 +332,7 @@ class TestBoundedness:
         for wit, eps in ((cert.witness_low, cert.eps1), (cert.witness_high, cert.eps2)):
             p, u, v = (np.array([complex(a, b) for a, b in wit[key]])
                        for key in ("point", "u", "v"))
-            Rn = normalize_at_point(E, polarization_form(L, p), p)
+            Rn = normalize_at_point(chern_curvature(E, p), polarization_form(L, p))
             val = np.einsum("ijab,i,j,a,b->", Rn.values, u, u.conj(), v, v.conj()).real
             assert abs(val - eps) < 1e-10
 
@@ -368,7 +368,7 @@ def reference_boundedness_scan(E, L, n_points, seed, restarts):
     eps1, eps2 = np.inf, -np.inf
     wit_low, wit_high, pts = {}, {}, []
     for p in sample_points(E.base_dim, n_points, seed=seed):
-        Rn = normalize_at_point(E, polarization_form(L, p), p)
+        Rn = normalize_at_point(chern_curvature(E, p), polarization_form(L, p))
         lo = griffiths_min(Rn, restarts=restarts, seed=seed)
         hi = griffiths_min(CurvatureTensor(-Rn.values, normalized=True),
                            restarts=restarts, seed=seed)
@@ -473,6 +473,12 @@ class TestDetPolarization:
             # and so the whole block against det E equals the one against det_field(E)
             assert np.array_equal(sym_twisted_curvature_at(E, None, p, 2, 1, -1).values,
                                   sym_twisted_curvature_at(E, det_field(E), p, 2, 1, -1).values)
+
+    @pytest.mark.parametrize("make", _DET_FIELDS.values(), ids=_DET_FIELDS.keys())
+    def test_lift_equals_det_field_curvature_at_another_step(self, monkeypatch, make):
+        # the lift is contracted at the step its samples were taken at
+        monkeypatch.setattr(geometry, "_STEP", 2e-3)
+        self.test_lift_equals_det_field_curvature_bit_for_bit(make)
 
     @pytest.mark.parametrize("make", [lambda: tangent_pn(3), lambda: tangent_pn(5),
                                       lambda: direct_sum([1, 2, 3], 3),
@@ -592,7 +598,7 @@ class TestCurvatureTerm:
     def test_positive_on_sym_bundle_top_degree(self):
         # (n, q) forms with q >= 1 valued in S^1 TP^2 det TP^2: T(u,u) > 0
         g = fubini_study(2, np.zeros(2))
-        Rn = normalize_at_point(tangent_pn(2), g, np.zeros(2))
+        Rn = normalize_at_point(chern_curvature(tangent_pn(2), np.zeros(2)), g)
         S = induced_sym_det_curvature(Rn, 1, 1)
         gram_ok = np.allclose(S.gram, 1)
         assert gram_ok
