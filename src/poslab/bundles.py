@@ -36,7 +36,7 @@ import re
 import numpy as np
 
 from .errors import ParamDomainError, SingularMetricError
-from .geometry import MetricField, _orthonormalizer, fubini_study
+from .geometry import MetricField, _orthonormalizer, check_stencil_budget, fubini_study
 
 
 def _norm2(z: np.ndarray) -> float:
@@ -130,6 +130,7 @@ def builtin(ident: str, n: int) -> MetricField:
 # --- declarative JSON metrics -------------------------------------------------
 
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+_COORDINATE_RE = re.compile(r"z([1-9][0-9]*)")
 _FUNCTIONS = {"conj": np.conj, "abs2": lambda v: (v * np.conj(v)).real}
 
 
@@ -137,14 +138,14 @@ def _lower_expr(src: str, n: int) -> ast.expr:
     """Check one metric-entry expression against the whitelist and lower it.
 
     Literals become complex constants, ``I`` becomes 1j and ``zk`` becomes
-    ``z[k-1]``; every operation keeps its operands and their order.
+    ``z[k-1]`` for a decimal k in 1..n without a leading zero, read from the
+    name itself, so the work does not grow with n; every operation keeps its
+    operands and their order.
     """
     try:
         tree = ast.parse(src, mode="eval")
     except (SyntaxError, MemoryError) as exc:  # the parser overflows on deep nesting
         raise ParamDomainError(f"metric expression {src!r} does not parse") from exc
-
-    names = {f"z{i + 1}": i for i in range(n)}
 
     def lower(node):
         if isinstance(node, ast.Constant) and isinstance(node.value, (int, float, complex)):
@@ -152,8 +153,10 @@ def _lower_expr(src: str, n: int) -> ast.expr:
         if isinstance(node, ast.Name):
             if node.id == "I":
                 return ast.Constant(1j)
-            if node.id in names:
-                return ast.Subscript(ast.Name("z", ast.Load()), ast.Constant(names[node.id]),
+            # more digits than n has: out of range, and no int() of a long name
+            k = _COORDINATE_RE.fullmatch(node.id)
+            if k and len(k[1]) <= len(str(n)) and int(k[1]) <= n:
+                return ast.Subscript(ast.Name("z", ast.Load()), ast.Constant(int(k[1]) - 1),
                                      ast.Load())
             raise ParamDomainError(f"unknown name {node.id!r} in metric expression")
         if isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS):
@@ -210,7 +213,8 @@ def read_json_object(source: str, unreadable: str, inline: bool = False) -> dict
 
 
 def load_metric_json(spec: dict) -> MetricField:
-    """Build a MetricField from a JSON metric object, such as read_json_object returns."""
+    """Build a MetricField from a JSON metric object, such as read_json_object returns;
+    a curvature stencil over MAX_STENCIL_ENTRIES is rejected before the entries compile."""
     try:
         r, n, rows = int(spec["rank"]), int(spec["base_dim"]), spec["entries"]
     except (KeyError, TypeError, ValueError) as exc:
@@ -223,8 +227,10 @@ def load_metric_json(spec: dict) -> MetricField:
     if radius is not None and (type(radius) not in (int, float) or not radius > 0):
         raise ParamDomainError(
             f"metric JSON domain_radius must be a positive number, got {radius!r}")
-    entries = _compile_entries(rows, n)
     label = str(spec.get("label", "user"))
+    # every use of a metric is a curvature: reject its stencil before compiling
+    check_stencil_budget(n, r, label)
+    entries = _compile_entries(rows, n)
 
     def ev(z):
         try:

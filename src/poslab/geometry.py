@@ -95,6 +95,8 @@ class MetricField:
 class CurvatureTensor:
     """Pointwise Chern curvature, values[i, j, alpha, beta] = R_{i jbar alpha betabar}.
 
+    ``values`` is stored complex, without a copy of a complex array, unless it
+    is an exact ``object`` array, which stays exact; no consumer casts it again.
     ``normalized`` flags tensors expressed in a frame with h(p) = Id (and,
     when produced by normalize_at_point with a polarization, coordinates
     with g(p) = Id); the positivity and symmetric-power routines require it.
@@ -111,6 +113,8 @@ class CurvatureTensor:
     samples: np.ndarray | None = None
 
     def __post_init__(self):
+        v = np.asarray(self.values)
+        self.values = v if v.dtype == object else np.asarray(v, dtype=complex)
         if self.gram is None:
             self.gram = np.ones(self.rank, dtype=np.int64)
 
@@ -256,13 +260,18 @@ def _orthonormalizer(a: np.ndarray) -> np.ndarray:
     return np.linalg.inv(L).T
 
 
+def fiber_frame(R: CurvatureTensor) -> np.ndarray:
+    """The one fiber frame: Q = _orthonormalizer(h(p)), h(p) row 0 of R.samples."""
+    return _orthonormalizer(R.samples[0])
+
+
 def normalize_at_point(R: CurvatureTensor, g: np.ndarray | None) -> CurvatureTensor:
     """The ``chern_curvature`` tensor R in g-orthonormal coordinates and h-orthonormal frame.
 
     ``g`` is the polarization form at R's point, an n x n Hermitian positive
     matrix, or None for the identity.  The new tangent vectors are the columns
     of P = _orthonormalizer(g), the new frame vectors those of
-    Q = _orthonormalizer(h(p)), h(p) being row 0 of R's samples; the result has none.
+    Q = fiber_frame(R); the result has no samples.
 
     The change R[x, y, u, v] = sum R[i, j, a, b] P[i, x] conj(P[j, y]) Q[a, u]
     conj(Q[b, v]) runs as three matrix products, P^T over i, P^H over j and
@@ -272,7 +281,7 @@ def normalize_at_point(R: CurvatureTensor, g: np.ndarray | None) -> CurvatureTen
     n, r = R.base_dim, R.rank
     gp = np.eye(n, dtype=complex) if g is None else np.asarray(g, dtype=complex)
     P = _orthonormalizer(gp)
-    Q = _orthonormalizer(R.samples[0])
+    Q = fiber_frame(R)
     vals = (P.T @ R.values.reshape(n, -1)).reshape(n, n, r * r)
     vals = (P.conj().T @ vals).reshape(n, n, r, r)
     return CurvatureTensor(Q.T @ vals @ Q.conj(), normalized=True)

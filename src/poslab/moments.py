@@ -24,7 +24,7 @@ applied as one contraction.
 The two Monte Carlo harnesses, ``verify_moments`` and ``verify_lemma_linear``,
 return their own ``ok`` and judge z-scores through one gate, ``_worst_over_3sigma``.
 ``verify_lemma_linear`` samples the metric once: route (b) lifts the samples of
-E's ``chern_curvature``, in route (a)'s frame, to S^k h (det h)^m.
+E's ``chern_curvature``, in route (a)'s frame ``fiber_frame``, to S^k h (det h)^m.
 
 ``moment_mc``, ``moment_mc_table`` and ``integral_formula_mc`` share one
 streaming estimator, ``_sphere_moments``.  It reads the sphere stream in row
@@ -32,7 +32,7 @@ chunks of at most _CHUNK_BYTES, so memory does not grow with the sample
 count, and reports one stderr, sqrt((E|X|^2 - |E X|^2) / s), from the raw
 second moment.  ``moment_mc`` and ``moment_mc_table`` divide by one float
 scale, (r-1)!, and reject r whose (r-1)! is above the float range (r >= 172)
-before anything is drawn.
+before any factorial is computed or anything is drawn.
 """
 
 from __future__ import annotations
@@ -47,10 +47,10 @@ from .errors import FrameNotNormalizedError, LengthMismatchError, ParamDomainErr
 from .geometry import (
     CurvatureTensor,
     MetricField,
-    _orthonormalizer,
     as_point,
     check_stencil_budget,
     chern_curvature,
+    fiber_frame,
     normalize_at_point,
     philox,
 )
@@ -171,12 +171,11 @@ def _sphere_moments(r: int, basis, samples: int, seed: int, weight=None):
 
 
 def _moment_scale(r: int) -> float:
-    """(r-1)!, the factor from the sphere average to the FS moment, as a float."""
-    try:
-        return float(factorial(r - 1))
-    except OverflowError as exc:
-        raise ParamDomainError(f"the moment scale (r-1)! is above the float range "
-                               f"at r = {r}") from exc
+    """(r-1)!, the factor from the sphere average to the FS moment, as a float;
+    r >= 172, whose 171! is above the float range, is rejected before any factorial."""
+    if r >= 172:
+        raise ParamDomainError(f"the moment scale (r-1)! is above the float range at r = {r}")
+    return float(factorial(r - 1))
 
 
 def moment_mc(r: int, A: MultiIndex, B: MultiIndex, samples: int, seed: int = 0):
@@ -242,7 +241,7 @@ def integral_formula_mc(R: CurvatureTensor, k: int, m, samples: int = 20000,
     """
     if not R.normalized:
         raise FrameNotNormalizedError("integral_formula_mc needs a normalized-frame tensor")
-    V = R.values.astype(complex)
+    V = np.asarray(R.values, dtype=complex)
     n, r = R.base_dim, R.rank
     check_sym_budget(r, k)
     basis = sym_basis(r, k)
@@ -292,7 +291,6 @@ def verify_lemma_linear(bundle: MetricField, p, k: int, m, mc_samples: int = 200
     against (c), and ``ok``: deviations <= 1e-6 and z-score <= 1.
     """
     n, r = bundle.base_dim, bundle.rank
-    z0 = as_point(p, n)
     sym_label = f"sym{k}det{m}({bundle.label})"
     check_stencil_budget(n, r, bundle.label)
     check_sym_budget(r, k)
@@ -300,13 +298,13 @@ def verify_lemma_linear(bundle: MetricField, p, k: int, m, mc_samples: int = 200
     check_float_range(m=m)
     check_samples(mc_samples)
     philox(seed)  # a seed numpy cannot key fails here, not after the sampling
-    R = chern_curvature(bundle, z0)
+    R = chern_curvature(bundle, as_point(p, n))
     Rn = normalize_at_point(R, None)
-    Q = _orthonormalizer(R.samples[0])
+    Q = fiber_frame(R)
 
-    a = induced_sym_det_curvature(Rn, k, m).values.astype(complex)
+    a = induced_sym_det_curvature(Rn, k, m).values
     b = _sym_power_curvature(Q.T @ R.samples @ Q.conj(), k, m, sym_label)
-    c = integral_formula_tensor(Rn, k, m).values.astype(complex)
+    c = integral_formula_tensor(Rn, k, m).values
     d_est, d_err = integral_formula_mc(Rn, k, m, samples=mc_samples, seed=seed)
 
     scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))),

@@ -21,6 +21,7 @@ labeled as such.  The maximum is minus the minimum of -R.
 ``boundedness_scan`` apply their measures to the same normalized
 S^k E (det E)^m L^l block at each point; L is a rank-1 field, or None for
 det E, lifted from the samples of E's ``chern_curvature``, so no field is sampled twice.
+``verify_estimate`` is the harness of ``verify --what estimate``, with its own ``ok``.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ _GRIFFITHS_CHUNK_BYTES = 1 << 16
 def _values_and_gram(R: CurvatureTensor):
     if not R.normalized:
         raise FrameNotNormalizedError("positivity checks need a normalized-frame tensor")
-    return R.values.astype(complex), np.asarray(R.gram, dtype=float)
+    return np.asarray(R.values, dtype=complex), R.gram
 
 
 @dataclasses.dataclass
@@ -457,3 +458,22 @@ def estimate_check(phi, p: int, q: int, trials: int = 1000, seed: int = 0) -> di
         worst = min(worst, slack)
     return {"n": n, "p": p, "q": q, "bound": bound, "trials": trials,
             "worst_slack": float(worst)}
+
+
+def verify_estimate(n: int, trials: int, seed: int = 0) -> dict:
+    """``estimate_check`` in batches of 50 trials, each on a fresh random phi > 0 and
+    bidegree; ``ok`` when the worst slack is >= -1e-9.  Nothing is drawn before the checks."""
+    if n < 1 or trials < 1:
+        raise ParamDomainError(f"need --n >= 1 and --trials >= 1, got {n} and {trials}")
+    check_form_budget(n)  # before the first n x n phi is drawn
+    rng = philox(seed)
+    philox((seed + (trials - 1) // 50, 0))  # the last batch's form key, before any draw
+    worst = float("inf")
+    for t, done in enumerate(range(0, trials, 50)):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        phi = a @ a.conj().T + 0.05 * np.eye(n)
+        p = int(rng.integers(0, n + 1))
+        q = int(rng.integers(0, n + 1))
+        rep = estimate_check(phi, p, q, trials=min(50, trials - done), seed=seed + t)
+        worst = min(worst, rep["worst_slack"])
+    return {"n": n, "trials": trials, "worst_slack": worst, "ok": worst >= -1e-9}

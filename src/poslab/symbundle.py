@@ -185,12 +185,9 @@ def _contract_with_trace(R: CurvatureTensor, k: int, T: np.ndarray, coeff) -> Cu
     """
     if not R.normalized:
         raise FrameNotNormalizedError("the S^k blocks need a normalized-frame tensor")
-    V = R.values
-    if V.dtype != object:
-        V = V.astype(complex)
     gram = np.array(gram_diagonal(R.rank, k))
-    out = np.einsum("ijgd,gdab->ijab", V, T)
-    _add_diagonal(out, np.trace(V, axis1=2, axis2=3), coeff, gram)
+    out = np.einsum("ijgd,gdab->ijab", R.values, T)
+    _add_diagonal(out, np.trace(R.values, axis1=2, axis2=3), coeff, gram)
     return CurvatureTensor(out, normalized=True, gram=gram)
 
 

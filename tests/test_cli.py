@@ -244,18 +244,26 @@ class TestVerifyCommand:
             ran.append(kwargs["trials"])
             return estimate_check(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "estimate_check", counting)
+        monkeypatch.setattr(positivity, "estimate_check", counting)
         result, payload = run_json(runner, [
             "verify", "--what", "estimate", "--n", "2", "--trials", str(trials)])
         assert result.exit_code == 0
         assert payload["trials"] == sum(ran) == trials
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_estimate_is_the_library_harness(self, runner, seed):
+        result, payload = run_json(runner, ["verify", "--what", "estimate", "--n", "3",
+                                            "--trials", "120", "--seed", str(seed)])
+        assert result.exit_code == 0
+        assert payload == {"schema": 1, "what": "estimate",
+                           **positivity.verify_estimate(3, 120, seed)}
 
     @pytest.mark.parametrize("trials,code", [(100, 2), (50, 0)])
     def test_estimate_seed_range_checked_before_the_first_batch(self, runner, monkeypatch,
                                                                  trials, code):
         # at seed 2**64 - 1 the second batch of 50 would key its forms by (2**64, t)
         ran = []
-        monkeypatch.setattr(cli, "estimate_check", lambda *a, **kw: ran.append(kw["trials"])
+        monkeypatch.setattr(positivity, "estimate_check", lambda *a, **kw: ran.append(kw["trials"])
                             or estimate_check(*a, **kw))
         result, payload = run_json(runner, ["verify", "--what", "estimate", "--n", "3",
                                             "--trials", str(trials), "--seed", str(2**64 - 1)])
@@ -549,7 +557,9 @@ BAD_INPUT = [
                         ("lambda", "(lambda: 1)()"), ("subscript", "[z1][0]"),
                         ("conditional", "z1 if 1 else 0"), ("keyword", "conj(z1, out=z2)"),
                         ("keyword-abs2", "abs2(z1, foo=1)"), ("starred", "conj(*z1)"),
-                        ("name-above-base-dim", "z3")]),
+                        ("name-above-base-dim", "z3"), ("name-z0", "z0"),
+                        ("name-leading-zero", "z01"), ("name-non-ascii-digit", "z\u0661"),
+                        ("name-5000-digits", "z" + "9" * 5000)]),
 ]
 
 
@@ -583,6 +593,14 @@ def test_moments_over_range_draw_nothing(runner, monkeypatch, args):
      (geometry.MetricField, "__call__")),
     (["verify", "--what", "estimate", "--n", "40", "--trials", "1"], (cli.np.random, "Philox")),
     (["verify", "--what", "estimate", "--n", "40", "--trials", "1"], (positivity, "_interior_map")),
+    # a JSON metric's stencil before its entries are lowered; lemma-linear's before its point
+    (["certify", "--bundle", '{"rank": 1, "base_dim": 100000000, "entries": [["1"]]}',
+      "--n", "100000000", "--test", "nakano"], (bundles, "_lower_expr")),
+    (["verify", "--what", "lemma-linear", "--n", str(10**12)], (moments, "as_point")),
+    # r >= 172 before any factorial
+    (["moments", "--r", "10000000", "--a", "1", "--b", "1"], (moments, "factorial")),
+    (["verify", "--what", "moments", "--r", "400000", "--k", "0", "--samples", "100"],
+     (moments, "factorial")),
     (["oracle", "--family", "bott", "--n", "20000", "--p", "0", "--q", "0", "--l", "20000"],
      (oracles, "comb")),
     (["oracle", "--family", "grassmannian", "--d", "5000", "--r", "1", "--k", "20000"],
@@ -592,7 +610,10 @@ def test_moments_over_range_draw_nothing(runner, monkeypatch, args):
 ], ids=["certify-stencil", "lemma-linear-stencil", "lemma-linear-sym-stencil",
         "certify-stencil-no-metric-call", "certify-sym-no-metric-call",
         "lemma-linear-sym-stencil-no-metric-call", "estimate-draw",
-        "estimate-wedge-map", "bott-digits", "grassmannian-digits", "grassmannian-records"])
+        "estimate-wedge-map", "json-metric-stencil-before-lowering",
+        "lemma-linear-stencil-before-the-point", "moments-scale-before-factorial",
+        "moments-table-scale-before-factorial", "bott-digits", "grassmannian-digits",
+        "grassmannian-records"])
 def test_over_budget_is_rejected_before_the_work(runner, monkeypatch, args, spy):
     def fail(*_, **__):
         raise AssertionError(f"{spy[1]} ran before the budget check")

@@ -1,3 +1,6 @@
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -66,6 +69,15 @@ class TestChartPoint:
                         evaluate=lambda z: seen.append(z) or np.eye(1))
         assert np.array_equal(E(z), np.eye(1))
         assert seen[0].dtype == complex and np.array_equal(seen[0], [0.5, -1.0])
+
+    def test_lowering_an_entry_builds_nothing_of_size_n(self):
+        tracemalloc.start()
+        try:
+            bundles._lower_expr("z1 * conj(z1000000)", 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestFubiniStudy:
@@ -439,6 +451,19 @@ class TestSamplePoints:
 
 
 class TestCurvatureTensorChecks:
+    @pytest.mark.parametrize("values,dtype", [
+        (np.full((1, 1, 2, 2), 0.5), complex), (np.ones((1, 1, 2, 2), dtype=int), complex),
+        (np.full((1, 1, 2, 2), Fraction(1, 3), dtype=object), object),
+        (np.full((1, 1, 2, 2), 0.5 - 1j), complex),
+    ], ids=["real", "int", "exact", "complex"])
+    def test_values_are_complex_unless_exact(self, values, dtype):
+        R = CurvatureTensor(values)
+        assert R.values.dtype == dtype and np.array_equal(R.values, values)
+        # an array already of the stored dtype is kept, not copied
+        assert (R.values is values) == (values.dtype == dtype)
+        if dtype == object:
+            assert all(type(x) is Fraction for x in R.values.flat)
+
     def test_symmetry_violation_measured(self):
         v = np.zeros((1, 1, 2, 2), dtype=complex)
         v[0, 0] = np.array([[0.0, 1.0], [0.0, 0.0]])

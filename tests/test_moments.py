@@ -26,7 +26,7 @@ from poslab import (
 )
 from poslab import geometry, moments, symbundle
 from poslab.bundles import direct_sum, frame_normalized, load_metric_json
-from poslab.geometry import chern_curvature
+from poslab.geometry import chern_curvature, normalize_at_point
 from poslab.symbundle import generalized_delta, induced_sym_det_curvature, sym_basis, sym_power_field
 
 from conftest import constant_metric, random_curvature
@@ -370,6 +370,30 @@ class TestLemmaLinearTriangle:
         rep = verify_lemma_linear(tangent_pn(2), np.array([0.2 - 0.1j, 0.3j]), 2, 1,
                                   mc_samples=100)
         assert rep["dev_algebra_vs_fd"] <= 1e-6
+
+    def test_one_owner_of_the_fiber_frame(self, monkeypatch):
+        # turn the one frame function by a unitary U: routes (a) and (b) both turn,
+        # so they still agree, and route (a)'s block is no longer the unturned one
+        U = np.linalg.qr(np.array([[1, 2j], [0.5 - 1j, 3]]))[0]
+        frame, calls = geometry.fiber_frame, []
+        z = np.array([0.3 - 0.2j, 0.1j])
+        plain = verify_lemma_linear(tangent_pn(2), z, 2, 1, mc_samples=100)
+        for module in (geometry, moments):
+            monkeypatch.setattr(module, "fiber_frame", lambda R: calls.append(R) or frame(R) @ U)
+        blocks = []
+
+        def derive(*args):
+            blocks.append(induced_sym_det_curvature(*args))
+            return blocks[-1]
+
+        monkeypatch.setattr(moments, "induced_sym_det_curvature", derive)
+        turned = verify_lemma_linear(tangent_pn(2), z, 2, 1, mc_samples=100)
+        assert len(calls) == 2
+        assert turned["dev_algebra_vs_fd"] <= 1e-6 and plain["dev_algebra_vs_fd"] <= 1e-6
+        monkeypatch.undo()
+        R = chern_curvature(tangent_pn(2), z)
+        unturned = induced_sym_det_curvature(normalize_at_point(R, None), 2, 1).values
+        assert np.max(np.abs(blocks[0].values - unturned)) > 0.1
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_one_metric_evaluation_per_stencil_row(self, metric_calls, n):

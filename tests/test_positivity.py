@@ -251,6 +251,10 @@ def _gram_blocks():
 
 
 class TestGramSolver:
+    def test_measures_read_the_values_without_a_copy(self):
+        R = random_curvature(2, 3, seed=4)
+        assert _values_and_gram(R)[0] is R.values
+
     @pytest.mark.parametrize("block", _gram_blocks())
     @pytest.mark.parametrize("dual", [False, True], ids=["nakano", "dual"])
     def test_agrees_with_unsymmetric_eigensolve(self, block, dual):
