@@ -13,7 +13,6 @@ import sys
 from fractions import Fraction
 
 import click
-import numpy as np
 from click.core import ParameterSource
 
 from . import __version__
@@ -208,8 +207,8 @@ def cmd_verify(what, bundle, n, r, k, m, samples, trials, seed, output):
     if what == "moments":
         rep = verify_moments(r, k, samples, seed)
     elif what == "lemma-linear":
-        # the origin as a view, not n zeros: the budgets are checked before the point is read
-        rep = verify_lemma_linear(_resolve_bundle(bundle, n), np.broadcast_to(0j, n), k, m,
+        # p = None: the origin, built after the budgets are checked
+        rep = verify_lemma_linear(_resolve_bundle(bundle, n), None, k, m,
                                   mc_samples=samples, seed=seed)
     else:
         rep = verify_estimate(n, trials, seed)

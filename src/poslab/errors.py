@@ -4,6 +4,8 @@ Every error carries a stable machine-readable ``code`` so the CLI can emit
 structured error JSON.
 """
 
+import math
+
 
 class PoslabError(Exception):
     code = "ERROR"
@@ -39,3 +41,9 @@ class NonpositivePolarizationError(PoslabError):
 
 class BidegreeError(PoslabError):
     code = "BIDEGREE_OUT_OF_RANGE"
+
+
+def short_count(count: int) -> str:
+    """A count for an error message: in full up to 30 digits, else its order of
+    magnitude, since a rejected count may have more digits than Python prints."""
+    return str(count) if count < 10**30 else f"about 10^{math.log10(count):.0f}"

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ParamDomainError, SingularMetricError, StencilOutOfChartError
+from .errors import ParamDomainError, SingularMetricError, StencilOutOfChartError, short_count
 
 # 4th-order Wirtinger stencil d/dz = (d/dx - i d/dy)/2 at chart offsets
 # o * _STEP: weights c/2 on the real axis and -i c/2 on the imaginary axis, for
@@ -168,7 +168,7 @@ def check_stencil_budget(n: int, r: int, label: str) -> None:
     entries; callers run it before the first metric evaluation."""
     if (entries := (64 * n * n + 8 * n + 1) * r * r) > MAX_STENCIL_ENTRIES:
         raise ParamDomainError(f"the curvature stencil of rank-{r} metric {label!r} on n = {n} "
-                               f"needs {entries} entries, above the budget of "
+                               f"needs {short_count(entries)} entries, above the budget of "
                                f"{MAX_STENCIL_ENTRIES}")
 
 

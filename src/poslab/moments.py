@@ -43,7 +43,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .errors import FrameNotNormalizedError, LengthMismatchError, ParamDomainError
+from .errors import FrameNotNormalizedError, LengthMismatchError, ParamDomainError, short_count
 from .geometry import (
     CurvatureTensor,
     MetricField,
@@ -196,8 +196,9 @@ def moment_mc_table(r: int, k: int, samples: int, seed: int = 0):
     """
     indices = comb(r + k - 1, k) ** 2 * max(k, 1) if r >= 1 and k >= 0 else 0
     if indices > MAX_REGION_MEMBERS:
-        raise ParamDomainError(f"the degree-{k} moment table on rank {r} prints {indices} "
-                               f"indices, above the budget of {MAX_REGION_MEMBERS}")
+        raise ParamDomainError(f"the degree-{k} moment table on rank {r} prints "
+                               f"{short_count(indices)} indices, above the budget of "
+                               f"{MAX_REGION_MEMBERS}")
     basis = sym_basis(r, k)
     scale = _moment_scale(r)
     mean, err = _sphere_moments(r, basis, samples, seed)
@@ -211,16 +212,18 @@ def _multiset_add(A: MultiIndex, x: int) -> MultiIndex:
 @functools.lru_cache(maxsize=None)
 def _integral_map(r: int, k: int) -> np.ndarray:
     """Multiset expansion as an (r, r, F, F) integer map:
-    I[gamma, delta, a, b] = delta_{(A+delta), (B+gamma)}."""
+    I[gamma, delta, a, b] = delta_{(A+delta), (B+gamma)}, filled from its nonzeros:
+    delta_CC at B = C - gamma for each gamma in each of the F r sums C = A+delta."""
     basis = sym_basis(r, k)
-    F = len(basis)
-    I = np.zeros((r, r, F, F), dtype=np.int64)
-    for gamma in range(1, r + 1):
+    index = {B: b for b, B in enumerate(basis)}
+    I = np.zeros((r, r, len(basis), len(basis)), dtype=np.int64)
+    for a, A in enumerate(basis):
         for delta in range(1, r + 1):
-            for a, A in enumerate(basis):
-                for b, B in enumerate(basis):
-                    I[gamma - 1, delta - 1, a, b] = generalized_delta(
-                        _multiset_add(A, delta), _multiset_add(B, gamma))
+            C = _multiset_add(A, delta)
+            d = generalized_delta(C, C)
+            for gamma in set(C):
+                t = C.index(gamma)
+                I[gamma - 1, delta - 1, a, index[C[:t] + C[t + 1:]]] = d
     I.setflags(write=False)
     return I
 
@@ -283,10 +286,10 @@ def verify_lemma_linear(bundle: MetricField, p, k: int, m, mc_samples: int = 200
     (c) exact moment expansion of the integral formula;
     (d) Monte Carlo quadrature of the integral formula.
 
-    The metric of E is evaluated once per stencil row, 64n^2 + 8n + 1 times.
-    Every budget (E's stencil, the S^k maps, route (b)'s
-    (64n^2 + 8n + 1, F, F) stack), the float range of m, (d)'s sample floor
-    and its seed are checked before the first evaluation.  Returns max
+    The metric of E is evaluated once per stencil row, 64n^2 + 8n + 1 times, at
+    ``p``, or at the origin when ``p`` is None.  Every budget (E's stencil, the
+    S^k maps, route (b)'s (64n^2 + 8n + 1, F, F) stack), the float range of m,
+    (d)'s sample floor and its seed are checked before the point is read.  Returns max
     pairwise relative deviations of (a)-(c), the worst MC z-score of (d)
     against (c), and ``ok``: deviations <= 1e-6 and z-score <= 1.
     """
@@ -298,7 +301,7 @@ def verify_lemma_linear(bundle: MetricField, p, k: int, m, mc_samples: int = 200
     check_float_range(m=m)
     check_samples(mc_samples)
     philox(seed)  # a seed numpy cannot key fails here, not after the sampling
-    R = chern_curvature(bundle, as_point(p, n))
+    R = chern_curvature(bundle, as_point(np.zeros(n) if p is None else p, n))
     Rn = normalize_at_point(R, None)
     Q = fiber_frame(R)
 

@@ -9,9 +9,13 @@ diagonal in ``gram``, so downstream eigenvalue computations must solve
 generalized eigenproblems against it.
 
 Each block is a fixed integer linear map of (r, k), built once per process
-from its own formula (cached) and applied as one contraction.  numpy runs the
-same contractions on object arrays, so exact Fraction-valued tensors pass
-through without rounding.
+from its own formula (cached) and applied as one contraction.  The maps here
+read the basis, each label's position and the Gram diagonal from one cached
+table per (r, k), ``_sym_table``, whose read-only int64 Gram every block of
+that (r, k) carries.  ``check_sym_budget`` bounds every S^k map, its entry
+count and its int64 range, before any is built.  numpy runs the same
+contractions on object arrays, so exact Fraction-valued tensors pass through
+without rounding.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ from math import comb, factorial, prod
 
 import numpy as np
 
-from .errors import DimMismatchError, FrameNotNormalizedError, LengthMismatchError, ParamDomainError
+from .errors import (DimMismatchError, FrameNotNormalizedError, LengthMismatchError,
+                     ParamDomainError, short_count)
 from .geometry import CurvatureTensor, MetricField, _curvature_from_samples
 
 MultiIndex = tuple[int, ...]
@@ -46,17 +51,20 @@ def sym_basis(r: int, k: int) -> list[MultiIndex]:
 
 @functools.lru_cache(maxsize=None)
 def check_sym_budget(r: int, k: int) -> None:
-    """Reject S^k of a rank-r bundle when its largest integer map has more
-    than MAX_SYM_MAP_ENTRIES entries: r^2 F^2 for the derivation and integral
-    maps, k F r^k for the induced metric's gather table, F = dim S^k E.
-    Every builder of those maps is called only after this check."""
+    """Reject S^k of a rank-r bundle unless each S^k integer map fits: at most
+    MAX_SYM_MAP_ENTRIES entries (r^2 F^2 for the derivation and integral maps,
+    k F r^k for the induced metric's gather table, F = dim S^k E), all in int64,
+    whose largest, (k+1)! and k k! at rank 1, need k <= 19.  Every builder of
+    those maps is called only after this check."""
     if r < 1 or k < 0:
         raise ParamDomainError(f"need r >= 1, k >= 0, got r={r}, k={k}")
+    if k >= 20:
+        raise ParamDomainError(f"S^{k} is above the S^k budget: its int64 maps hold (k+1)! "
+                               f"and k k!, which need k <= 19")
     F = comb(r + k - 1, k)
-    # for r >= 2 and k > 64, r^64 alone is above the budget: no need for r^k
-    if max(r * r * F * F, k * F * r ** min(k, 64)) > MAX_SYM_MAP_ENTRIES:
-        raise ParamDomainError(f"S^{k} of a rank-{r} bundle (dimension {F}) is above the "
-                               f"S^k budget of {MAX_SYM_MAP_ENTRIES} map entries")
+    if max(r * r * F * F, k * F * r**k) > MAX_SYM_MAP_ENTRIES:
+        raise ParamDomainError(f"S^{k} of a rank-{r} bundle (dimension {short_count(F)}) is "
+                               f"above the S^k budget of {MAX_SYM_MAP_ENTRIES} map entries")
 
 
 def generalized_delta(A: MultiIndex, B: MultiIndex) -> int:
@@ -79,6 +87,17 @@ def gram_diagonal(r: int, k: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=None)
+def _sym_table(r: int, k: int) -> tuple[list[MultiIndex], dict[MultiIndex, int], np.ndarray]:
+    """sym_basis(r, k), each label's position, and the Gram diagonal as one read-only
+    int64 array that every block of this (r, k) shares; checks the S^k budget first."""
+    check_sym_budget(r, k)
+    basis = sym_basis(r, k)
+    gram = np.array([generalized_delta(A, A) for A in basis], dtype=np.int64)
+    gram.setflags(write=False)
+    return basis, {A: a for a, A in enumerate(basis)}, gram
+
+
+@functools.lru_cache(maxsize=None)
 def _sym_metric_map(r: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Permanent expansion of S^k h as a gather table and a weight matrix.
 
@@ -90,16 +109,14 @@ def _sym_metric_map(r: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     Returns ``flat`` (k, F, r^k), indices into h.ravel() of h[A_j, beta_j],
     and ``weight`` (r^k, F), delta_BB where beta sorts to B and 0 elsewhere.
     """
-    basis = sym_basis(r, k)
-    index = {A: a for a, A in enumerate(basis)}
+    basis, index, gram = _sym_table(r, k)
     tuples = list(product(range(r), repeat=k))
     rows = np.array(basis, dtype=np.intp).T.reshape(k, len(basis), 1) - 1
     cols = np.array(tuples, dtype=np.intp).T.reshape(k, 1, len(tuples))
     flat = rows * r + cols
     weight = np.zeros((len(tuples), len(basis)), dtype=np.int64)
-    for t, beta in enumerate(tuples):
-        B = tuple(sorted(x + 1 for x in beta))
-        weight[t, index[B]] = generalized_delta(B, B)
+    b = [index[tuple(sorted(x + 1 for x in beta))] for beta in tuples]
+    weight[np.arange(len(tuples)), b] = gram[b]
     flat.setflags(write=False)
     weight.setflags(write=False)
     return flat, weight
@@ -146,15 +163,13 @@ def _derivation_map(r: int, k: int) -> np.ndarray:
     T[g, d, a, b] sums delta_BB over the slots t of A with A_t = g whose
     substitution by d sorts to B, so <R e_A, e_B> = sum R_{g dbar} T[g, d, a, b].
     """
-    basis = sym_basis(r, k)
-    index = {A: a for a, A in enumerate(basis)}
-    F = len(basis)
-    T = np.zeros((r, r, F, F), dtype=np.int64)
+    basis, index, gram = _sym_table(r, k)
+    T = np.zeros((r, r, len(basis), len(basis)), dtype=np.int64)
     for a, A in enumerate(basis):
         for t in range(k):
             for gamma in range(1, r + 1):
-                nA = tuple(sorted(A[:t] + (gamma,) + A[t + 1:]))
-                T[A[t] - 1, gamma - 1, a, index[nA]] += generalized_delta(nA, nA)
+                b = index[tuple(sorted(A[:t] + (gamma,) + A[t + 1:]))]
+                T[A[t] - 1, gamma - 1, a, b] += gram[b]
     T.setflags(write=False)
     return T
 
@@ -185,7 +200,7 @@ def _contract_with_trace(R: CurvatureTensor, k: int, T: np.ndarray, coeff) -> Cu
     """
     if not R.normalized:
         raise FrameNotNormalizedError("the S^k blocks need a normalized-frame tensor")
-    gram = np.array(gram_diagonal(R.rank, k))
+    gram = _sym_table(R.rank, k)[2]
     out = np.einsum("ijgd,gdab->ijab", R.values, T)
     _add_diagonal(out, np.trace(R.values, axis1=2, axis2=3), coeff, gram)
     return CurvatureTensor(out, normalized=True, gram=gram)

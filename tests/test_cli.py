@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from poslab import bundles, cli, geometry, moments, oracles, positivity, regions, symbundle
+from poslab import bundles, geometry, moments, oracles, positivity, regions, symbundle
 from poslab.cli import main
 from poslab.errors import ParamDomainError
 from poslab.positivity import estimate_check
@@ -135,6 +135,15 @@ class TestCertifyCommand:
             "--sym", "2", "--det", "0", "--twist", "-1", "--points", "2"])
         assert result.exit_code == 0
         assert abs(payload["report"]["min_value"]) < 1e-6
+
+    @pytest.mark.parametrize("test", ["nakano", "dual"])
+    def test_o1_sym_19_is_o19(self, runner, test):
+        # the largest rank-1 S^k whose integer maps fit in int64: 20! and 19 * 19!
+        result, payload = run_json(runner, [
+            "certify", "--bundle", "o(1)", "--n", "1", "--test", test, "--sym", "19",
+            "--points", "1"])
+        assert result.exit_code == 0, result.output
+        assert abs(payload["report"]["min_value"] - 19) < 1e-6
 
     def test_user_metric_json(self, runner, tmp_path):
         spec = {"rank": 1, "base_dim": 1,
@@ -398,6 +407,32 @@ STENCIL_OVER_BUDGET = {
 }
 
 
+# S^k of a rank-1 bundle above k = 19: its integer maps would hold (k+1)! and k k!
+SYM_INT64_RANGE = {
+    **{f"certify-o1-sym-{k}": ["certify", "--bundle", "o(1)", "--n", "1", "--test", "nakano",
+                               "--sym", str(k), "--points", "1"] for k in (20, 21)},
+    **{f"lemma-linear-o1-k-{k}": ["verify", "--what", "lemma-linear", "--bundle", "o(1)",
+                                  "--n", "1", "--k", str(k)] for k in (20, 21)},
+}
+
+# inputs whose derived counts (stencil entries, dim S^k E, moment-table indices) have
+# more digits than Python prints, and an n whose origin alone numpy cannot size
+_DIGITS_3000, _DIGITS_2000 = str(10**3000), str(10**2000)
+HUGE_COUNTS = {
+    "certify-n-3001-digits":
+        ["certify", "--bundle", "tpn", "--n", _DIGITS_3000, "--test", "nakano"],
+    "json-metric-base-dim-3001-digits":
+        ["certify", "--bundle", f'{{"rank": 1, "base_dim": {_DIGITS_3000}, "entries": [["1"]]}}',
+         "--n", _DIGITS_3000, "--test", "nakano"],
+    "certify-sym-2001-digits": ["certify", "--bundle", "tpn", "--n", "5", "--test", "nakano",
+                                "--sym", _DIGITS_2000, "--points", "1"],
+    "lemma-linear-k-2001-digits": ["verify", "--what", "lemma-linear", "--bundle", "tpn",
+                                   "--n", "5", "--k", _DIGITS_2000],
+    "moments-k-2001-digits": ["verify", "--what", "moments", "--r", "3", "--k", _DIGITS_2000],
+    "lemma-linear-n-2^60": ["verify", "--what", "lemma-linear", "--n", str(2**60)],
+}
+
+
 # (r-1)! above the float range at r = 200 and r = 1000; at r = 2, k = 999 the
 # moments table prints F^2 * k = 999 000 000 indices
 MOMENTS_OVER_RANGE = {
@@ -514,6 +549,10 @@ BAD_INPUT = [
                  "PARAM_DOMAIN", id="certify-sym-over-budget"),
     pytest.param(["verify", "--what", "lemma-linear", "--bundle", "tpn", "--n", "6", "--k", "6"],
                  "PARAM_DOMAIN", id="lemma-linear-sym-over-budget"),
+    # rank 1 above k = 19: (k+1)! and k k! leave int64
+    *(pytest.param(args, "PARAM_DOMAIN", id=name) for name, args in SYM_INT64_RANGE.items()),
+    # counts of thousands of digits, which a message must not print in full
+    *(pytest.param(args, "PARAM_DOMAIN", id=name) for name, args in HUGE_COUNTS.items()),
     # F = 24 310: a 5.9e8-entry moments table
     pytest.param(["verify", "--what", "moments", "--r", "10", "--k", "8"], "PARAM_DOMAIN",
                  id="moments-table-over-budget"),
@@ -591,12 +630,18 @@ def test_moments_over_range_draw_nothing(runner, monkeypatch, args):
      (geometry.MetricField, "__call__")),
     (STENCIL_OVER_BUDGET["lemma-linear-sym-stencil-over-budget"],
      (geometry.MetricField, "__call__")),
-    (["verify", "--what", "estimate", "--n", "40", "--trials", "1"], (cli.np.random, "Philox")),
+    (["verify", "--what", "estimate", "--n", "40", "--trials", "1"], (np.random, "Philox")),
     (["verify", "--what", "estimate", "--n", "40", "--trials", "1"], (positivity, "_interior_map")),
     # a JSON metric's stencil before its entries are lowered; lemma-linear's before its point
     (["certify", "--bundle", '{"rank": 1, "base_dim": 100000000, "entries": [["1"]]}',
       "--n", "100000000", "--test", "nakano"], (bundles, "_lower_expr")),
     (["verify", "--what", "lemma-linear", "--n", str(10**12)], (moments, "as_point")),
+    (HUGE_COUNTS["lemma-linear-n-2^60"], (moments, "as_point")),
+    # rank 1 above k = 19: no S^k map and no factorial
+    (SYM_INT64_RANGE["certify-o1-sym-20"], (symbundle, "_derivation_map")),
+    (SYM_INT64_RANGE["certify-o1-sym-21"], (symbundle, "factorial")),
+    (SYM_INT64_RANGE["lemma-linear-o1-k-20"], (symbundle, "factorial")),
+    (SYM_INT64_RANGE["lemma-linear-o1-k-21"], (moments, "_integral_map")),
     # r >= 172 before any factorial
     (["moments", "--r", "10000000", "--a", "1", "--b", "1"], (moments, "factorial")),
     (["verify", "--what", "moments", "--r", "400000", "--k", "0", "--samples", "100"],
@@ -611,7 +656,10 @@ def test_moments_over_range_draw_nothing(runner, monkeypatch, args):
         "certify-stencil-no-metric-call", "certify-sym-no-metric-call",
         "lemma-linear-sym-stencil-no-metric-call", "estimate-draw",
         "estimate-wedge-map", "json-metric-stencil-before-lowering",
-        "lemma-linear-stencil-before-the-point", "moments-scale-before-factorial",
+        "lemma-linear-stencil-before-the-point", "lemma-linear-2^60-before-the-point",
+        "certify-o1-sym-20-no-derivation-map", "certify-o1-sym-21-no-factorial",
+        "lemma-linear-o1-k-20-no-factorial", "lemma-linear-o1-k-21-no-integral-map",
+        "moments-scale-before-factorial",
         "moments-table-scale-before-factorial", "bott-digits", "grassmannian-digits",
         "grassmannian-records"])
 def test_over_budget_is_rejected_before_the_work(runner, monkeypatch, args, spy):

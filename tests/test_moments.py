@@ -66,6 +66,18 @@ def integral_formula_entry(R, k, m, i, j, A, B):
     return total
 
 
+def integral_map_reference(r, k):
+    """Reference: the integral formula's integer map by its definition, pair by pair,
+    I[gamma, delta, a, b] = delta_{(A+delta), (B+gamma)}."""
+    basis = sym_basis(r, k)
+    I = np.zeros((r, r, len(basis), len(basis)), dtype=np.int64)
+    for gamma, delta in itertools.product(range(1, r + 1), repeat=2):
+        for (a, A), (b, B) in itertools.product(enumerate(basis), repeat=2):
+            I[gamma - 1, delta - 1, a, b] = generalized_delta(tuple(sorted(A + (delta,))),
+                                                              tuple(sorted(B + (gamma,))))
+    return I
+
+
 class TestMomentExact:
     def test_examples(self):
         assert moment_exact(2, (1,), (1,)) == Fraction(1, 2)
@@ -181,6 +193,12 @@ class TestVerifyMoments:
 
 
 class TestIntegralFormula:
+    @pytest.mark.parametrize("r,k", [*itertools.product(range(1, 5), range(5)),
+                                     (5, 3), (5, 5), (1, 19)])
+    def test_integral_map_is_its_definition(self, r, k):
+        I = moments._integral_map(r, k)
+        assert I.dtype == np.int64 and np.array_equal(I, integral_map_reference(r, k))
+
     def test_hand_example_k1_m1(self):
         # R_{11 g d} = d_gd on rank 2: entry (A=B=(1,)) gives R_11 + tr = 3
         v = np.zeros((1, 1, 2, 2), dtype=complex)

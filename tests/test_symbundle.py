@@ -4,6 +4,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poslab import (
     CurvatureTensor,
@@ -11,9 +13,11 @@ from poslab import (
     FrameNotNormalizedError,
     LengthMismatchError,
     ParamDomainError,
+    dual_nakano_min,
     generalized_delta,
     gram_diagonal,
     induced_sym_det_curvature,
+    nakano_min,
     sym_basis,
     sym_metric,
     sym_power_field,
@@ -267,7 +271,7 @@ class TestSymPowerField:
 
 
 class TestSymBudget:
-    @pytest.mark.parametrize("r,k", [(5, 3), (3, 4), (4, 6), (1, 0), (2, 12)])
+    @pytest.mark.parametrize("r,k", [(5, 3), (3, 4), (4, 6), (1, 0), (2, 12), (1, 19)])
     def test_shapes_inside_the_budget(self, r, k):
         F = comb(r + k - 1, k)
         assert max(r * r * F * F, k * F * r**k) <= MAX_SYM_MAP_ENTRIES
@@ -278,9 +282,10 @@ class TestSymBudget:
         assert max(5 * 5 * 35 * 35, 3 * 35 * 5**3) * 100 < MAX_SYM_MAP_ENTRIES
 
     @pytest.mark.parametrize("r,k", [(5, 20), (6, 6), (2, 22), (1, MAX_SYM_MAP_ENTRIES + 1),
-                                     (5, 10**9)])
+                                     (5, 10**9), (1, 20), (1, 21)])
     def test_oversized_rejected_before_any_map(self, monkeypatch, r, k):
-        # (5, 20): a 2.8e9-entry derivation map; (6, 6): a 1.3e8-index gather table
+        # (5, 20): a 2.8e9-entry derivation map; (6, 6): a 1.3e8-index gather table;
+        # (1, 20) and (1, 21): entries 21! and 22! in the integral map, beyond int64
         def spy(*args):
             raise AssertionError("an S^k integer map was built above the budget")
 
@@ -297,3 +302,70 @@ class TestSymBudget:
                      lambda: sym_power_field(E, k, 0)):
             with pytest.raises(ParamDomainError, match="above the S\\^k budget"):
                 call()
+
+
+class TestSymTable:
+    """One cached basis table per (r, k): the maps and blocks read its Gram."""
+
+    def test_blocks_share_one_read_only_gram(self):
+        R = random_curvature(2, 3, seed=5)
+        grams = [induced_sym_det_curvature(R, 2, 1).gram, induced_sym_det_curvature(R, 2, 0).gram,
+                 integral_formula_tensor(R, 2, 3).gram]
+        assert all(g is grams[0] for g in grams)
+        assert not grams[0].flags.writeable and grams[0].dtype == np.int64
+        assert grams[0].tolist() == gram_diagonal(3, 2)
+
+    def test_warm_block_makes_no_delta_call(self, monkeypatch):
+        R, T = random_curvature(1, 2, seed=6), symbundle._derivation_map(2, 4)
+        symbundle._contract_with_trace(R, 4, T, 0)
+        calls = []
+        monkeypatch.setattr(symbundle, "generalized_delta",
+                            lambda A, B: calls.append(A) or generalized_delta(A, B))
+        symbundle._contract_with_trace(R, 4, T, 1)
+        assert calls == []
+
+    @pytest.mark.parametrize("r,k", [(1, 19), (3, 4), (5, 3)])
+    def test_integral_map_reads_delta_once_per_sum(self, monkeypatch, r, k):
+        calls = []
+        monkeypatch.setattr(moments, "generalized_delta",
+                            lambda A, B: calls.append(A) or generalized_delta(A, B))
+        moments._integral_map.__wrapped__(r, k)
+        assert len(calls) <= comb(r + k - 1, k) * r
+
+
+def sandwich_curvature(n, r, q, sign, seed):
+    """q Id + sign (N + D) in a normalized frame, Griffiths-bounded by q on the
+    side of ``sign``: N is a sum of Nakano-semipositive terms x_{i alpha} conj(x_{j beta}),
+    D one of dual-Nakano-semipositive terms y_{i beta} conj(y_{j alpha})."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    v = q * np.einsum("ij,ab->ijab", np.eye(n), np.eye(r)).astype(complex)
+    terms = ["ia,jb->ijab"] * int(rng.integers(0, 4)) + ["ib,ja->ijab"] * int(rng.integers(0, 4))
+    for term in terms:
+        x = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+        v = v + sign * np.einsum(term, x, x.conj())
+    return CurvatureTensor(v, normalized=True)
+
+
+class TestCentralLemma:
+    """Through the integral formula, S^k E (det E)^m curves like a line bundle: if
+    Theta_E >= q (or <= q) in the Griffiths sense and m >= 1, the Nakano and
+    dual-Nakano spectra of S^k E (det E)^m lie on the same side of c q, c = k + m r."""
+
+    @given(n=st.integers(1, 3), r=st.integers(1, 3), k=st.integers(0, 3), m=st.integers(1, 3),
+           q=st.floats(-2, 2), sign=st.sampled_from([1, -1]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_spectra_on_the_side_of_c_q(self, n, r, k, m, q, sign, seed):
+        S = induced_sym_det_curvature(sandwich_curvature(n, r, q, sign, seed), k, m)
+        # the maxima of S are the negated minima of -S
+        S = CurvatureTensor(sign * S.values, normalized=True, gram=S.gram)
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(S.values))))
+        for measure in (nakano_min, dual_nakano_min):
+            assert measure(S).min_value >= sign * (k + m * r) * q - tol
+
+    def test_without_the_det_factor_the_bound_fails(self):
+        # Theta_{i jbar alpha betabar} = delta_{i alpha} delta_{j beta} on n = r = 2 is
+        # Nakano-semipositive, so Griffiths >= 0, but its dual-Nakano form swaps
+        # (i, alpha): eigenvalue -1.  With m = 1 the block adds delta_AB tr Theta = Id.
+        R = CurvatureTensor(np.einsum("ia,jb->ijab", np.eye(2), np.eye(2)), normalized=True)
+        assert dual_nakano_min(induced_sym_det_curvature(R, 1, 0)).min_value == pytest.approx(-1)
+        assert dual_nakano_min(induced_sym_det_curvature(R, 1, 1)).min_value >= -1e-12
