@@ -44,6 +44,8 @@ class BidegreeError(PoslabError):
 
 
 def short_count(count: int) -> str:
-    """A count for an error message: in full up to 30 digits, else its order of
-    magnitude, since a rejected count may have more digits than Python prints."""
-    return str(count) if count < 10**30 else f"about 10^{math.log10(count):.0f}"
+    """An int for an error message: in full up to 30 digits, else its sign and order
+    of magnitude, since a rejected int may have more digits than Python prints."""
+    if abs(count) < 10**30:
+        return str(count)
+    return f"about {'-' * (count < 0)}10^{math.log10(abs(count)):.0f}"

@@ -167,7 +167,8 @@ def check_stencil_budget(n: int, r: int, label: str) -> None:
     ``n`` when its (64n^2 + 8n + 1, r, r) buffer has more than MAX_STENCIL_ENTRIES
     entries; callers run it before the first metric evaluation."""
     if (entries := (64 * n * n + 8 * n + 1) * r * r) > MAX_STENCIL_ENTRIES:
-        raise ParamDomainError(f"the curvature stencil of rank-{r} metric {label!r} on n = {n} "
+        raise ParamDomainError(f"the curvature stencil of rank-{short_count(r)} metric {label!r} "
+                               f"on n = {short_count(n)} "
                                f"needs {short_count(entries)} entries, above the budget of "
                                f"{MAX_STENCIL_ENTRIES}")
 
@@ -309,7 +310,8 @@ _SAMPLE_RADIUS = 2.0
 def sample_points(n: int, count: int, seed: int = 0) -> list[np.ndarray]:
     """Origin plus radial-uniform points with |z| <= 2, deterministic."""
     if n < 1 or count < 1:
-        raise ParamDomainError(f"need base dimension and point count >= 1, got {n} and {count}")
+        raise ParamDomainError(f"need base dimension and point count >= 1, got "
+                               f"{short_count(n)} and {short_count(count)}")
     rng = philox(seed)
     pts = [np.zeros(n, dtype=complex)]
     while len(pts) < count:

@@ -76,7 +76,8 @@ def _check_pair(r: int, A: MultiIndex, B: MultiIndex) -> None:
     if len(A) != len(B):
         raise LengthMismatchError("multi-index lengths differ")
     if r < 1 or any(not 1 <= a <= r for a in A + B):
-        raise ParamDomainError(f"need r >= 1 and multi-index entries in 1..r, got r={r}, {A}, {B}")
+        raise ParamDomainError(f"need r >= 1 and multi-index entries in 1..r, got "
+                               f"r={short_count(r)}, {A}, {B}")
 
 
 def moment_exact(r: int, A: MultiIndex, B: MultiIndex) -> Fraction:
@@ -90,7 +91,7 @@ def check_samples(samples: int) -> None:
     """Reject a Monte Carlo sample count below the floor of 100 that every
     estimator shares."""
     if samples < 100:
-        raise ParamDomainError(f"need at least 100 samples, got {samples}")
+        raise ParamDomainError(f"need at least 100 samples, got {short_count(samples)}")
 
 
 def _sphere_blocks(r: int, samples: int, seed: int):
@@ -174,7 +175,8 @@ def _moment_scale(r: int) -> float:
     """(r-1)!, the factor from the sphere average to the FS moment, as a float;
     r >= 172, whose 171! is above the float range, is rejected before any factorial."""
     if r >= 172:
-        raise ParamDomainError(f"the moment scale (r-1)! is above the float range at r = {r}")
+        raise ParamDomainError(f"the moment scale (r-1)! is above the float range at "
+                               f"r = {short_count(r)}")
     return float(factorial(r - 1))
 
 
@@ -196,9 +198,9 @@ def moment_mc_table(r: int, k: int, samples: int, seed: int = 0):
     """
     indices = comb(r + k - 1, k) ** 2 * max(k, 1) if r >= 1 and k >= 0 else 0
     if indices > MAX_REGION_MEMBERS:
-        raise ParamDomainError(f"the degree-{k} moment table on rank {r} prints "
-                               f"{short_count(indices)} indices, above the budget of "
-                               f"{MAX_REGION_MEMBERS}")
+        raise ParamDomainError(f"the degree-{short_count(k)} moment table on rank "
+                               f"{short_count(r)} prints {short_count(indices)} indices, above "
+                               f"the budget of {MAX_REGION_MEMBERS}")
     basis = sym_basis(r, k)
     scale = _moment_scale(r)
     mean, err = _sphere_moments(r, basis, samples, seed)

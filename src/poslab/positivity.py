@@ -40,6 +40,7 @@ from .errors import (
     FrameNotNormalizedError,
     NonpositivePolarizationError,
     ParamDomainError,
+    short_count,
 )
 from .geometry import (
     CurvatureTensor,
@@ -159,7 +160,7 @@ def check_restarts(restarts: int) -> None:
     """Reject a Griffiths restart count below 1; the scans run it before their
     first metric evaluation."""
     if restarts < 1:
-        raise ParamDomainError(f"need restarts >= 1, got {restarts}")
+        raise ParamDomainError(f"need restarts >= 1, got {short_count(restarts)}")
 
 
 def griffiths_min(R: CurvatureTensor, restarts: int = 32, seed: int = 0) -> PositivityReport:
@@ -434,7 +435,7 @@ def check_form_budget(n: int) -> None:
     # C(64, 32)^2 alone is above the budget: no need for larger binomials
     m = min(n, 64)
     if n * comb(m, m // 2) ** 2 > MAX_SYM_MAP_ENTRIES:
-        raise ParamDomainError(f"(p, q)-forms on n = {n} are above the budget of "
+        raise ParamDomainError(f"(p, q)-forms on n = {short_count(n)} are above the budget of "
                                f"{MAX_SYM_MAP_ENTRIES} entries per Bochner array")
 
 
@@ -464,7 +465,8 @@ def verify_estimate(n: int, trials: int, seed: int = 0) -> dict:
     """``estimate_check`` in batches of 50 trials, each on a fresh random phi > 0 and
     bidegree; ``ok`` when the worst slack is >= -1e-9.  Nothing is drawn before the checks."""
     if n < 1 or trials < 1:
-        raise ParamDomainError(f"need --n >= 1 and --trials >= 1, got {n} and {trials}")
+        raise ParamDomainError(f"need --n >= 1 and --trials >= 1, got {short_count(n)} and "
+                               f"{short_count(trials)}")
     check_form_budget(n)  # before the first n x n phi is drawn
     rng = philox(seed)
     philox((seed + (trials - 1) // 50, 0))  # the last batch's form key, before any draw

@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 
-from .errors import ParamDomainError
+from .errors import ParamDomainError, short_count
 
 # Largest region, in member pairs, that ``region`` will enumerate.
 MAX_REGION_MEMBERS = 10**6
@@ -153,8 +153,8 @@ def check_region_n(n: int) -> None:
     """Reject n > MAX_REGION_MEMBERS before any O(n) work: row n of a region
     alone holds n members (the m = 1 branch, with one member, is bounded too)."""
     if n > MAX_REGION_MEMBERS:
-        raise ParamDomainError(f"n = {n} is above the region budget of {MAX_REGION_MEMBERS} "
-                               "members: row n alone holds n of them")
+        raise ParamDomainError(f"n = {short_count(n)} is above the region budget of "
+                               f"{MAX_REGION_MEMBERS} members: row n alone holds n of them")
 
 
 def region(n: int, lam) -> VanishingRegion:

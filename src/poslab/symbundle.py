@@ -9,7 +9,8 @@ diagonal in ``gram``, so downstream eigenvalue computations must solve
 generalized eigenproblems against it.
 
 Each block is a fixed integer linear map of (r, k), built once per process
-from its own formula (cached) and applied as one contraction.  The maps here
+from its own formula (cached) and applied as one contraction, one per degree
+for the induced metric S^k h.  The maps here
 read the basis, each label's position and the Gram diagonal from one cached
 table per (r, k), ``_sym_table``, whose read-only int64 Gram every block of
 that (r, k) carries.  ``check_sym_budget`` bounds every S^k map, its entry
@@ -23,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from collections import Counter
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from math import comb, factorial, prod
 
 import numpy as np
@@ -34,8 +35,8 @@ from .geometry import CurvatureTensor, MetricField, _curvature_from_samples
 
 MultiIndex = tuple[int, ...]
 
-# Entries allowed in one S^k integer map: the (r, r, F, F) derivation and
-# integral maps, and the (k, F, r^k) gather table of the induced metric.
+# Entries allowed in one S^k integer map, the (r, r, F, F) derivation and
+# integral maps, and in k F r^k, the bound on certify's F x F eigen-solves.
 MAX_SYM_MAP_ENTRIES = 4 * 10**6
 
 # Byte budget of one row chunk of the S^k sample lift and of the Monte Carlo terms.
@@ -45,7 +46,8 @@ _CHUNK_BYTES = 1 << 22
 def sym_basis(r: int, k: int) -> list[MultiIndex]:
     """Lexicographic monomial basis labels of S^k E for rank r."""
     if r < 1 or k < 0:
-        raise ParamDomainError(f"need r >= 1, k >= 0, got r={r}, k={k}")
+        raise ParamDomainError(f"need r >= 1, k >= 0, got r={short_count(r)}, "
+                               f"k={short_count(k)}")
     return list(combinations_with_replacement(range(1, r + 1), k))
 
 
@@ -53,18 +55,21 @@ def sym_basis(r: int, k: int) -> list[MultiIndex]:
 def check_sym_budget(r: int, k: int) -> None:
     """Reject S^k of a rank-r bundle unless each S^k integer map fits: at most
     MAX_SYM_MAP_ENTRIES entries (r^2 F^2 for the derivation and integral maps,
-    k F r^k for the induced metric's gather table, F = dim S^k E), all in int64,
-    whose largest, (k+1)! and k k! at rank 1, need k <= 19.  Every builder of
-    those maps is called only after this check."""
+    F = dim S^k E), all in int64, whose largest, (k+1)! and k k! at rank 1, need
+    k <= 19.  k F r^k, the k-tuple terms of S^k h, sizes no array, but is held to
+    the same budget: it is the only bound on the F x F eigen-solves of certify's
+    S^k blocks.  Every builder of those maps is called only after this check."""
     if r < 1 or k < 0:
-        raise ParamDomainError(f"need r >= 1, k >= 0, got r={r}, k={k}")
+        raise ParamDomainError(f"need r >= 1, k >= 0, got r={short_count(r)}, "
+                               f"k={short_count(k)}")
     if k >= 20:
-        raise ParamDomainError(f"S^{k} is above the S^k budget: its int64 maps hold (k+1)! "
-                               f"and k k!, which need k <= 19")
+        raise ParamDomainError(f"S^{short_count(k)} is above the S^k budget: its int64 maps "
+                               f"hold (k+1)! and k k!, which need k <= 19")
     F = comb(r + k - 1, k)
     if max(r * r * F * F, k * F * r**k) > MAX_SYM_MAP_ENTRIES:
-        raise ParamDomainError(f"S^{k} of a rank-{r} bundle (dimension {short_count(F)}) is "
-                               f"above the S^k budget of {MAX_SYM_MAP_ENTRIES} map entries")
+        raise ParamDomainError(f"S^{k} of a rank-{short_count(r)} bundle (dimension "
+                               f"{short_count(F)}) is above the S^k budget of "
+                               f"{MAX_SYM_MAP_ENTRIES} map entries")
 
 
 def generalized_delta(A: MultiIndex, B: MultiIndex) -> int:
@@ -98,49 +103,41 @@ def _sym_table(r: int, k: int) -> tuple[list[MultiIndex], dict[MultiIndex, int],
 
 
 @functools.lru_cache(maxsize=None)
-def _sym_metric_map(r: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Permanent expansion of S^k h as a gather table and a weight matrix.
+def _sym_metric_map(r: int, k: int) -> tuple[np.ndarray, ...]:
+    """Laplace expansion of S^k h along the last slot, k >= 1, as four read-only tables.
 
-    perm h[A_j, B_l] = sum_sigma prod_j h[A_j, B_sigma(j)], and as sigma runs
-    over S_k the tuple B o sigma hits every distinct rearrangement beta of B
-    exactly delta_BB times.  So (S^k h)_{A Bbar} is delta_BB times the sum of
-    prod_j h[A_j, beta_j] over the r^k k-tuples beta that sort to B.
-
-    Returns ``flat`` (k, F, r^k), indices into h.ravel() of h[A_j, beta_j],
-    and ``weight`` (r^k, F), delta_BB where beta sorts to B and 0 elsewhere.
+    With a the last entry of A, A' the others and B - x the label B with one
+    x removed, perm h[A, B] = sum_x mult_B(x) h[a, x] perm h[A', B - x].
+    Returns a and the position of A' in sym_basis(r, k - 1), each (F, 1), and
+    the position of B - x and mult_B(x), each (r, F), both 0 where x is not in B.
     """
-    basis, index, gram = _sym_table(r, k)
-    tuples = list(product(range(r), repeat=k))
-    rows = np.array(basis, dtype=np.intp).T.reshape(k, len(basis), 1) - 1
-    cols = np.array(tuples, dtype=np.intp).T.reshape(k, 1, len(tuples))
-    flat = rows * r + cols
-    weight = np.zeros((len(tuples), len(basis)), dtype=np.int64)
-    b = [index[tuple(sorted(x + 1 for x in beta))] for beta in tuples]
-    weight[np.arange(len(tuples)), b] = gram[b]
-    flat.setflags(write=False)
-    weight.setflags(write=False)
-    return flat, weight
+    basis = _sym_table(r, k)[0]
+    lower = _sym_table(r, k - 1)[1]
+    last = np.array([[A[-1] - 1] for A in basis], dtype=np.intp)
+    rest = np.array([[lower[A[:-1]]] for A in basis], dtype=np.intp)
+    minus = np.zeros((r, len(basis)), dtype=np.intp)
+    mult = np.zeros((r, len(basis)), dtype=np.int64)
+    for b, B in enumerate(basis):
+        for x in set(B):
+            t = B.index(x)
+            minus[x - 1, b] = lower[B[:t] + B[t + 1:]]
+            mult[x - 1, b] = B.count(x)
+    for table in (last, rest, minus, mult):
+        table.setflags(write=False)
+    return last, rest, minus, mult
 
 
 def _sym_metric_rows(hs: np.ndarray, k: int) -> np.ndarray:
-    """S^k h of every matrix of a (rows, r, r) stack, a (rows, F, F) array.
-
-    The k gathers of ``_sym_metric_map`` are multiplied in one at a time, so
-    no more than three (rows, F, r^k) arrays exist at once, then the product
-    meets the weight matrix in one matmul.  The product is never formed in
-    place: numpy rounds an in-place complex product of length 1 differently,
-    so rank 1 would depend on the number of rows.  The caller checks the S^k
-    budget.
+    """S^k h of every matrix of a (rows, r, r) stack, a (rows, F, F) array, built
+    up from S^0 h = 1 one degree at a time by ``_sym_metric_map``, its r terms
+    added one x at a time.  The caller checks the S^k budget.
     """
     rows, r = hs.shape[:2]
-    flat, weight = _sym_metric_map(r, k)
-    hs = hs.reshape(rows, r * r)
-    if k == 0:
-        return np.ones((rows, 1, 1), dtype=hs.dtype) @ weight
-    acc = hs[:, flat[0]]
-    for j in range(1, k):
-        acc = acc * hs[:, flat[j]]
-    return acc @ weight
+    s = np.ones((rows, 1, 1), dtype=hs.dtype)
+    for j in range(1, k + 1):
+        last, rest, minus, mult = _sym_metric_map(r, j)
+        s = sum(hs[:, last, x] * s[:, rest, minus[x]] * mult[x] for x in range(r))
+    return s
 
 
 def sym_metric(h, k: int):
@@ -233,13 +230,13 @@ def _sym_power_curvature(hs: np.ndarray, k: int, m, label: str) -> np.ndarray:
     """Finite-difference curvature of S^k h (det h)^m on the stencil samples ``hs``
     of a ``chern_curvature``; ``label`` names the field in errors.
 
-    The samples are lifted in row chunks of at most _CHUNK_BYTES of gather
-    product, each det(h)^m taken on a float scalar as ``sym_power_field`` takes
+    The samples are lifted in row chunks of at most _CHUNK_BYTES of (F, F)
+    output, each det(h)^m taken on a float scalar as ``sym_power_field`` takes
     it, so the lifted values are that field's.  The caller checks the budgets.
     """
     N, r = hs.shape[:2]
     F = comb(r + k - 1, k)
-    rows = max(1, _CHUNK_BYTES // (16 * F * r**k))
+    rows = max(1, _CHUNK_BYTES // (16 * F * F))
     lifted = np.empty((N, F, F), dtype=complex)
     for lo in range(0, N, rows):
         chunk = hs[lo:lo + rows]

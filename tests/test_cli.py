@@ -433,6 +433,36 @@ HUGE_COUNTS = {
 }
 
 
+# ints of thousands of digits reach the library's rejections only from Python, because
+# click rejects them first; each message prints them short instead of failing to
+_H = 10**5000
+HUGE_INT_CALLS = {
+    "stencil-n": lambda: geometry.check_stencil_budget(_H, 1, "x"),
+    "stencil-r": lambda: geometry.check_stencil_budget(2, _H, "x"),
+    "stencil-n-3001-digits": lambda: geometry.check_stencil_budget(10**3000, 1, "x"),
+    "sym-budget-k": lambda: symbundle.check_sym_budget(2, _H),
+    "sym-budget-r": lambda: symbundle.check_sym_budget(_H, 2),
+    "sym-budget-negative-r": lambda: symbundle.check_sym_budget(-_H, 2),
+    "sym-basis-negative-r": lambda: symbundle.sym_basis(-_H, 1),
+    "moment-table-k": lambda: moments.moment_mc_table(3, _H, 100),
+    "moment-table-r": lambda: moments.moment_mc_table(_H, 2, 100),
+    "moment-scale": lambda: moments._moment_scale(_H),
+    "samples-negative": lambda: moments.check_samples(-_H),
+    "region-n": lambda: regions.check_region_n(_H),
+    "restarts-negative": lambda: positivity.check_restarts(-_H),
+    "form-budget": lambda: positivity.check_form_budget(_H),
+    "estimate-negative-n": lambda: positivity.verify_estimate(-_H, 1),
+    "sample-points-negative-n": lambda: geometry.sample_points(-_H, 1),
+    "grassmannian-d": lambda: oracles.grassmannian_nonvanishing(_H, 1, 1),
+}
+
+
+@pytest.mark.parametrize("call", list(HUGE_INT_CALLS.values()), ids=list(HUGE_INT_CALLS))
+def test_huge_int_rejected_with_a_short_message(call):
+    with pytest.raises(ParamDomainError) as info:
+        call()
+    assert len(str(info.value)) < 300
+
 # (r-1)! above the float range at r = 200 and r = 1000; at r = 2, k = 999 the
 # moments table prints F^2 * k = 999 000 000 indices
 MOMENTS_OVER_RANGE = {
@@ -544,7 +574,7 @@ BAD_INPUT = [
     *(pytest.param(["certify", "--bundle", "tpn", "--n", "2", "--test", test,
                     "--restarts", value], "PARAM_DOMAIN", id=f"{test}-restarts-{value}")
       for test, value in (("nakano", "5"), ("dual", "-5"))),
-    # S^20 of rank 5: a 2.8e9-entry derivation map; S^6 of rank 6: a 1.3e8-index gather table
+    # S^20 of rank 5: a 2.8e9-entry derivation map; S^6 of rank 6: 1.3e8 k-tuple terms k F r^k
     pytest.param(["certify", "--bundle", "tpn", "--n", "5", "--test", "nakano", "--sym", "20"],
                  "PARAM_DOMAIN", id="certify-sym-over-budget"),
     pytest.param(["verify", "--what", "lemma-linear", "--bundle", "tpn", "--n", "6", "--k", "6"],

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 from math import comb
@@ -118,6 +119,26 @@ class TestSymMetric:
                 for b, B in enumerate(basis):
                     assert s[a, b] == generalized_delta(A, B)
 
+    @pytest.mark.parametrize("r,k", [(5, 5), (1, 19), (2, 12), (3, 7)])
+    def test_identity_reduces_to_gram_at_large_shapes(self, r, k):
+        s = sym_metric(np.eye(r, dtype=int).astype(object), k)
+        assert s.dtype == object
+        assert (s == np.diag(gram_diagonal(r, k))).all()
+
+    def test_lift_peaks_under_five_outputs(self):
+        # 40 stencil rows of tpn on n = 5 lifted to S^5 (F = 126): an expansion over
+        # the r^k k-tuples held (rows, F, r^k) products, 74 times the output
+        hs = chern_curvature(tangent_pn(5), np.zeros(5)).samples[:40]
+        symbundle._sym_metric_rows(hs[:1], 5)  # the cached tables are not counted
+        tracemalloc.start()
+        try:
+            out = symbundle._sym_metric_rows(hs, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (40, 126, 126)
+        assert peak < 5 * out.nbytes
+
     def test_diagonal_scaling(self):
         s = sym_metric(np.diag([3.0, 1.0]), 2)
         assert abs(s[0, 0] - 18.0) < 1e-14  # permanent of [[3,3],[3,3]] = 2*9
@@ -150,7 +171,7 @@ class TestSymMetric:
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_stacked_kernel_matches_one_matrix_at_a_time(self, r):
-        # one gather-product-matmul over a stack gives each matrix's sym_metric bit for bit
+        # one lift over a stack gives each matrix's sym_metric bit for bit
         rng = np.random.Generator(np.random.Philox(key=r))
         hs = rng.standard_normal((9, r, r)) + 1j * rng.standard_normal((9, r, r))
         for k in range(5):
@@ -284,7 +305,7 @@ class TestSymBudget:
     @pytest.mark.parametrize("r,k", [(5, 20), (6, 6), (2, 22), (1, MAX_SYM_MAP_ENTRIES + 1),
                                      (5, 10**9), (1, 20), (1, 21)])
     def test_oversized_rejected_before_any_map(self, monkeypatch, r, k):
-        # (5, 20): a 2.8e9-entry derivation map; (6, 6): a 1.3e8-index gather table;
+        # (5, 20): a 2.8e9-entry derivation map; (6, 6): 1.3e8 k-tuple terms k F r^k;
         # (1, 20) and (1, 21): entries 21! and 22! in the integral map, beyond int64
         def spy(*args):
             raise AssertionError("an S^k integer map was built above the budget")
@@ -332,6 +353,15 @@ class TestSymTable:
         moments._integral_map.__wrapped__(r, k)
         assert len(calls) <= comb(r + k - 1, k) * r
 
+    @pytest.mark.parametrize("r,k", [(1, 19), (3, 4), (5, 5)])
+    def test_metric_tables_read_only_and_linear_in_r(self, r, k):
+        # degree j holds tables of F_j or r F_j entries, none of r^j
+        for j in range(1, k + 1):
+            F = comb(r + j - 1, j)
+            for table in symbundle._sym_metric_map(r, j):
+                assert not table.flags.writeable
+                assert table.size <= r * F
+
 
 def sandwich_curvature(n, r, q, sign, seed):
     """q Id + sign (N + D) in a normalized frame, Griffiths-bounded by q on the
@@ -361,6 +391,25 @@ class TestCentralLemma:
         tol = 1e-12 * max(1.0, float(np.max(np.abs(S.values))))
         for measure in (nakano_min, dual_nakano_min):
             assert measure(S).min_value >= sign * (k + m * r) * q - tol
+
+    @given(n=st.integers(1, 3), r=st.integers(1, 3), k=st.integers(0, 3), m=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_general_tensor_spectra_inside_c_times_griffiths_bounds(self, n, r, k, m, seed):
+        # any Hermitian form on pairs (i alpha), (j beta): its Griffiths values lie in
+        # [q1, q2], q1 the larger Nakano / dual-Nakano minimum, q2 the smaller maximum
+        H = random_hermitian(n * r, seed=seed)
+        R = CurvatureTensor(H.reshape(n, r, n, r).transpose(0, 2, 1, 3), normalized=True)
+        neg = CurvatureTensor(-R.values, normalized=True)
+        q1 = max(nakano_min(R).min_value, dual_nakano_min(R).min_value)
+        q2 = min(-nakano_min(neg).min_value, -dual_nakano_min(neg).min_value)
+        S = induced_sym_det_curvature(R, k, m)
+        S_neg = CurvatureTensor(-S.values, normalized=True, gram=S.gram)
+        c = k + m * r
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(S.values))))
+        for measure in (nakano_min, dual_nakano_min):
+            assert measure(S).min_value >= c * q1 - tol
+            assert -measure(S_neg).min_value <= c * q2 + tol
 
     def test_without_the_det_factor_the_bound_fails(self):
         # Theta_{i jbar alpha betabar} = delta_{i alpha} delta_{j beta} on n = r = 2 is
