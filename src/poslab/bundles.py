@@ -7,10 +7,17 @@ Catalogue (string identifiers accepted by :func:`builtin`):
 * ``tpn_twist(l)``  -- TP^n tensor O(l)
 * ``dsum(a,b,...)`` -- the direct sum O(a) + O(b) + ...
 
+``o(c)`` and a one-summand ``dsum(c)`` carry ``line_degree`` = c, so a
+polarization by them is c times the Fubini-Study form with no metric call
+(``positivity.polarization_form``); a JSON line metric, even one with the same
+formula, is differentiated on its stencil.
+
 Derived fields (``tpn_twist``, ``det_field``, ``frame_normalized``,
 ``sym_power_field``) are ``dataclasses.replace`` copies of their parent, so
-they inherit its ``base_dim`` and ``domain_radius``; their own call checks
-the point and their evaluator reads the parent's ``value`` on it.
+they inherit its ``base_dim`` and ``domain_radius``; each resets ``line_degree``
+to None, since its curvature is no longer that of the parent (S^2 O(1) has
+rank 1 and degree 2).  Their own call checks the point and their evaluator
+reads the parent's ``value`` on it.
 ``det_field``, ``frame_normalized`` and ``sym_power_field`` are per-point
 references that no command uses: ``certify --l det`` and lemma-linear lift the samples
 of E's ``chern_curvature``, whose frame ``geometry.normalize_at_point`` changes once.
@@ -48,7 +55,7 @@ def o_line(l: float, n: int) -> MetricField:
     def ev(z, l=float(l)):
         return np.array([[(1.0 + _norm2(z)) ** (-l)]], dtype=complex)
 
-    return MetricField(rank=1, base_dim=n, evaluate=ev, label=f"o({l:g})")
+    return MetricField(rank=1, base_dim=n, evaluate=ev, label=f"o({l:g})", line_degree=float(l))
 
 
 def tangent_pn(n: int) -> MetricField:
@@ -65,7 +72,8 @@ def direct_sum(powers, n: int) -> MetricField:
         return np.diag(np.array([s ** (-a) for a in powers], dtype=complex))
 
     label = "dsum(" + ",".join(f"{a:g}" for a in powers) + ")"
-    return MetricField(rank=len(powers), base_dim=n, evaluate=ev, label=label)
+    return MetricField(rank=len(powers), base_dim=n, evaluate=ev, label=label,
+                       line_degree=powers[0] if len(powers) == 1 else None)
 
 
 def tangent_pn_twist(l: float, n: int) -> MetricField:
@@ -73,7 +81,8 @@ def tangent_pn_twist(l: float, n: int) -> MetricField:
     def ev(z, l=float(l)):
         return fubini_study(n, z) * (1.0 + _norm2(z)) ** (-l)
 
-    return dataclasses.replace(tangent_pn(n), evaluate=ev, label=f"tpn_twist({l:g})")
+    return dataclasses.replace(tangent_pn(n), evaluate=ev, label=f"tpn_twist({l:g})",
+                               line_degree=None)
 
 
 def det_field(E: MetricField) -> MetricField:
@@ -81,7 +90,8 @@ def det_field(E: MetricField) -> MetricField:
     def ev(z):
         return np.array([[np.linalg.det(E.value(z)).real]], dtype=complex)
 
-    return dataclasses.replace(E, rank=1, evaluate=ev, label=f"det({E.label})")
+    return dataclasses.replace(E, rank=1, evaluate=ev, label=f"det({E.label})",
+                               line_degree=None)
 
 
 def frame_normalized(E: MetricField, p) -> MetricField:
@@ -96,7 +106,7 @@ def frame_normalized(E: MetricField, p) -> MetricField:
     def ev(z):
         return Q.T @ E.value(z) @ Q.conj()
 
-    return dataclasses.replace(E, evaluate=ev, label=f"{E.label}@norm")
+    return dataclasses.replace(E, evaluate=ev, label=f"{E.label}@norm", line_degree=None)
 
 
 _BUILTIN_RE = re.compile(r"^\s*(o|tpn_twist|dsum|tpn)\s*(?:\(([^()]*)\))?\s*$")

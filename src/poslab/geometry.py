@@ -62,6 +62,9 @@ class MetricField:
     leave it raise StencilOutOfChartError.  ``rank`` and ``base_dim`` below 1
     are a ParamDomainError.  A call checks the point and the domain, then
     returns ``value(p)``, which derived fields call on their parent directly.
+    ``line_degree`` is c when the field is the built-in line bundle
+    h = (1 + |z|^2)^(-c), whose curvature is exactly c times ``fubini_study``;
+    it is None on every other field, derived copies included.
     """
 
     rank: int
@@ -69,6 +72,7 @@ class MetricField:
     evaluate: Callable[[np.ndarray], np.ndarray]
     label: str = ""
     domain_radius: float | None = None
+    line_degree: float | None = None
 
     def __post_init__(self):
         if self.rank < 1 or self.base_dim < 1:

@@ -21,6 +21,7 @@ labeled as such.  The maximum is minus the minimum of -R.
 ``boundedness_scan`` apply their measures to the same normalized
 S^k E (det E)^m L^l block at each point; L is a rank-1 field, or None for
 det E, lifted from the samples of E's ``chern_curvature``, so no field is sampled twice.
+A built-in L = O(c) is not sampled at all: its form is c times ``fubini_study``, exactly.
 ``verify_estimate`` is the harness of ``verify --what estimate``, with its own ``ok``.
 """
 
@@ -48,6 +49,7 @@ from .geometry import (
     as_point,
     check_stencil_budget,
     chern_curvature,
+    fubini_study,
     normalize_at_point,
     philox,
     sample_points,
@@ -219,23 +221,29 @@ def dual_nakano_min(R: CurvatureTensor) -> PositivityReport:
 
 
 def polarization_form(L: MetricField, p) -> np.ndarray:
-    """omega_L at p as an n x n matrix: frame-normalized curvature of L, with
-    h_L(p) read from row 0 of its stencil."""
+    """omega_L at p as an n x n matrix, checked positive definite.
+
+    A built-in line bundle of degree c (``L.line_degree``) has omega = c omega_FS
+    exactly, and no metric is evaluated.  Any other line field is differentiated:
+    omega is its frame-normalized curvature, with h_L(p) read from row 0 of its stencil.
+    """
     if L.rank != 1:
         raise DimMismatchError(
             f"polarization {L.label!r} has rank {L.rank}; it must be a line bundle")
-    R = chern_curvature(L, as_point(p, L.base_dim))
-    return _positive_form(R.values / R.samples[0, 0, 0].real, L.label)
+    z0 = as_point(p, L.base_dim)
+    if L.line_degree is not None:
+        return _positive_form(L.line_degree * fubini_study(L.base_dim, z0), L.label)
+    R = chern_curvature(L, z0)
+    return _positive_form(R.values[:, :, 0, 0] / R.samples[0, 0, 0].real, L.label)
 
 
 def _positive_form(omega: np.ndarray, label: str) -> np.ndarray:
-    """omega[:, :, 0, 0] of a frame-normalized line curvature, checked positive definite."""
-    gmat = omega[:, :, 0, 0]
-    if np.min(np.linalg.eigvalsh(0.5 * (gmat + gmat.conj().T))) <= 0:
+    """The n x n form omega of a line bundle, checked positive definite."""
+    if np.min(np.linalg.eigvalsh(0.5 * (omega + omega.conj().T))) <= 0:
         raise NonpositivePolarizationError(
             f"curvature of {label!r} is not positive at the sampled point"
         )
-    return gmat
+    return omega
 
 
 def sym_twisted_curvature_at(E: MetricField, L: MetricField | None, p, k: int, m,
@@ -250,9 +258,9 @@ def sym_twisted_curvature_at(E: MetricField, L: MetricField | None, p, k: int, m
     if L is None:
         R, label = chern_curvature(E, z0), f"det({E.label})"
         omega = _sym_power_curvature(R.samples, 0, 1, label) / np.linalg.det(R.samples[0]).real
-        g = _positive_form(omega, label)
+        g = _positive_form(omega[:, :, 0, 0], label)
     else:
-        g = polarization_form(L, z0)  # L's stencil before E's
+        g = polarization_form(L, z0)  # L before E's stencil
         R = chern_curvature(E, z0)
     Rsym = induced_sym_det_curvature(normalize_at_point(R, g), k, m)
     if l != 0:
@@ -265,10 +273,11 @@ def _scan_minima(E: MetricField, L: MetricField | None, measures, n_points: int,
     """Apply each measure (block -> PositivityReport) at every sample point.
 
     Returns the first smallest report per measure, its point in ``points``,
-    and the scanned points.  The stencils of E and of L (unless None, det E),
-    the S^k maps, m, l and the seed are checked before the first metric call.
+    and the scanned points.  The stencils of E and of L (when L is sampled: not
+    det E, not a built-in line), the S^k maps, m, l and the seed are checked
+    before the first metric call.
     """
-    if L is not None:
+    if L is not None and L.line_degree is None:
         check_stencil_budget(L.base_dim, L.rank, L.label)
     check_stencil_budget(E.base_dim, E.rank, E.label)
     check_sym_budget(E.rank, k)

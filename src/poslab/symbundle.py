@@ -262,4 +262,5 @@ def sym_power_field(E: MetricField, k: int, m) -> MetricField:
             s = s * np.linalg.det(h).real ** m
         return s
 
-    return dataclasses.replace(E, rank=F, evaluate=ev, label=f"sym{k}det{m}({E.label})")
+    return dataclasses.replace(E, rank=F, evaluate=ev, label=f"sym{k}det{m}({E.label})",
+                               line_degree=None)

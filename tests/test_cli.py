@@ -704,6 +704,11 @@ def test_over_budget_is_rejected_before_the_work(runner, monkeypatch, args, spy)
 
 _INDEFINITE = '{"rank": 1, "base_dim": 2, "entries": [["-1"]], "label": "indefinite"}'
 _ROWS_N2 = 64 * 4 + 8 * 2 + 1
+# O(1) written as JSON line metrics, sampled on their stencils like any other field
+_JSON_O1_N1 = ('{"rank": 1, "base_dim": 1, "label": "json-o(1)", '
+               '"entries": [["(1 + abs2(z1)) ** -1"]]}')
+_JSON_O1_N2 = ('{"rank": 1, "base_dim": 2, "label": "json-o(1)", '
+               '"entries": [["(1 + abs2(z1) + abs2(z2)) ** -1"]]}')
 
 
 @pytest.mark.parametrize("args,code,calls", [
@@ -711,10 +716,14 @@ _ROWS_N2 = 64 * 4 + 8 * 2 + 1
                    "PARAM_DOMAIN", {}, id=f"{test}-restarts-0") for test in ("griffiths", "bounds")),
     pytest.param(["verify", "--what", "lemma-linear", "--bundle", "tpn", "--n", "4", "--k", "3",
                   "--samples", "50"], "PARAM_DOMAIN", {}, id="lemma-linear-too-few-samples"),
-    # h(p) is row 0 of E's stencil: the scan samples L at the origin, then E once
+    # h(p) is row 0 of E's stencil: the built-in O(1) is c omega_FS and makes no call,
+    # a JSON line is sampled at the origin first; then E once
     pytest.param(["certify", "--bundle", _INDEFINITE, "--n", "2", "--test", "nakano"],
-                 "SINGULAR_METRIC", {"o(1)": _ROWS_N2, "indefinite": 1},
+                 "SINGULAR_METRIC", {"indefinite": 1},
                  id="certify-indefinite-metric"),
+    pytest.param(["certify", "--bundle", _INDEFINITE, "--n", "2", "--test", "nakano",
+                  "--l", _JSON_O1_N2], "SINGULAR_METRIC", {"json-o(1)": _ROWS_N2, "indefinite": 1},
+                 id="certify-indefinite-metric-json-polarization"),
     pytest.param(["verify", "--what", "lemma-linear", "--bundle", _INDEFINITE, "--n", "2"],
                  "SINGULAR_METRIC", {"indefinite": 1}, id="lemma-linear-indefinite-metric"),
     # det E comes from E's own stencil, so E is sampled first and stops at h(p)
@@ -736,9 +745,11 @@ def test_rejected_after_exactly_these_metric_calls(runner, metric_calls, args, c
 
 
 @pytest.mark.parametrize("args,calls", [
-    (["certify", "--test", "nakano", "--points", "2"], {"o(1)": 64 + 8 + 1, "skew": 1}),
+    (["certify", "--test", "nakano", "--points", "2"], {"skew": 1}),
+    (["certify", "--test", "nakano", "--points", "2", "--l", _JSON_O1_N1],
+     {"json-o(1)": 64 + 8 + 1, "skew": 1}),
     (["verify", "--what", "lemma-linear"], {"skew": 1}),
-], ids=["certify", "lemma-linear"])
+], ids=["certify", "certify-json-polarization", "lemma-linear"])
 def test_non_hermitian_metric_rejected_at_h_p(runner, metric_calls, args, calls):
     result, payload = run_json(runner, [*args, "--bundle", _SKEW, "--n", "1"])
     assert result.exit_code == 2, result.output

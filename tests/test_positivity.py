@@ -3,6 +3,7 @@ import pathlib
 import subprocess
 import sys
 from bisect import bisect_left
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -31,7 +32,13 @@ from poslab import (
     sym_twisted_curvature_at,
     tangent_pn,
 )
-from poslab.bundles import direct_sum, det_field, load_metric_json, tangent_pn_twist
+from poslab.bundles import (
+    det_field,
+    direct_sum,
+    frame_normalized,
+    load_metric_json,
+    tangent_pn_twist,
+)
 from poslab.geometry import chern_curvature, normalize_at_point, fubini_study, sample_points
 from poslab.symbundle import _sym_power_curvature
 from poslab import geometry, positivity
@@ -42,7 +49,7 @@ from poslab.positivity import (
     line_curvature_tensor,
     polarization_form,
 )
-from poslab.symbundle import induced_sym_det_curvature
+from poslab.symbundle import induced_sym_det_curvature, sym_power_field
 
 from conftest import random_curvature
 
@@ -396,6 +403,13 @@ _USER_RANK2 = {
 }
 
 
+def json_line(c, n):
+    """O(c) written as a JSON metric: o_line's formula, but differentiated on its stencil."""
+    s = " + ".join(f"abs2(z{i})" for i in range(1, n + 1))
+    return load_metric_json({"rank": 1, "base_dim": n, "label": f"json-o({c:g})",
+                             "entries": [[f"(1 + {s}) ** -{c}"]]})
+
+
 class TestOneScan:
     """positivity_scan and boundedness_scan equal the loops they replaced, exactly."""
 
@@ -424,21 +438,28 @@ class TestOneScan:
         lambda E, L: positivity_scan(E, L, "nakano", n_points=3, seed=1, k=2, l=1),
         lambda E, L: boundedness_scan(E, L, n_points=3, seed=1, restarts=2),
     ], ids=["positivity", "boundedness"])
-    @pytest.mark.parametrize("E", [tangent_pn(2), load_metric_json(_USER_RANK2)],
-                             ids=["tpn", "user-rank2"])
-    def test_one_metric_evaluation_per_stencil_row(self, metric_calls, scan, E):
-        # each point samples L's stencil, then E's; h(p) of each is its row 0
-        scan(E, o_line(1, 2))
+    @pytest.mark.parametrize("E,L,sampled", [
+        (tangent_pn(2), o_line(1, 2), 0),
+        (load_metric_json(_USER_RANK2), o_line(1, 2), 0),
+        (tangent_pn(2), json_line(1, 2), 1),
+        (load_metric_json(_USER_RANK2), json_line(1, 2), 1),
+    ], ids=["tpn", "user-rank2", "tpn-json-l", "user-rank2-json-l"])
+    def test_one_metric_evaluation_per_stencil_row(self, metric_calls, scan, E, L, sampled):
+        # each point samples a JSON L's stencil, then E's, h(p) of each its row 0;
+        # the built-in O(1) is omega_FS in closed form and is never evaluated
+        scan(E, L)
         rows = 64 * 4 + 8 * 2 + 1
-        assert metric_calls == {E.label: 3 * rows, "o(1)": 3 * rows}
+        assert metric_calls == Counter({E.label: 3 * rows, L.label: 3 * rows * sampled})
 
     def test_polarization_form_one_evaluation_per_stencil_row(self, metric_calls):
-        L = o_line(2, 2)
         z = np.array([0.3 - 0.1j, 0.2j])
-        g = polarization_form(L, z)
-        assert metric_calls == {"o(2)": 64 * 4 + 8 * 2 + 1}
+        g = polarization_form(o_line(2, 2), z)
+        assert metric_calls == {}
+        gj = polarization_form(json_line(2, 2), z)
+        assert metric_calls == {"json-o(2)": 64 * 4 + 8 * 2 + 1}
         # O(2) has curvature 2 omega_FS
-        assert np.allclose(g, 2 * fubini_study(2, z), atol=1e-7)
+        assert np.array_equal(g, 2 * fubini_study(2, z))
+        assert np.allclose(gj, g, atol=1e-7)
 
     def test_report_sign_rule(self):
         assert PositivityReport("nakano", 0.5, {}).to_json() == {
@@ -446,6 +467,49 @@ class TestOneScan:
             "certified_sign": "positive"}
         for val in (0.0, -1.0):
             assert PositivityReport("griffiths", val, {}).certified_sign == "nonpositive_found"
+
+
+class TestExactPolarization:
+    """A built-in O(c) polarizes by c omega_FS in closed form; every other line is sampled."""
+
+    @pytest.mark.parametrize("c", [1, 2, 0.5, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_builtin_line_is_c_times_fubini_study(self, metric_calls, n, c):
+        for p in sample_points(n, 4, seed=7):
+            want = c * fubini_study(n, p)
+            assert np.array_equal(polarization_form(o_line(c, n), p), want)
+            assert np.array_equal(polarization_form(direct_sum([c], n), p), want)
+        assert metric_calls == {}
+
+    @pytest.mark.parametrize("c", [1, 2, 0.5])
+    def test_json_line_matches_closed_form(self, c):
+        L = json_line(c, 2)
+        assert L.line_degree is None
+        for p in sample_points(2, 5, seed=3):
+            got = polarization_form(L, p)
+            assert np.max(np.abs(got - c * fubini_study(2, p))) < 5e-10
+
+    def test_derived_fields_inherit_no_degree(self):
+        L = o_line(1, 2)
+        S2 = sym_power_field(L, 2, 0)  # S^2 O(1) = O(2): rank 1, degree 2, not 1
+        assert S2.rank == 1 and S2.line_degree is None
+        assert det_field(L).line_degree is None
+        assert frame_normalized(L, [0.1, 0.2j]).line_degree is None
+        assert tangent_pn_twist(1, 2).line_degree is None
+        assert direct_sum([1, 2], 2).line_degree is None
+        for p in sample_points(2, 3, seed=1):
+            assert np.max(np.abs(polarization_form(S2, p) - 2 * fubini_study(2, p))) < 5e-10
+
+    @pytest.mark.parametrize("c", [0, -1])
+    @pytest.mark.parametrize("scan", [
+        lambda L: polarization_form(L, [0.2, 0.1j]),
+        lambda L: positivity_scan(tangent_pn(2), L, "nakano", n_points=2),
+        lambda L: boundedness_scan(tangent_pn(2), L, n_points=2),
+    ], ids=["form", "positivity", "boundedness"])
+    def test_nonpositive_line_rejected_before_any_metric_call(self, metric_calls, scan, c):
+        with pytest.raises(NonpositivePolarizationError, match=rf"o\({c}\)"):
+            scan(o_line(c, 2))
+        assert metric_calls == {}
 
 
 # benchmark user metric 5

@@ -363,6 +363,39 @@ class TestSymTable:
                 assert table.size <= r * F
 
 
+def _budget_accepts(r, k):
+    try:
+        check_sym_budget(r, k)
+    except ParamDomainError:
+        return False
+    return True
+
+
+_ACCEPTED_RK = [(r, k) for r in range(1, 6) for k in range(1, 8) if _budget_accepts(r, k)]
+
+
+class TestIntegralIdentity:
+    """The integral formula in exact integers: route (c)'s multiset expansion is
+    route (a)'s derivation rule plus one Gram-weighted trace,
+
+        _integral_map(r, k) - _derivation_map(r, k) = delta_{gamma delta} delta_AB gram_A,
+
+    which moves the trace coefficient from m to m - 1.  Both maps keep their own
+    constructions; no metric and no float enters."""
+
+    def test_budget_covers_the_expected_pairs(self):
+        rejected = {(r, k) for r in range(1, 6) for k in range(1, 8)} - set(_ACCEPTED_RK)
+        assert len(_ACCEPTED_RK) == 32 and rejected == {(4, 7), (5, 6), (5, 7)}
+
+    @pytest.mark.parametrize("r,k", _ACCEPTED_RK, ids=[f"r{r}-k{k}" for r, k in _ACCEPTED_RK])
+    def test_integral_map_is_derivation_map_plus_trace(self, r, k):
+        I, T = moments._integral_map(r, k), symbundle._derivation_map(r, k)
+        gram = symbundle._sym_table(r, k)[2]
+        assert I.dtype == T.dtype == np.int64
+        want = np.einsum("gd,ab->gdab", np.eye(r, dtype=np.int64), np.diag(gram))
+        assert np.array_equal(I - T, want)
+
+
 def sandwich_curvature(n, r, q, sign, seed):
     """q Id + sign (N + D) in a normalized frame, Griffiths-bounded by q on the
     side of ``sign``: N is a sum of Nakano-semipositive terms x_{i alpha} conj(x_{j beta}),
