@@ -194,30 +194,42 @@ def _base_inverse(H: np.ndarray, label: str) -> np.ndarray:
     return np.linalg.inv(H)
 
 
-def _curvature_from_samples(vals: np.ndarray, label: str,
-                            Hinv: np.ndarray | None = None) -> np.ndarray:
+def _curvature_from_samples(vals: np.ndarray, label: str, Hinv: np.ndarray | None = None,
+                            lift: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
     """R_{i jbar alpha betabar} from the metric ``vals`` at the rows of
     ``_stencil_offsets(n)``, row 0 the base value h(p); ``vals`` is not modified.
 
     ``Hinv`` is h(p)^-1 when the caller has already checked h(p) with
-    ``_base_inverse``.  The base value is subtracted from each row and the
-    rows are contracted with the Wirtinger weights, the mixed rows one
-    d/dz^i at a time, so no second full-size buffer is made.
+    ``_base_inverse``.  ``lift``, when given, maps a (rows, r, r) block of
+    ``vals`` to the C-ordered (rows, F, F) values of a field derived pointwise
+    from them, and the curvature is that field's.  Each derivative reads only
+    its own rows, so the rows are lifted, checked finite and contracted with
+    the Wirtinger weights one group at a time: row 0, the 8n rows of the
+    d/dz^i, then the 64 rows of each d/dz^i d/dzbar^j.  No buffer of the whole
+    stencil is made beyond ``vals``.
     """
     # len(vals) = 64n^2 + 8n + 1, so 4 len(vals) - 3 = (16n + 1)^2
     n = (math.isqrt(4 * len(vals) - 3) - 1) // 16
-    r = vals.shape[1]
-    H = vals[0]
+    lift = lift or (lambda block: block)
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        block = lift(vals[lo:hi])
+        if not np.isfinite(block).all():
+            raise SingularMetricError(f"metric {label!r} not finite on the stencil")
+        return block.reshape(hi - lo, -1)
+
+    H = lift(vals[:1])[0]
     if Hinv is None:
         Hinv = _base_inverse(H, label)
-    if not np.isfinite(vals).all():
-        raise SingularMetricError(f"metric {label!r} not finite on the stencil")
+    F = len(H)
     # every weight row sums to 0: subtracting h(p) leaves the derivatives
     # unchanged and makes those of a constant field exactly 0
-    dh = (_STENCIL_WEIGHTS @ (vals[1:1 + 8 * n] - H).reshape(n, 8, r * r)).reshape(n, r, r) / _STEP
-    mixed = vals[1 + 8 * n:].reshape(n, 64 * n, r, r)
-    dd = np.stack([_MIXED_WEIGHTS @ (mixed[i] - H).reshape(n, 64, r * r)
-                   for i in range(n)]).reshape(n, n, r, r)
+    h0 = H.reshape(-1)
+    dh = _STENCIL_WEIGHTS @ (rows(1, 1 + 8 * n) - h0).reshape(n, 8, F * F)
+    dh = dh.reshape(n, F, F) / _STEP
+    lo = 1 + 8 * n
+    dd = np.stack([_MIXED_WEIGHTS @ (rows(lo + 64 * g, lo + 64 * g + 64) - h0)
+                   for g in range(n * n)]).reshape(n, n, F, F)
     return np.einsum("iab,jdb->ijad", dh @ Hinv, dh.conj()) - dd / _STEP**2
 
 

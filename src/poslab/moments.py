@@ -56,7 +56,6 @@ from .geometry import (
 )
 from .regions import MAX_REGION_MEMBERS
 from .symbundle import (
-    _CHUNK_BYTES,
     MultiIndex,
     _contract_with_trace,
     _sym_power_curvature,
@@ -66,6 +65,9 @@ from .symbundle import (
     induced_sym_det_curvature,
     sym_basis,
 )
+
+# Byte budget of one row chunk of the Monte Carlo terms.
+_CHUNK_BYTES = 1 << 22
 
 # Samples per block of the sphere stream.  Changing it changes every stream
 # longer than one block.
@@ -290,8 +292,10 @@ def verify_lemma_linear(bundle: MetricField, p, k: int, m, mc_samples: int = 200
 
     The metric of E is evaluated once per stencil row, 64n^2 + 8n + 1 times, at
     ``p``, or at the origin when ``p`` is None.  Every budget (E's stencil, the
-    S^k maps, route (b)'s (64n^2 + 8n + 1, F, F) stack), the float range of m,
-    (d)'s sample floor and its seed are checked before the point is read.  Returns max
+    S^k maps, and route (b)'s lift of (64n^2 + 8n + 1) F^2 entries, a bound on
+    its work: the lift makes one derivative's rows at a time, never that
+    stack), the float range of m, (d)'s sample floor and its seed are checked
+    before the point is read.  Returns max
     pairwise relative deviations of (a)-(c), the worst MC z-score of (d)
     against (c), and ``ok``: deviations <= 1e-6 and z-score <= 1.
     """

@@ -15,7 +15,7 @@ import dataclasses
 from fractions import Fraction
 from math import comb, log10, prod
 
-from .errors import ParamDomainError
+from .errors import ParamDomainError, short_count
 from .regions import TheoremParams, VanishingRegion, check_region_n, lambda0, region
 
 # Python's default limit on the digits of an int it converts to text: a larger
@@ -120,9 +120,13 @@ def prop_ex_consistency(n: int, k: int, l: int) -> dict:
     The oracle's non-vanishing lives at the boundary twist l = 1-k, where
     m = l+k-1 = 0 and the theorem itself is inapplicable; for any other l the
     bundle parameters differ and the check passes with a recorded parameter
-    mismatch.  n above the region budget is rejected first.
+    mismatch.  n above the region budget is rejected first, then n or k below
+    1, which no S^k TP^n has, before the theorem's applicability is tested.
     """
     check_region_n(n)
+    if n < 1 or k < 1:
+        raise ParamDomainError(f"need --n >= 1 and --k >= 1, got --n {short_count(n)} "
+                               f"and --k {short_count(k)}")
     try:
         lam = prop_ex_lambda0(n, k, l)
     except ParamDomainError as exc:

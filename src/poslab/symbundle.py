@@ -39,9 +39,6 @@ MultiIndex = tuple[int, ...]
 # integral maps, and in k F r^k, the bound on certify's F x F eigen-solves.
 MAX_SYM_MAP_ENTRIES = 4 * 10**6
 
-# Byte budget of one row chunk of the S^k sample lift and of the Monte Carlo terms.
-_CHUNK_BYTES = 1 << 22
-
 
 def sym_basis(r: int, k: int) -> list[MultiIndex]:
     """Lexicographic monomial basis labels of S^k E for rank r."""
@@ -226,41 +223,33 @@ def twist_by_line(Rsym: CurvatureTensor, Rline: CurvatureTensor, t) -> Curvature
     return CurvatureTensor(out, normalized=Rsym.normalized, gram=Rsym.gram)
 
 
+def _sym_det_rows(hs: np.ndarray, k: int, m) -> np.ndarray:
+    """S^k h (det h)^m of every matrix of a (rows, r, r) stack, a C-ordered (rows, F, F)
+    array, each det(h)^m taken on a float scalar: the one formula of the induced
+    metric of S^k E (det E)^m.  The caller checks the S^k budget."""
+    s = _sym_metric_rows(hs, k)
+    if m != 0:
+        s = s * np.array([d ** m for d in np.linalg.det(hs).real])[:, None, None]
+    return np.ascontiguousarray(s)
+
+
 def _sym_power_curvature(hs: np.ndarray, k: int, m, label: str) -> np.ndarray:
     """Finite-difference curvature of S^k h (det h)^m on the stencil samples ``hs``
     of a ``chern_curvature``; ``label`` names the field in errors.
 
-    The samples are lifted in row chunks of at most _CHUNK_BYTES of (F, F)
-    output, each det(h)^m taken on a float scalar as ``sym_power_field`` takes
-    it, so the lifted values are that field's.  The caller checks the budgets.
+    ``_sym_det_rows`` lifts the samples one derivative's rows at a time inside
+    the stencil contraction, so the lifted values are those of ``sym_power_field``
+    and no (64n^2 + 8n + 1, F, F) stack is made.  The caller checks the budgets.
     """
-    N, r = hs.shape[:2]
-    F = comb(r + k - 1, k)
-    rows = max(1, _CHUNK_BYTES // (16 * F * F))
-    lifted = np.empty((N, F, F), dtype=complex)
-    for lo in range(0, N, rows):
-        chunk = hs[lo:lo + rows]
-        s = _sym_metric_rows(chunk, k)
-        if m != 0:
-            s = s * np.array([d ** m for d in np.linalg.det(chunk).real])[:, None, None]
-        lifted[lo:lo + rows] = s
-    return _curvature_from_samples(lifted, label)
+    return _curvature_from_samples(hs, label, lift=lambda rows: _sym_det_rows(rows, k, m))
 
 
 def sym_power_field(E: MetricField, k: int, m) -> MetricField:
     """Explicit metric field z -> S^k h(z) (det h(z))^m on the monomial basis;
     a ``dataclasses.replace`` of E that reads ``E.value`` once per point.  The
-    point-by-point reference for ``_sym_power_curvature``, which lifts a whole
-    stack of metric samples instead."""
+    point-by-point reference for ``_sym_power_curvature``, which lifts E's stencil
+    samples by the same ``_sym_det_rows`` instead."""
     check_sym_budget(E.rank, k)
     F = len(sym_basis(E.rank, k))
-
-    def ev(z):
-        h = E.value(z)
-        s = sym_metric(h, k)
-        if m != 0:
-            s = s * np.linalg.det(h).real ** m
-        return s
-
-    return dataclasses.replace(E, rank=F, evaluate=ev, label=f"sym{k}det{m}({E.label})",
-                               line_degree=None)
+    return dataclasses.replace(E, rank=F, label=f"sym{k}det{m}({E.label})", line_degree=None,
+                               evaluate=lambda z: _sym_det_rows(E.value(z)[None], k, m)[0])

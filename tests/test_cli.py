@@ -330,6 +330,13 @@ class TestCheckCommand:
         assert result.exit_code == 0
         assert payload["status"] == "PASS"
 
+    @pytest.mark.parametrize("n,k", [("0", "1"), ("3", "0")])
+    def test_n_or_k_below_1_names_the_flags(self, runner, n, k):
+        # not the oracle's "1 <= r < d" or "k >= 1", which the user never passed
+        result, payload = run_json(runner, ["check", "--n", n, "--k", k, "--l", "1"])
+        assert result.exit_code == 2
+        assert payload["error"]["message"] == f"need --n >= 1 and --k >= 1, got --n {n} and --k {k}"
+
 
 class TestConfigDefaults:
     def test_config_file_supplies_missing_flags(self, runner, tmp_path):
@@ -617,6 +624,9 @@ BAD_INPUT = [
                  id="region-m1-n-over-budget"),
     pytest.param(["check", "--n", "1000001", "--k", "1", "--l", "0"], "PARAM_DOMAIN",
                  id="check-inapplicable-n-over-budget"),
+    # no S^k TP^n below n = 1 or k = 1, applicable or not
+    *(pytest.param(["check", "--n", n, "--k", k, "--l", "1"], "PARAM_DOMAIN",
+                   id=f"check-n{n}-k{k}") for n, k in (("0", "1"), ("3", "0"), ("-2", "-1"))),
     *(pytest.param(["certify", "--bundle", _metric(domain_radius=radius), "--n", "2",
                     "--test", "nakano", "--points", "1"], "PARAM_DOMAIN",
                    id=f"metric-domain-radius-{radius}") for radius in ("x", -1, 0)),
@@ -653,7 +663,7 @@ def test_moments_over_range_draw_nothing(runner, monkeypatch, args):
 @pytest.mark.parametrize("args,spy", [
     (STENCIL_OVER_BUDGET["certify-stencil-over-budget"], (bundles, "fubini_study")),
     (STENCIL_OVER_BUDGET["lemma-linear-stencil-over-budget"], (geometry, "_stencil_offsets")),
-    (STENCIL_OVER_BUDGET["lemma-linear-sym-stencil-over-budget"], (symbundle, "sym_metric")),
+    (STENCIL_OVER_BUDGET["lemma-linear-sym-stencil-over-budget"], (symbundle, "_sym_det_rows")),
     # no metric is evaluated: not the polarization's stencil, not route (a)'s
     (STENCIL_OVER_BUDGET["certify-stencil-over-budget"], (geometry.MetricField, "__call__")),
     (["certify", "--bundle", "tpn", "--n", "5", "--test", "nakano", "--sym", "20"],

@@ -426,7 +426,6 @@ class TestLemmaLinearTriangle:
         hs = chern_curvature(frame_normalized(E, z), z).samples
         whole = symbundle._sym_power_curvature(hs, 3, 2, "route-b")
         rep = verify_lemma_linear(E, z, 3, 2, mc_samples=100)
-        monkeypatch.setattr(symbundle, "_CHUNK_BYTES", 1)
         monkeypatch.setattr(moments, "_CHUNK_BYTES", 1)
         assert np.array_equal(symbundle._sym_power_curvature(hs, 3, 2, "route-b"), whole)
         # the Monte Carlo sums run in the same chunks, so only its z-score is rounded anew

@@ -291,6 +291,39 @@ class TestSymPowerField:
         assert np.max(np.abs(alg - fd)) < 1e-7 * scale
 
 
+class TestSampleLift:
+    # route (b) and the det polarization lift E's stencil samples inside the
+    # stencil contraction, one derivative's rows at a time
+    def test_peak_under_one_lifted_stencil(self):
+        # tpn on n = 4 to S^4 (F = 35): one (1057, 35, 35) complex stack is 19.8 MiB
+        hs = chern_curvature(tangent_pn(4), np.zeros(4)).samples
+        symbundle._sym_power_curvature(hs, 4, 1, "route-b")  # the cached tables are not counted
+        tracemalloc.start()
+        try:
+            symbundle._sym_power_curvature(hs, 4, 1, "route-b")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(hs) * 35 * 35 * 16
+
+    @pytest.mark.parametrize("n", [1, 3, 9])
+    def test_each_lift_reads_one_derivatives_rows(self, monkeypatch, n):
+        # row 0, the 8n rows of the d/dz^i, then the 64 rows of each d/dz^i d/dzbar^j
+        hs = chern_curvature(tangent_pn(n), np.zeros(n)).samples
+        sizes, lift = [], symbundle._sym_det_rows
+        monkeypatch.setattr(symbundle, "_sym_det_rows",
+                            lambda rows, *rest: sizes.append(len(rows)) or lift(rows, *rest))
+        symbundle._sym_power_curvature(hs, 2, 1, "route-b")
+        assert sizes == [1, 8 * n] + [64] * (n * n)
+
+    @pytest.mark.parametrize("k,m", [(0, 1), (1, 0), (2, 0), (3, 2), (4, -1)])
+    def test_lifted_rows_are_c_ordered(self, k, m):
+        hs = chern_curvature(tangent_pn(3), np.array([0.1, 0.2j, -0.3])).samples[:64]
+        out = symbundle._sym_det_rows(hs, k, m)
+        assert out.shape == (64, comb(2 + k, k), comb(2 + k, k))
+        assert out.flags.c_contiguous
+
+
 class TestSymBudget:
     @pytest.mark.parametrize("r,k", [(5, 3), (3, 4), (4, 6), (1, 0), (2, 12), (1, 19)])
     def test_shapes_inside_the_budget(self, r, k):
