@@ -13,9 +13,12 @@ alternating smallest-eigenvector iteration with random restarts.  The
 restarts run as a stack, one stacked eigh per half-step over every restart
 still running, each with its own stopping test, in chunks under the byte
 budget _GRIFFITHS_CHUNK_BYTES; the starts come from one Philox stream in
-restart order and the first smallest value wins.  A nonpositive minimum is a
-certificate (the witness reproduces it); a positive minimum is heuristic and
-labeled as such.  The maximum is minus the minimum of -R.
+restart order and the first smallest value wins.  Each half-step's
+contraction is a stacked matrix product on the tensor reshaped once per call,
+one item per restart, so a report's bits do not depend on the chunk size.  A
+nonpositive minimum is a certificate (the witness reproduces it); a positive
+minimum is heuristic and labeled as such.  The maximum is minus the minimum
+of -R.
 
 ``_scan_minima`` is the one loop over sample points: ``positivity_scan`` and
 ``boundedness_scan`` apply their measures to the same normalized
@@ -54,6 +57,7 @@ from .geometry import (
     philox,
     sample_points,
 )
+from .regions import MAX_REGION_MEMBERS
 from .symbundle import (
     MAX_SYM_MAP_ENTRIES,
     _sym_power_curvature,
@@ -130,8 +134,11 @@ def _griffiths_stack(V, g, starts):
     Each restart stops on its own test (value change below _GRIFFITHS_TOL
     relative to 1 + |value|, or _GRIFFITHS_ITERS iterations) and leaves the
     stack with its last (val, u, v).  Returns vals (c,), us (c, n), vs (c, F).
+    Both contractions are stacked matrix products, one item per restart, so a
+    restart's bits do not depend on the other restarts in its chunk.
     """
-    c, n = len(starts), V.shape[0]
+    c, n, F = len(starts), V.shape[0], V.shape[2]
+    VW, VM = V.reshape(n * n * F, F), V.reshape(n * n, F * F)
     x = starts[:, 0] + 1j * starts[:, 1]
     v = x / np.sqrt(np.sum(g * np.abs(x) ** 2, axis=1))[:, None]
     vals, us, vs = np.empty(c), np.empty((c, n), complex), np.empty_like(v)
@@ -139,12 +146,12 @@ def _griffiths_stack(V, g, starts):
     live, prev = np.arange(c), np.full(c, np.inf)
     for it in range(_GRIFFITHS_ITERS):
         # fix v, minimize over unit u
-        Wu = np.einsum("ijab,ra,rb->rij", V, v, np.conj(v))
+        Wu = ((VW @ v.conj()[:, :, None]).reshape(-1, n * n, F) @ v[:, :, None]).reshape(-1, n, n)
         Wu = 0.5 * (Wu + Wu.conj().swapaxes(1, 2))
         _, evec = np.linalg.eigh(Wu)
         u = evec[:, :, 0].conj()
         # fix u, minimize over v with <v, v>_G = 1
-        Mv = np.einsum("ijab,ri,rj->rab", V, u, np.conj(u))
+        Mv = ((u[:, :, None] * u.conj()[:, None, :]).reshape(-1, 1, n * n) @ VM).reshape(-1, F, F)
         Mv = 0.5 * (Mv + Mv.conj().swapaxes(1, 2))
         ew2, evec2 = _gram_eigh(Mv, g)
         v = evec2[:, :, 0].conj()
@@ -187,8 +194,7 @@ def griffiths_min(R: CurvatureTensor, restarts: int = 32, seed: int = 0) -> Posi
         i = int(np.argmin(vals))
         if best is None or vals[i] < best[0]:
             best = float(vals[i]), us[i], vs[i]
-    best_val, best_u, best_v = best
-    return PositivityReport("griffiths", best_val, {"u": _cvec(best_u), "v": _cvec(best_v)})
+    return PositivityReport("griffiths", best[0], {"u": _cvec(best[1]), "v": _cvec(best[2])})
 
 
 def _pair_matrix(V, dual: bool) -> np.ndarray:
@@ -275,13 +281,19 @@ def _scan_minima(E: MetricField, L: MetricField | None, measures, n_points: int,
     Returns the first smallest report per measure, its point in ``points``,
     and the scanned points.  The stencils of E and of L (when L is sampled: not
     det E, not a built-in line), the S^k maps, m, l and the seed are checked
-    before the first metric call.
+    before the first metric call, and the n_points * n scanned coordinates,
+    which the bounds certificate prints, against MAX_REGION_MEMBERS before any
+    point is drawn.
     """
     if L is not None and L.line_degree is None:
         check_stencil_budget(L.base_dim, L.rank, L.label)
     check_stencil_budget(E.base_dim, E.rank, E.label)
     check_sym_budget(E.rank, k)
     check_float_range(m=m, l=l)
+    if (coords := n_points * E.base_dim) > MAX_REGION_MEMBERS:
+        raise ParamDomainError(f"{short_count(n_points)} points on n = {E.base_dim} are "
+                               f"{short_count(coords)} coordinates, above the budget of "
+                               f"{MAX_REGION_MEMBERS}")
     best = [None] * len(measures)
     scanned = []
     for p in sample_points(E.base_dim, n_points, seed=seed):

@@ -9,14 +9,15 @@ diagonal in ``gram``, so downstream eigenvalue computations must solve
 generalized eigenproblems against it.
 
 Each block is a fixed integer linear map of (r, k), built once per process
-from its own formula (cached) and applied as one contraction, one per degree
-for the induced metric S^k h.  The maps here
+from its own formula (cached): a curvature block applies its (r, r, F, F) map
+as one (n^2, r^2) @ (r^2, F^2) matrix product, and the induced metric S^k h
+takes one step per degree.  The maps here
 read the basis, each label's position and the Gram diagonal from one cached
 table per (r, k), ``_sym_table``, whose read-only int64 Gram every block of
 that (r, k) carries.  ``check_sym_budget`` bounds every S^k map, its entry
 count and its int64 range, before any is built.  numpy runs the same
-contractions on object arrays, so exact Fraction-valued tensors pass through
-without rounding.
+products on object arrays against the int64 maps, so exact Fraction-valued
+tensors pass through without rounding.
 """
 
 from __future__ import annotations
@@ -190,12 +191,13 @@ def _add_diagonal(out: np.ndarray, form: np.ndarray, coeff, gram: np.ndarray) ->
 def _contract_with_trace(R: CurvatureTensor, k: int, T: np.ndarray, coeff) -> CurvatureTensor:
     """S^k block sum_{g,d} R_{i jbar g dbar} T[g, d, A, B] + coeff * delta_AB * gram_A * tr R.
 
-    ``T`` is a fixed (r, r, F, F) integer map; R must be frame-normalized.
+    ``T`` is a fixed (r, r, F, F) integer map, applied as one matrix product
+    (exact on object arrays); R must be frame-normalized.
     """
     if not R.normalized:
         raise FrameNotNormalizedError("the S^k blocks need a normalized-frame tensor")
     gram = _sym_table(R.rank, k)[2]
-    out = np.einsum("ijgd,gdab->ijab", R.values, T)
+    out = np.tensordot(R.values, T, axes=2)  # (n^2, r^2) @ (r^2, F^2)
     _add_diagonal(out, np.trace(R.values, axis1=2, axis2=3), coeff, gram)
     return CurvatureTensor(out, normalized=True, gram=gram)
 

@@ -540,6 +540,9 @@ BAD_INPUT = [
                  "PARAM_DOMAIN", id="certify-n-0"),
     pytest.param(["certify", "--bundle", "tpn", "--n", "2", "--test", "nakano",
                   "--points", "0"], "PARAM_DOMAIN", id="certify-points-0"),
+    # 2e8 scanned coordinates, above the 10**6 budget: about 18 GB of points if drawn
+    pytest.param(["certify", "--bundle", "tpn", "--n", "2", "--test", "nakano",
+                  "--points", "100000000"], "PARAM_DOMAIN", id="certify-points-over-budget"),
     pytest.param(["certify", "--bundle", _metric(entries=[["10 ** 400"]]), "--n", "2",
                   "--test", "nakano"], "PARAM_DOMAIN", id="metric-overflow-at-load"),
     pytest.param(["certify", "--bundle", _metric(entries=[["1/0"]]), "--n", "2",
@@ -692,6 +695,11 @@ def test_moments_over_range_draw_nothing(runner, monkeypatch, args):
      (oracles, "CohomologyDim")),
     (["oracle", "--family", "grassmannian", "--d", "2003", "--r", "1001", "--k", "1"],
      (oracles, "CohomologyDim")),
+    # no point drawn and no metric evaluated for a scan above the coordinate budget
+    (["certify", "--bundle", "tpn", "--n", "2", "--test", "bounds", "--points", "500001"],
+     (positivity, "sample_points")),
+    (["certify", "--bundle", "tpn", "--n", "2", "--test", "griffiths", "--points", "500001"],
+     (geometry.MetricField, "__call__")),
 ], ids=["certify-stencil", "lemma-linear-stencil", "lemma-linear-sym-stencil",
         "certify-stencil-no-metric-call", "certify-sym-no-metric-call",
         "lemma-linear-sym-stencil-no-metric-call", "estimate-draw",
@@ -701,7 +709,8 @@ def test_moments_over_range_draw_nothing(runner, monkeypatch, args):
         "lemma-linear-o1-k-20-no-factorial", "lemma-linear-o1-k-21-no-integral-map",
         "moments-scale-before-factorial",
         "moments-table-scale-before-factorial", "bott-digits", "grassmannian-digits",
-        "grassmannian-records"])
+        "grassmannian-records", "certify-points-before-the-draw",
+        "certify-points-no-metric-call"])
 def test_over_budget_is_rejected_before_the_work(runner, monkeypatch, args, spy):
     def fail(*_, **__):
         raise AssertionError(f"{spy[1]} ran before the budget check")

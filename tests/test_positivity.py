@@ -106,9 +106,12 @@ class TestGriffiths:
 def serial_griffiths_min(R, restarts, seed):
     """Reference: the restarts one at a time, two single eigen-solves per
     iteration, each stopping at the module tolerance or after 200 iterations;
-    returns the first smallest value."""
+    returns the first smallest value.  Each half-step is the module's matrix
+    product on one restart, so this checks stacking, chunking and stopping;
+    test_half_steps_match_einsum checks the contractions themselves."""
     V, g = _values_and_gram(R)
-    F = V.shape[2]
+    n, F = V.shape[0], V.shape[2]
+    VW, VM = V.reshape(n * n * F, F), V.reshape(n * n, F * F)
     rng = np.random.Generator(np.random.Philox(key=seed))
     best_val = None
     for _ in range(restarts):
@@ -117,11 +120,11 @@ def serial_griffiths_min(R, restarts, seed):
         v = x
         prev = None
         for _ in range(200):
-            Wu = np.einsum("ijab,a,b->ij", V, v, np.conj(v))
+            Wu = ((VW @ v.conj()).reshape(n * n, F) @ v).reshape(n, n)
             Wu = 0.5 * (Wu + Wu.conj().T)
             ew, evec = np.linalg.eigh(Wu)
             u = evec[:, 0].conj()
-            Mv = np.einsum("ijab,i,j->ab", V, u, np.conj(u))
+            Mv = (np.outer(u, u.conj()).reshape(n * n) @ VM).reshape(F, F)
             Mv = 0.5 * (Mv + Mv.conj().T)
             ew2, evec2 = _gram_eigh(Mv, g)
             v = evec2[:, 0].conj()
@@ -169,6 +172,49 @@ class TestStackedRestarts:
         rep = griffiths_min(S, restarts=7, seed=2)
         assert abs(rep.min_value - serial_griffiths_min(S, 7, 2)) <= 1e-12 * (1 + 3)
         assert abs(rep.min_value - 3.0) < 1e-6
+
+    def test_one_restart_per_chunk_at_f35(self, monkeypatch):
+        # S^3 TP^5: three restarts per chunk by default, one per chunk here
+        S = sym_twisted_curvature_at(tangent_pn(5), o_line(1, 5), np.full(5, 0.2), 3, 0, 0)
+        want = griffiths_min(S, restarts=8, seed=5).to_json()
+        monkeypatch.setattr(positivity, "_GRIFFITHS_CHUNK_BYTES", 1)
+        assert griffiths_min(S, restarts=8, seed=5).to_json() == want
+
+    @pytest.mark.parametrize("make", [
+        lambda: gram_curvature(1, [1], seed=3),
+        lambda: gram_curvature(3, [1, 2, 6, 1], seed=31),
+        lambda: random_curvature(4, 7, seed=32),
+        lambda: sym_twisted_curvature_at(tangent_pn(5), o_line(1, 5), np.full(5, 0.2), 3, 0, 0),
+    ], ids=["n1-F1", "n3-gram", "n4-F7", "tpn5-sym3"])
+    def test_half_steps_match_einsum(self, monkeypatch, make):
+        # every eigen-solve's input, three iterations of five restarts, against the
+        # einsum contractions of the (u, v) that the solves before it returned
+        V, g = _values_and_gram(make())
+        sqg = np.sqrt(g)
+        eigh, solves = np.linalg.eigh, []
+
+        def spy(M):
+            ew, evec = eigh(M)
+            solves.append((M, evec))
+            return ew, evec
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        monkeypatch.setattr(positivity, "_GRIFFITHS_TOL", -1.0)  # no restart stops early
+        monkeypatch.setattr(positivity, "_GRIFFITHS_ITERS", 3)
+        starts = np.random.Generator(np.random.Philox(key=7)).standard_normal((5, 2, len(g)))
+        positivity._griffiths_stack(V, g, starts)
+        assert len(solves) == 6
+        x = starts[:, 0] + 1j * starts[:, 1]
+        v = x / np.sqrt(np.sum(g * np.abs(x) ** 2, axis=1))[:, None]
+        for (Wu, evec), (Mv, evec2) in zip(solves[::2], solves[1::2]):
+            want = np.einsum("ijab,ra,rb->rij", V, v, v.conj())
+            want = 0.5 * (want + want.conj().swapaxes(1, 2))
+            assert np.max(np.abs(Wu - want)) <= 1e-13 * np.max(np.abs(want))
+            u = evec[:, :, 0].conj()
+            want = np.einsum("ijab,ri,rj->rab", V, u, u.conj())
+            want = 0.5 * (want + want.conj().swapaxes(1, 2))
+            assert np.max(np.abs(Mv * np.outer(sqg, sqg) - want)) <= 1e-13 * np.max(np.abs(want))
+            v = (evec2 / sqg[:, None])[:, :, 0].conj()
 
     def test_one_restart(self):
         R = gram_curvature(2, [1, 2], seed=12)
@@ -450,6 +496,16 @@ class TestOneScan:
         scan(E, L)
         rows = 64 * 4 + 8 * 2 + 1
         assert metric_calls == Counter({E.label: 3 * rows, L.label: 3 * rows * sampled})
+
+    def test_points_budget_edge(self, monkeypatch):
+        # n * points = 10**6 coordinates reach the draw; one more point is rejected before it
+        drawn = []
+        monkeypatch.setattr(positivity, "sample_points",
+                            lambda n, count, seed: drawn.append(count) or [])
+        positivity_scan(tangent_pn(2), o_line(1, 2), "nakano", n_points=500_000)
+        with pytest.raises(ParamDomainError, match="above the budget"):
+            boundedness_scan(tangent_pn(2), o_line(1, 2), n_points=500_001)
+        assert drawn == [500_000]
 
     def test_polarization_form_one_evaluation_per_stencil_row(self, metric_calls):
         z = np.array([0.3 - 0.1j, 0.2j])

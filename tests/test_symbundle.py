@@ -240,6 +240,29 @@ class TestInducedCurvature:
         assert S.hermitian_defect() < 1e-12 * max(1.0, np.max(np.abs(S.values.astype(complex))))
 
 
+class TestBlockProduct:
+    """_contract_with_trace applies its (r, r, F, F) integer map as one matrix product."""
+
+    @pytest.mark.parametrize("n,r,k", [(1, 1, 3), (2, 3, 2), (3, 2, 4), (5, 5, 3)])
+    @pytest.mark.parametrize("route", ["derivation", "integral"])
+    def test_matches_einsum(self, n, r, k, route):
+        R = random_curvature(n, r, seed=100 * n + 10 * r + k)
+        T = {"derivation": symbundle._derivation_map,
+             "integral": moments._integral_map}[route](r, k)
+        got = symbundle._contract_with_trace(R, k, T, 0).values
+        want = np.einsum("ijgd,gdab->ijab", R.values, T)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n,r,k", [(1, 2, 3), (2, 3, 2)])
+    def test_exact_on_fractions(self, n, r, k):
+        R = rational_curvature(n, r, seed=100 * n + 10 * r + k)
+        T = symbundle._derivation_map(r, k)
+        got = symbundle._contract_with_trace(R, k, T, 0).values
+        assert got.dtype == object
+        assert all(isinstance(x, (int, Fraction)) for x in got.flat)
+        assert np.array_equal(got, np.einsum("ijgd,gdab->ijab", R.values, T))
+
+
 class TestTwistByLine:
     def test_adds_scalar_on_diagonal(self):
         R = random_curvature(2, 2, seed=5)
