@@ -7,8 +7,9 @@ Catalogue (string identifiers accepted by :func:`builtin`):
 * ``tpn_twist(l)``  -- TP^n tensor O(l)
 * ``dsum(a,b,...)`` -- the direct sum O(a) + O(b) + ...
 
-``o(c)`` and a one-summand ``dsum(c)`` carry ``line_degree`` = c, so a
-polarization by them is c times the Fubini-Study form with no metric call
+``o(c)`` is the one-summand ``dsum(c)`` under its own label, so both carry
+``line_degree`` = c, set by ``direct_sum`` alone, and a polarization by them is
+c times the Fubini-Study form with no metric call
 (``positivity.polarization_form``); a JSON line metric, even one with the same
 formula, is differentiated on its stencil.
 
@@ -51,11 +52,8 @@ def _norm2(z: np.ndarray) -> float:
 
 
 def o_line(l: float, n: int) -> MetricField:
-    """O(l) with the Fubini-Study-induced metric h = (1+|z|^2)^(-l)."""
-    def ev(z, l=float(l)):
-        return np.array([[(1.0 + _norm2(z)) ** (-l)]], dtype=complex)
-
-    return MetricField(rank=1, base_dim=n, evaluate=ev, label=f"o({l:g})", line_degree=float(l))
+    """O(l) with the Fubini-Study-induced metric h = (1+|z|^2)^(-l): the one-summand direct sum."""
+    return dataclasses.replace(direct_sum([l], n), label=f"o({l:g})")
 
 
 def tangent_pn(n: int) -> MetricField:
@@ -64,7 +62,7 @@ def tangent_pn(n: int) -> MetricField:
 
 
 def direct_sum(powers, n: int) -> MetricField:
-    """O(a_1) + ... + O(a_r) with the product metric."""
+    """O(a_1) + ... + O(a_r) with the product metric; one summand O(c) sets line_degree = c."""
     powers = [float(a) for a in powers]
 
     def ev(z):

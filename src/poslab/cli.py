@@ -3,7 +3,9 @@
 All outputs are versioned JSON ("schema": 1), byte-identical for identical
 configuration and seed.  Exit codes: 0 ok; 1 only when verify exceeds a
 tolerance; 2 for a usage error (click's text) or a domain error, which is
-emitted as JSON naming the violated precondition.
+emitted as JSON naming the violated precondition.  An --output or --svg file
+is written before the report is printed, so one that cannot be written is a
+domain error too.
 """
 
 from __future__ import annotations
@@ -26,15 +28,22 @@ from .regions import TheoremParams, lambda0, region_svg, strip_width, theorem_re
 SCHEMA = 1
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParamDomainError(f"{path!r} is not a writable file: {exc}") from exc
+
+
 def _emit(report: dict, output: str | None) -> None:
     report = {"schema": SCHEMA, **report}
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    if output:
+        _write(output, text)
     # an explicit stream: click caches the default one per sys.stdout object
     # for good, which would keep every in-process caller's output alive
     click.echo(text, file=sys.stdout, nl=False)
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
 
 
 def _rational(ctx, param, text):
@@ -120,10 +129,9 @@ def cmd_region(n, r, k, m, eps1, eps2, theorem, svg_path, output):
         "s0": str(strip_width(n, lambda0(params))),  # perfbench patches cli.lambda0
         **reg.to_json(),
     }
-    _emit(report, output)
     if svg_path:
-        with open(svg_path, "w") as fh:
-            fh.write(region_svg(reg))
+        _write(svg_path, region_svg(reg))
+    _emit(report, output)
 
 
 def _resolve_bundle(ident, n):

@@ -216,17 +216,20 @@ def strip_width(n: int, lam) -> Fraction:
     return Fraction(2 * n, 1) / (1 + _checked_lambda(lam)) - n
 
 
-def region_svg(reg: VanishingRegion, cell: int = 24) -> str:
+SVG_CELL = 24  # side of one (p, q) cell in the region SVG, in px
+
+
+def region_svg(reg: VanishingRegion) -> str:
     """Static SVG of the quadrilateral: shaded member cells, marked vertices."""
     n = reg.n
     pad = 40
-    size = 2 * pad + n * cell
+    size = 2 * pad + n * SVG_CELL
 
     def X(p):
-        return pad + float(p) * cell
+        return pad + float(p) * SVG_CELL
 
     def Y(q):
-        return size - pad - float(q) * cell
+        return size - pad - float(q) * SVG_CELL
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
@@ -235,8 +238,8 @@ def region_svg(reg: VanishingRegion, cell: int = 24) -> str:
     ]
     for (p, q) in reg:
         parts.append(
-            f'<rect x="{X(p) - cell / 2:.1f}" y="{Y(q) - cell / 2:.1f}" '
-            f'width="{cell}" height="{cell}" fill="#9ecae1" stroke="none"/>'
+            f'<rect x="{X(p) - SVG_CELL / 2:.1f}" y="{Y(q) - SVG_CELL / 2:.1f}" '
+            f'width="{SVG_CELL}" height="{SVG_CELL}" fill="#9ecae1" stroke="none"/>'
         )
     for t in range(n + 1):
         parts.append(f'<line x1="{X(0):.1f}" y1="{Y(t):.1f}" x2="{X(n):.1f}" y2="{Y(t):.1f}" '

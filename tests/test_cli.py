@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import weakref
+import xml.dom.minidom
 from fractions import Fraction
 
 import numpy as np
@@ -67,6 +68,7 @@ class TestRegionCommand:
         text = svg.read_text()
         assert text.startswith("<svg")
         assert "A3" in text
+        xml.dom.minidom.parseString(text)
 
     def test_output_file_matches_stdout(self, runner, tmp_path):
         out = tmp_path / "r.json"
@@ -80,13 +82,16 @@ class TestRegionCommand:
         (["--n", "5", "--r", "3", "--k", "1", "--m", "5", "--theorem", "gg"],
          "globally_generated", Fraction(1, 2)),
         (["--n", "7", "--m", "1", "--theorem", "gg"], "globally_generated", Fraction(0)),
+        (["--n", "3", "--m", "1", "--theorem", "gg"], "globally_generated", Fraction(0)),
+        (["--n", "200", "--r", "3", "--k", "2", "--m", "6", "--theorem", "gg"],
+         "globally_generated", Fraction(1, 2)),
         (["--n", "6", "--r", "2", "--k", "1", "--m", "2", "--theorem", "main1",
           "--eps1", "0", "--eps2", "1"], "main1", Fraction(2, 5)),
         (["--n", "4", "--r", "2", "--k", "1", "--m", "6", "--theorem", "ample"],
          "ample_nef", Fraction(2, 11)),
         (["--n", "40", "--r", "3", "--k", "2", "--m", "6", "--theorem", "griffiths"],
          "griffiths", Fraction(1, 2)),
-    ], ids=["gg", "gg-m1", "main1", "ample", "griffiths-n40"])
+    ], ids=["gg", "gg-m1", "gg-m1-n3", "gg-n200", "main1", "ample", "griffiths-n40"])
     def test_stdout_is_the_definition_serialized(self, runner, args, theorem, lam):
         # the bytes json.dumps writes for a report built from the region's
         # definition; the m = 1 branch vanishes at (n, n) alone
@@ -135,6 +140,35 @@ class TestCertifyCommand:
             "--sym", "2", "--det", "0", "--twist", "-1", "--points", "2"])
         assert result.exit_code == 0
         assert abs(payload["report"]["min_value"]) < 1e-6
+
+    @pytest.mark.parametrize("args,eps1,eps2", [
+        # a JSON line polarization is differentiated on its stencil: O(1) as JSON
+        (["--bundle", "tpn", "--n", "2", "--l",
+          '{"rank": 1, "base_dim": 2, "entries": [["(1 + abs2(z1) + abs2(z2)) ** -1"]]}'], 1, 2),
+        # the built-in O(c) polarizes by c omega_FS in closed form
+        (["--bundle", "tpn", "--n", "3", "--l", "o(2)"], Fraction(1, 2), 1),
+        # det(O(1) + O(2) + O(3)) = O(6)
+        (["--bundle", "dsum(1,2,3)", "--n", "3", "--l", "det"], Fraction(1, 6), Fraction(1, 2)),
+    ], ids=["tpn-json-o1", "tpn3-o2", "dsum123-det"])
+    def test_bounds_closed_form(self, runner, args, eps1, eps2):
+        result, payload = run_json(runner, ["certify", *args, "--test", "bounds", "--points", "2"])
+        assert result.exit_code == 0, result.output
+        cert = payload["certificate"]
+        assert abs(cert["eps1"] - eps1) < 1e-6 and abs(cert["eps2"] - eps2) < 1e-6, cert
+
+    @pytest.mark.parametrize("args,value,tol", [
+        # the n = r = 10 frame change of normalize_at_point; Nakano of tpn is exactly 0
+        (["--n", "10", "--test", "nakano", "--points", "1"], 0, 1e-8),
+        # F = 35 runs the 40 Griffiths restarts in several chunks; the minimum is k = 3
+        (["--n", "5", "--test", "griffiths", "--sym", "3", "--points", "1", "--restarts", "40"],
+         3, 1e-6),
+        # k(1+a) + m(n+1+na) + l = 3 at k = 3, a = m = l = 0, at every point
+        (["--n", "5", "--test", "griffiths", "--sym", "3", "--points", "2"], 3, 1e-6),
+    ], ids=["nakano-n10", "griffiths-F35-restarts-40", "griffiths-F35-points-2"])
+    def test_tpn_minimum_is_closed_form(self, runner, args, value, tol):
+        result, payload = run_json(runner, ["certify", "--bundle", "tpn", *args])
+        assert result.exit_code == 0, result.output
+        assert abs(payload["report"]["min_value"] - value) <= tol
 
     @pytest.mark.parametrize("test", ["nakano", "dual"])
     def test_o1_sym_19_is_o19(self, runner, test):
@@ -201,12 +235,13 @@ class TestVerifyCommand:
         assert payload["ok"] is True
 
     def test_lemma_linear_ok(self, runner):
-        result, payload = run_json(runner, [
-            "verify", "--what", "lemma-linear", "--bundle", "tpn", "--n", "2",
-            "--k", "2", "--m", "1"])
-        assert result.exit_code == 0
-        assert payload["ok"] is True
-        assert payload["dev_algebra_vs_fd"] <= 1e-6
+        for n_k in ("2", "3"):
+            result, payload = run_json(runner, [
+                "verify", "--what", "lemma-linear", "--bundle", "tpn", "--n", n_k,
+                "--k", n_k, "--m", "1"])
+            assert result.exit_code == 0, result.output
+            assert payload["ok"] is True
+            assert payload["dev_algebra_vs_fd"] < 1e-6
 
     @pytest.mark.parametrize("args", [
         ["--bundle", "o(1)", "--n", "2", "--k", "3", "--m", "2"],
@@ -557,6 +592,8 @@ BAD_INPUT = [
                  id="bounds-polarization-rank-2"),
     pytest.param(["certify", "--bundle", "tpn", "--n", "2", "--test", "nakano", "--l", "tpn"],
                  "DIM_MISMATCH", id="nakano-polarization-rank-2"),
+    pytest.param(["certify", "--bundle", "tpn", "--n", "2", "--test", "nakano", "--l", "o(-1)"],
+                 "NONPOSITIVE_POLARIZATION", id="nakano-polarization-o(-1)"),
     *(pytest.param(["certify", "--bundle", ident, "--n", "2", "--test", "nakano"],
                    "PARAM_DOMAIN", id=f"bundle-id-{ident}")
       for ident in ("o(abc)", "dsum()", "dsum(1,,2)", "foo",
@@ -652,17 +689,6 @@ def test_bad_input_exit_2_with_error_json(runner, args, code):
     assert payload["error"]["code"] == code
 
 
-@pytest.mark.parametrize("args", list(MOMENTS_OVER_RANGE.values()), ids=list(MOMENTS_OVER_RANGE))
-def test_moments_over_range_draw_nothing(runner, monkeypatch, args):
-    def spy(*_):
-        raise AssertionError("the sphere stream was opened")
-
-    monkeypatch.setattr(moments, "_sphere_blocks", spy)
-    result, payload = run_json(runner, args)
-    assert result.exit_code == 2, result.output
-    assert payload["error"]["code"] == "PARAM_DOMAIN"
-
-
 @pytest.mark.parametrize("args,spy", [
     (STENCIL_OVER_BUDGET["certify-stencil-over-budget"], (bundles, "fubini_study")),
     (STENCIL_OVER_BUDGET["lemma-linear-stencil-over-budget"], (geometry, "_stencil_offsets")),
@@ -700,6 +726,8 @@ def test_moments_over_range_draw_nothing(runner, monkeypatch, args):
      (positivity, "sample_points")),
     (["certify", "--bundle", "tpn", "--n", "2", "--test", "griffiths", "--points", "500001"],
      (geometry.MetricField, "__call__")),
+    # no sphere point drawn for a moment scale or table out of range
+    *((args, (moments, "_sphere_blocks")) for args in MOMENTS_OVER_RANGE.values()),
 ], ids=["certify-stencil", "lemma-linear-stencil", "lemma-linear-sym-stencil",
         "certify-stencil-no-metric-call", "certify-sym-no-metric-call",
         "lemma-linear-sym-stencil-no-metric-call", "estimate-draw",
@@ -710,7 +738,7 @@ def test_moments_over_range_draw_nothing(runner, monkeypatch, args):
         "moments-scale-before-factorial",
         "moments-table-scale-before-factorial", "bott-digits", "grassmannian-digits",
         "grassmannian-records", "certify-points-before-the-draw",
-        "certify-points-no-metric-call"])
+        "certify-points-no-metric-call", *MOMENTS_OVER_RANGE])
 def test_over_budget_is_rejected_before_the_work(runner, monkeypatch, args, spy):
     def fail(*_, **__):
         raise AssertionError(f"{spy[1]} ran before the budget check")
@@ -829,6 +857,27 @@ def test_unreadable_file_exit_2_with_error_json(runner, tmp_path, args, kind):
         path.write_text("[" * 100_000 + "]" * 100_000)
     result, payload = run_json(runner, [str(path) if a == "PATH" else a for a in args])
     assert result.exit_code == 2, result.output
+    assert payload["error"]["code"] == "PARAM_DOMAIN"
+
+
+@pytest.mark.parametrize("args", [
+    ["region", "--n", "3", "--m", "3", "--theorem", "gg", "--output", "PATH"],
+    ["region", "--n", "3", "--m", "3", "--theorem", "gg", "--svg", "PATH"],
+    ["certify", "--bundle", "tpn", "--n", "2", "--test", "nakano", "--points", "1",
+     "--output", "PATH"],
+], ids=["region-output", "region-svg", "certify-output"])
+@pytest.mark.parametrize("kind", ["directory", "missing-parent"])
+def test_unwritable_file_exit_2_with_error_json(runner, tmp_path, args, kind):
+    # the file is written before the report is printed, so stdout is the error alone
+    path = tmp_path / "out"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path = path / "x.json"
+    result = runner.invoke(main, [str(path) if a == "PATH" else a for a in args])
+    assert result.exit_code == 2, result.output
+    payload = json.loads(result.stdout)
+    assert set(payload) == {"schema", "error"}
     assert payload["error"]["code"] == "PARAM_DOMAIN"
 
 
