@@ -19,12 +19,15 @@ they inherit its ``base_dim`` and ``domain_radius``; each resets ``line_degree``
 to None, since its curvature is no longer that of the parent (S^2 O(1) has
 rank 1 and degree 2).  Their own call checks the point and their evaluator
 reads the parent's ``value`` on it.
-``det_field``, ``frame_normalized`` and ``sym_power_field`` are per-point
-references that no command uses: ``certify --l det`` and lemma-linear lift the samples
-of E's ``chern_curvature``, whose frame ``geometry.normalize_at_point`` changes once.
+``det_field`` is ``sym_power_field(E, 0, 1)`` relabelled ``det(E)``, so det h has
+one formula.  ``det_field``, ``frame_normalized`` and ``sym_power_field`` are per-point
+references that no command uses: ``certify --l det`` reads det E's curvature off E's
+``chern_curvature`` as its trace, and lemma-linear lifts that tensor's samples, whose
+frame ``geometry.normalize_at_point`` changes once.
 
 User metrics load from a JSON object (``read_json_object`` reads one) with
-keys ``rank``, ``base_dim``, ``entries`` (matrix of expression strings) and
+keys ``rank`` and ``base_dim`` (JSON integers, not floats, booleans or strings),
+``entries`` (matrix of expression strings) and
 optional ``label`` and ``domain_radius`` (a positive number).  Expressions use variables
 ``z1 .. zn``, the functions ``conj(.)`` and ``abs2(.)`` with one positional
 argument, the imaginary unit ``I``, numeric literals and ``+ - * / **`` with
@@ -45,6 +48,7 @@ import numpy as np
 
 from .errors import ParamDomainError, SingularMetricError
 from .geometry import MetricField, _orthonormalizer, check_stencil_budget, fubini_study
+from .symbundle import sym_power_field
 
 
 def _norm2(z: np.ndarray) -> float:
@@ -84,12 +88,8 @@ def tangent_pn_twist(l: float, n: int) -> MetricField:
 
 
 def det_field(E: MetricField) -> MetricField:
-    """det E with the induced metric det(h)."""
-    def ev(z):
-        return np.array([[np.linalg.det(E.value(z)).real]], dtype=complex)
-
-    return dataclasses.replace(E, rank=1, evaluate=ev, label=f"det({E.label})",
-                               line_degree=None)
+    """det E with the induced metric det(h): ``sym_power_field(E, 0, 1)`` under its own label."""
+    return dataclasses.replace(sym_power_field(E, 0, 1), label=f"det({E.label})")
 
 
 def frame_normalized(E: MetricField, p) -> MetricField:
@@ -223,11 +223,10 @@ def read_json_object(source: str, unreadable: str, inline: bool = False) -> dict
 def load_metric_json(spec: dict) -> MetricField:
     """Build a MetricField from a JSON metric object, such as read_json_object returns;
     a curvature stencil over MAX_STENCIL_ENTRIES is rejected before the entries compile."""
-    try:
-        r, n, rows = int(spec["rank"]), int(spec["base_dim"]), spec["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParamDomainError(
-            f"metric JSON needs integer rank and base_dim and entries ({exc!r})") from exc
+    r, n, rows = spec.get("rank"), spec.get("base_dim"), spec.get("entries")
+    if type(r) is not int or type(n) is not int:  # no float, bool or str is coerced
+        raise ParamDomainError(f"metric JSON needs integer rank and base_dim, got "
+                               f"{r!r:.20} and {n!r:.20}")
     if (not isinstance(rows, list) or len(rows) != r
             or any(not isinstance(row, list) or len(row) != r for row in rows)):
         raise ParamDomainError("metric JSON needs an r x r entries matrix, r = rank")

@@ -169,7 +169,7 @@ def cmd_certify(bundle, n, which, line, twist, sym, det_power, points, seed, res
                                    "griffiths": (*block, "restarts"),
                                    "nakano": block, "dual": block})
     E = _resolve_bundle(bundle, n)
-    L = None if line == "det" else _resolve_bundle(line, n)  # None: det E, from E's samples
+    L = None if line == "det" else _resolve_bundle(line, n)  # None: det E, tr of E's curvature
     polarization = f"det({E.label})" if L is None else L.label
     if which == "bounds":
         cert = boundedness_scan(E, L, n_points=points, seed=seed, restarts=restarts)

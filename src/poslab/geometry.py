@@ -293,15 +293,20 @@ def normalize_at_point(R: CurvatureTensor, g: np.ndarray | None) -> CurvatureTen
     The change R[x, y, u, v] = sum R[i, j, a, b] P[i, x] conj(P[j, y]) Q[a, u]
     conj(Q[b, v]) runs as three matrix products, P^T over i, P^H over j and
     Q^T . conj(Q) over the fiber, so it costs n^3 r^2 + n^2 r^3 rather than
-    the n^4 r^4 of one unoptimized contraction over all four indices.
+    the n^4 r^4 of one unoptimized contraction over all four indices.  A g or h(p)
+    at the edge of the float range can overflow them: a result that is not finite
+    is a SingularMetricError.
     """
     n, r = R.base_dim, R.rank
     gp = np.eye(n, dtype=complex) if g is None else np.asarray(g, dtype=complex)
     P = _orthonormalizer(gp)
     Q = fiber_frame(R)
-    vals = (P.T @ R.values.reshape(n, -1)).reshape(n, n, r * r)
-    vals = (P.conj().T @ vals).reshape(n, n, r, r)
-    return CurvatureTensor(Q.T @ vals @ Q.conj(), normalized=True)
+    with np.errstate(all="ignore"):
+        vals = (P.T @ R.values.reshape(n, -1)).reshape(n, n, r * r)
+        vals = Q.T @ (P.conj().T @ vals).reshape(n, n, r, r) @ Q.conj()
+    if not np.isfinite(vals).all():
+        raise SingularMetricError("curvature not finite in the normalized frame and coordinates")
+    return CurvatureTensor(vals, normalized=True)
 
 
 def philox(seed) -> np.random.Generator:

@@ -59,6 +59,7 @@ from .symbundle import (
     MultiIndex,
     _contract_with_trace,
     _sym_power_curvature,
+    _sym_table,
     check_float_range,
     check_sym_budget,
     generalized_delta,
@@ -209,22 +210,18 @@ def moment_mc_table(r: int, k: int, samples: int, seed: int = 0):
     return basis, mean[0] / scale, err[0] / scale
 
 
-def _multiset_add(A: MultiIndex, x: int) -> MultiIndex:
-    return tuple(sorted(A + (x,)))
-
-
 @functools.lru_cache(maxsize=None)
 def _integral_map(r: int, k: int) -> np.ndarray:
     """Multiset expansion as an (r, r, F, F) integer map:
     I[gamma, delta, a, b] = delta_{(A+delta), (B+gamma)}, filled from its nonzeros:
-    delta_CC at B = C - gamma for each gamma in each of the F r sums C = A+delta."""
-    basis = sym_basis(r, k)
-    index = {B: b for b, B in enumerate(basis)}
+    delta_CC at B = C - gamma for each gamma in each of the F r sums C = A+delta,
+    with delta_CC = gram_A * mult_C(delta) read off the one S^k table."""
+    basis, index, gram = _sym_table(r, k)
     I = np.zeros((r, r, len(basis), len(basis)), dtype=np.int64)
     for a, A in enumerate(basis):
         for delta in range(1, r + 1):
-            C = _multiset_add(A, delta)
-            d = generalized_delta(C, C)
+            C = tuple(sorted(A + (delta,)))
+            d = gram[a] * C.count(delta)
             for gamma in set(C):
                 t = C.index(gamma)
                 I[gamma - 1, delta - 1, a, index[C[:t] + C[t + 1:]]] = d

@@ -23,8 +23,11 @@ of -R.
 ``_scan_minima`` is the one loop over sample points: ``positivity_scan`` and
 ``boundedness_scan`` apply their measures to the same normalized
 S^k E (det E)^m L^l block at each point; L is a rank-1 field, or None for
-det E, lifted from the samples of E's ``chern_curvature``, so no field is sampled twice.
-A built-in L = O(c) is not sampled at all: its form is c times ``fubini_study``, exactly.
+det E.  Every sampled polarization form is read off a ``chern_curvature`` tensor by
+one formula, ``_trace_form``: omega = tr(h(p)^-1 R), which is R / h(p) for a line and,
+for det E, the paper's Theta_{det E} = tr Theta_E taken from E's own curvature, so no
+field is sampled twice.  A built-in L = O(c) is not sampled at all: its form is c times
+``fubini_study``, exactly.
 ``verify_estimate`` is the harness of ``verify --what estimate``, with its own ``ok``.
 """
 
@@ -60,7 +63,6 @@ from .geometry import (
 from .regions import MAX_REGION_MEMBERS
 from .symbundle import (
     MAX_SYM_MAP_ENTRIES,
-    _sym_power_curvature,
     check_float_range,
     check_sym_budget,
     induced_sym_det_curvature,
@@ -231,7 +233,7 @@ def polarization_form(L: MetricField, p) -> np.ndarray:
 
     A built-in line bundle of degree c (``L.line_degree``) has omega = c omega_FS
     exactly, and no metric is evaluated.  Any other line field is differentiated:
-    omega is its frame-normalized curvature, with h_L(p) read from row 0 of its stencil.
+    omega is ``_trace_form`` of its curvature, R / h_L(p).
     """
     if L.rank != 1:
         raise DimMismatchError(
@@ -239,13 +241,19 @@ def polarization_form(L: MetricField, p) -> np.ndarray:
     z0 = as_point(p, L.base_dim)
     if L.line_degree is not None:
         return _positive_form(L.line_degree * fubini_study(L.base_dim, z0), L.label)
-    R = chern_curvature(L, z0)
-    return _positive_form(R.values[:, :, 0, 0] / R.samples[0, 0, 0].real, L.label)
+    return _positive_form(_trace_form(chern_curvature(L, z0)), L.label)
+
+
+def _trace_form(R: CurvatureTensor) -> np.ndarray:
+    """tr(h(p)^-1 R) of a ``chern_curvature`` tensor, h(p) row 0 of its samples: the
+    curvature form of the determinant line, R / h(p) for a line bundle."""
+    return np.einsum("ijab,ba->ij", R.values, np.linalg.inv(R.samples[0]))
 
 
 def _positive_form(omega: np.ndarray, label: str) -> np.ndarray:
-    """The n x n form omega of a line bundle, checked positive definite."""
-    if np.min(np.linalg.eigvalsh(0.5 * (omega + omega.conj().T))) <= 0:
+    """The n x n form omega of a line bundle, checked positive definite; halved before
+    the sum, so a form near the float range does not overflow, and a NaN is rejected."""
+    if not np.min(np.linalg.eigvalsh(0.5 * omega + 0.5 * omega.conj().T)) > 0:
         raise NonpositivePolarizationError(
             f"curvature of {label!r} is not positive at the sampled point"
         )
@@ -257,14 +265,13 @@ def sym_twisted_curvature_at(E: MetricField, L: MetricField | None, p, k: int, m
     """Normalized curvature block of S^k E (det E)^m L^l at a point.
 
     Coordinates are orthonormalized against omega_L, so the line-bundle twist
-    contributes l * Id exactly.  L = None is det E: omega is the curvature of
-    S^0 h (det h)^1 = det h lifted from E's stencil samples, over det h(p).
+    contributes l * Id exactly.  L = None is det E: omega is the trace
+    tr(h(p)^-1 R) of E's own curvature R, with no further metric evaluation.
     """
     z0 = as_point(p, E.base_dim)
     if L is None:
-        R, label = chern_curvature(E, z0), f"det({E.label})"
-        omega = _sym_power_curvature(R.samples, 0, 1, label) / np.linalg.det(R.samples[0]).real
-        g = _positive_form(omega[:, :, 0, 0], label)
+        R = chern_curvature(E, z0)
+        g = _positive_form(_trace_form(R), f"det({E.label})")
     else:
         g = polarization_form(L, z0)  # L before E's stencil
         R = chern_curvature(E, z0)

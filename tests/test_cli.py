@@ -149,7 +149,10 @@ class TestCertifyCommand:
         (["--bundle", "tpn", "--n", "3", "--l", "o(2)"], Fraction(1, 2), 1),
         # det(O(1) + O(2) + O(3)) = O(6)
         (["--bundle", "dsum(1,2,3)", "--n", "3", "--l", "det"], Fraction(1, 6), Fraction(1, 2)),
-    ], ids=["tpn-json-o1", "tpn3-o2", "dsum123-det"])
+        # det TP^3 = O(4), and det (TP^2 (x) O(1)) = O(5) against curvature between 2 and 3
+        (["--bundle", "tpn", "--n", "3", "--l", "det"], Fraction(1, 4), Fraction(1, 2)),
+        (["--bundle", "tpn_twist(1)", "--n", "2", "--l", "det"], Fraction(2, 5), Fraction(3, 5)),
+    ], ids=["tpn-json-o1", "tpn3-o2", "dsum123-det", "tpn3-det", "tpn_twist1-det"])
     def test_bounds_closed_form(self, runner, args, eps1, eps2):
         result, payload = run_json(runner, ["certify", *args, "--test", "bounds", "--points", "2"])
         assert result.exit_code == 0, result.output
@@ -199,6 +202,15 @@ class TestCertifyCommand:
         cert = payload["certificate"]
         assert abs(cert["eps1"] + 0.5) < 1e-6
         assert abs(cert["eps2"] - 1.5) < 1e-6
+
+    @pytest.mark.parametrize("test", ["nakano", "dual", "bounds", "griffiths"])
+    def test_polarization_near_the_float_maximum_runs_warning_free(self, runner, test):
+        # omega = 1e308 omega_FS is symmetrized without overflow; filterwarnings = error
+        # would turn a numpy overflow warning into exit 1
+        result, payload = run_json(runner, ["certify", "--bundle", "tpn", "--n", "2", "--test",
+                                            test, "--l", "o(1e308)", "--points", "2"])
+        assert result.exit_code == 0, result.output
+        assert payload["polarization"] == "o(1e+308)"
 
     def test_builtin_id_wins_over_same_named_path(self, runner, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)
@@ -565,6 +577,13 @@ BAD_INPUT = [
                   "--n", "-1", "--test", "nakano"], "PARAM_DOMAIN", id="metric-base-dim-negative"),
     pytest.param(["certify", "--bundle", '{"rank": 0, "base_dim": 2, "entries": []}',
                   "--n", "2", "--test", "nakano"], "PARAM_DOMAIN", id="metric-rank-0"),
+    # rank and base_dim are JSON integers: no float, bool or string is coerced
+    *(pytest.param(["certify", "--bundle", f'{{"rank": {rank}, "base_dim": {dim}, '
+                    f'"entries": [["1"]]}}', "--n", "2", "--test", "nakano"], "PARAM_DOMAIN",
+                   id=f"metric-{name}")
+      for name, rank, dim in (("rank-1e400", "1e400", "2"), ("base-dim-2.5", "1", "2.5"),
+                              ("base-dim-2.0", "1", "2.0"), ("rank-true", "true", "2"),
+                              ("rank-string", '"1"', "2"))),
     pytest.param(["certify", "--bundle", _metric(entries=[["foo"]]), "--n", "2",
                   "--test", "nakano"], "PARAM_DOMAIN", id="metric-unknown-name"),
     pytest.param(["certify", "--bundle", _metric(entries=[["1+"]]), "--n", "2",
@@ -594,6 +613,11 @@ BAD_INPUT = [
                  "DIM_MISMATCH", id="nakano-polarization-rank-2"),
     pytest.param(["certify", "--bundle", "tpn", "--n", "2", "--test", "nakano", "--l", "o(-1)"],
                  "NONPOSITIVE_POLARIZATION", id="nakano-polarization-o(-1)"),
+    # a subnormal polarization: its orthonormal coordinates overflow to inf
+    *(pytest.param(["certify", "--bundle", "tpn", "--n", "2", "--test", test, "--l", line,
+                    "--points", "2"], "SINGULAR_METRIC", id=f"{test}-polarization-{line}")
+      for test in ("nakano", "dual", "bounds", "griffiths")
+      for line in ("o(1e-320)", "dsum(1e-320)")),
     *(pytest.param(["certify", "--bundle", ident, "--n", "2", "--test", "nakano"],
                    "PARAM_DOMAIN", id=f"bundle-id-{ident}")
       for ident in ("o(abc)", "dsum()", "dsum(1,,2)", "foo",

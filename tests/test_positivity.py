@@ -49,7 +49,7 @@ from poslab.positivity import (
     line_curvature_tensor,
     polarization_form,
 )
-from poslab.symbundle import induced_sym_det_curvature, sym_power_field
+from poslab.symbundle import induced_sym_det_curvature, sym_power_field, twist_by_line
 
 from conftest import random_curvature
 
@@ -582,8 +582,32 @@ _DET_FIELDS = {
 }
 
 
+def trace_block(E, p, k, m, l):
+    """S^k E (det E)^m L^l at p against omega = tr(h(p)^-1 R), from E's curvature R."""
+    R = chern_curvature(E, p)
+    g = np.einsum("ijab,ba->ij", R.values, np.linalg.inv(R.samples[0]))
+    block = induced_sym_det_curvature(normalize_at_point(R, g), k, m)
+    return twist_by_line(block, line_curvature_tensor(np.eye(E.base_dim)), l)
+
+
+_TRACE_FIELDS = {
+    **{f"tpn{n}": (lambda n=n: tangent_pn(n), n + 1) for n in (2, 3, 5)},
+    **{f"tpn_twist({a})": (lambda a=a: tangent_pn_twist(a, 2), 3 + 2 * a) for a in (1, -1)},
+    "dsum123": (lambda: direct_sum([1, 2, 3], 3), 6),
+    "dsum3-1": (lambda: direct_sum([3, -1], 2), 2),
+}
+
+
 class TestDetPolarization:
-    """L = None polarizes by det E, lifted from E's own stencil samples."""
+    """L = None polarizes by det E, the trace of E's own curvature."""
+
+    @pytest.mark.parametrize("make,degree", _TRACE_FIELDS.values(), ids=_TRACE_FIELDS.keys())
+    def test_trace_form_is_degree_times_fubini_study(self, make, degree):
+        # det of a homogeneous bundle of degree d is O(d): omega = d omega_FS
+        E = make()
+        for p in sample_points(E.base_dim, 4, seed=2):
+            got = positivity._trace_form(chern_curvature(E, p))
+            assert np.max(np.abs(got - degree * fubini_study(E.base_dim, p))) <= 1e-9 * degree
 
     @pytest.mark.parametrize("make", _DET_FIELDS.values(), ids=_DET_FIELDS.keys())
     def test_lift_equals_det_field_curvature_bit_for_bit(self, make):
@@ -594,9 +618,12 @@ class TestDetPolarization:
             lift = _sym_power_curvature(R.samples, 0, 1, "det")
             assert np.array_equal(lift, want.values)
             assert np.linalg.det(R.samples[0]).real == want.samples[0, 0, 0].real
-            # and so the whole block against det E equals the one against det_field(E)
-            assert np.array_equal(sym_twisted_curvature_at(E, None, p, 2, 1, -1).values,
-                                  sym_twisted_curvature_at(E, det_field(E), p, 2, 1, -1).values)
+            # the block against det E is the one built from the trace form, and it is
+            # within the lift-vs-trace tolerance of the one against det_field(E)
+            block = sym_twisted_curvature_at(E, None, p, 2, 1, -1).values
+            assert np.array_equal(block, trace_block(E, p, 2, 1, -1).values)
+            lifted = sym_twisted_curvature_at(E, det_field(E), p, 2, 1, -1).values
+            assert np.max(np.abs(block - lifted)) <= 1e-8 * np.max(np.abs(lifted))
 
     @pytest.mark.parametrize("make", _DET_FIELDS.values(), ids=_DET_FIELDS.keys())
     def test_lift_equals_det_field_curvature_at_another_step(self, monkeypatch, make):
@@ -626,7 +653,7 @@ class TestDetPolarization:
     @pytest.mark.parametrize("E", [tangent_pn(2), direct_sum([1, 2], 2)],
                              ids=["tpn", "dsum12"])
     def test_one_metric_evaluation_per_stencil_row_of_e(self, metric_calls, scan, E):
-        # det E is lifted from E's samples: E once per stencil row, no second field
+        # det E is the trace of E's curvature: E once per stencil row, no second field
         scan(E)
         assert metric_calls == {E.label: 3 * (64 * 4 + 8 * 2 + 1)}
 
