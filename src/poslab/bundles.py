@@ -55,9 +55,14 @@ def _norm2(z: np.ndarray) -> float:
     return float(np.vdot(z, z).real)
 
 
+def _num(x: float) -> str:
+    """x's shortest round-trip digits, "2" for 2.0: a label names the number it was given."""
+    return repr(float(x)).removesuffix(".0")
+
+
 def o_line(l: float, n: int) -> MetricField:
     """O(l) with the Fubini-Study-induced metric h = (1+|z|^2)^(-l): the one-summand direct sum."""
-    return dataclasses.replace(direct_sum([l], n), label=f"o({l:g})")
+    return dataclasses.replace(direct_sum([l], n), label=f"o({_num(l)})")
 
 
 def tangent_pn(n: int) -> MetricField:
@@ -73,7 +78,7 @@ def direct_sum(powers, n: int) -> MetricField:
         s = 1.0 + _norm2(z)
         return np.diag(np.array([s ** (-a) for a in powers], dtype=complex))
 
-    label = "dsum(" + ",".join(f"{a:g}" for a in powers) + ")"
+    label = "dsum(" + ",".join(map(_num, powers)) + ")"
     return MetricField(rank=len(powers), base_dim=n, evaluate=ev, label=label,
                        line_degree=powers[0] if len(powers) == 1 else None)
 
@@ -83,7 +88,7 @@ def tangent_pn_twist(l: float, n: int) -> MetricField:
     def ev(z, l=float(l)):
         return fubini_study(n, z) * (1.0 + _norm2(z)) ** (-l)
 
-    return dataclasses.replace(tangent_pn(n), evaluate=ev, label=f"tpn_twist({l:g})",
+    return dataclasses.replace(tangent_pn(n), evaluate=ev, label=f"tpn_twist({_num(l)})",
                                line_degree=None)
 
 

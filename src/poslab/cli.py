@@ -202,7 +202,8 @@ _DEFAULT_SAMPLES = {"moments": 100000, "lemma-linear": 20000}
 @click.option("--samples", type=int, default=None,
               help="Monte Carlo samples, >= 100  [default: 100000 for moments, "
                    "20000 for lemma-linear]")
-@click.option("--trials", type=int, default=1000, show_default=True)
+@click.option("--trials", type=int, default=1000, show_default=True,
+              help="random (phi, p, q) cases, each checked at its exact minimum over forms")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--output", type=click.Path(), default=None)
 def cmd_verify(what, bundle, n, r, k, m, samples, trials, seed, output):

@@ -282,7 +282,8 @@ def fiber_frame(R: CurvatureTensor) -> np.ndarray:
     return _orthonormalizer(R.samples[0])
 
 
-def normalize_at_point(R: CurvatureTensor, g: np.ndarray | None) -> CurvatureTensor:
+def normalize_at_point(R: CurvatureTensor, g: np.ndarray | None,
+                       what: str = "curvature") -> CurvatureTensor:
     """The ``chern_curvature`` tensor R in g-orthonormal coordinates and h-orthonormal frame.
 
     ``g`` is the polarization form at R's point, an n x n Hermitian positive
@@ -295,7 +296,7 @@ def normalize_at_point(R: CurvatureTensor, g: np.ndarray | None) -> CurvatureTen
     Q^T . conj(Q) over the fiber, so it costs n^3 r^2 + n^2 r^3 rather than
     the n^4 r^4 of one unoptimized contraction over all four indices.  A g or h(p)
     at the edge of the float range can overflow them: a result that is not finite
-    is a SingularMetricError.
+    is a SingularMetricError, whose message names ``what``.
     """
     n, r = R.base_dim, R.rank
     gp = np.eye(n, dtype=complex) if g is None else np.asarray(g, dtype=complex)
@@ -305,7 +306,7 @@ def normalize_at_point(R: CurvatureTensor, g: np.ndarray | None) -> CurvatureTen
         vals = (P.T @ R.values.reshape(n, -1)).reshape(n, n, r * r)
         vals = Q.T @ (P.conj().T @ vals).reshape(n, n, r, r) @ Q.conj()
     if not np.isfinite(vals).all():
-        raise SingularMetricError("curvature not finite in the normalized frame and coordinates")
+        raise SingularMetricError(f"{what} not finite in the normalized frame and coordinates")
     return CurvatureTensor(vals, normalized=True)
 
 

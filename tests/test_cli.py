@@ -2,6 +2,7 @@ import contextlib
 import gc
 import io
 import json
+import re
 import weakref
 import xml.dom.minidom
 from fractions import Fraction
@@ -294,17 +295,14 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("trials", [10, 120])
     def test_estimate_reports_the_trials_it_ran(self, runner, monkeypatch, trials):
+        # one exact estimate_check per trial
         ran = []
-
-        def counting(*args, **kwargs):
-            ran.append(kwargs["trials"])
-            return estimate_check(*args, **kwargs)
-
-        monkeypatch.setattr(positivity, "estimate_check", counting)
+        monkeypatch.setattr(positivity, "estimate_check",
+                            lambda *args: ran.append(args) or estimate_check(*args))
         result, payload = run_json(runner, [
             "verify", "--what", "estimate", "--n", "2", "--trials", str(trials)])
         assert result.exit_code == 0
-        assert payload["trials"] == sum(ran) == trials
+        assert payload["trials"] == len(ran) == trials
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_estimate_is_the_library_harness(self, runner, seed):
@@ -314,20 +312,14 @@ class TestVerifyCommand:
         assert payload == {"schema": 1, "what": "estimate",
                            **positivity.verify_estimate(3, 120, seed)}
 
-    @pytest.mark.parametrize("trials,code", [(100, 2), (50, 0)])
-    def test_estimate_seed_range_checked_before_the_first_batch(self, runner, monkeypatch,
-                                                                 trials, code):
-        # at seed 2**64 - 1 the second batch of 50 would key its forms by (2**64, t)
-        ran = []
-        monkeypatch.setattr(positivity, "estimate_check", lambda *a, **kw: ran.append(kw["trials"])
-                            or estimate_check(*a, **kw))
+    @pytest.mark.parametrize("seed", [2**64 - 1, 2**64, 2**128 - 1],
+                             ids=["2^64-1", "2^64", "2^128-1"])
+    def test_estimate_runs_at_every_philox_seed(self, runner, seed):
+        # one stream keyed by the seed: every key Philox takes runs, as for every command
         result, payload = run_json(runner, ["verify", "--what", "estimate", "--n", "3",
-                                            "--trials", str(trials), "--seed", str(2**64 - 1)])
-        assert result.exit_code == code
-        if code == 2:
-            assert payload["error"]["code"] == "PARAM_DOMAIN" and ran == []
-        else:
-            assert payload["trials"] == sum(ran) == 50
+                                            "--trials", "100", "--seed", str(seed)])
+        assert result.exit_code == 0, result.output
+        assert payload["trials"] == 100 and payload["ok"]
 
 
 class TestMomentsCommand:
@@ -539,9 +531,6 @@ SEED_AND_RANGE = {
     **{f"verify-{what}-seed-{name}": ["verify", "--what", what, "--seed", seed]
        for what in ("moments", "lemma-linear", "estimate") for name, seed in _BAD_SEEDS.items()},
     "moments-seed-negative": ["moments", "--r", "2", "--a", "1", "--b", "1", "--seed", "-1"],
-    # estimate keys its forms by the pair (seed + batch, trial) of 64-bit ints
-    "verify-estimate-seed-2^64": ["verify", "--what", "estimate", "--n", "2", "--trials", "1",
-                           "--seed", str(2**64)],
     **{f"certify{flag}-321-digits": ["certify", "--bundle", "tpn", "--n", "2", "--test", "nakano",
                                      "--points", "1", flag, value]
        for flag, value in (("--det", _HUGE), ("--twist", "-" + _HUGE))},
@@ -618,6 +607,11 @@ BAD_INPUT = [
                     "--points", "2"], "SINGULAR_METRIC", id=f"{test}-polarization-{line}")
       for test in ("nakano", "dual", "bounds", "griffiths")
       for line in ("o(1e-320)", "dsum(1e-320)")),
+    # ... and its message names both E and the polarization
+    pytest.param(["certify", "--bundle", "tpn", "--n", "2", "--test", "nakano",
+                  "--l", "o(1e-320)", "--points", "2"],
+                 ("SINGULAR_METRIC", r"(?=.*'tpn')(?=.*'o\(1e-320\)')"),
+                 id="nakano-polarization-o(1e-320)-message-names-tpn-and-o(1e-320)"),
     *(pytest.param(["certify", "--bundle", ident, "--n", "2", "--test", "nakano"],
                    "PARAM_DOMAIN", id=f"bundle-id-{ident}")
       for ident in ("o(abc)", "dsum()", "dsum(1,,2)", "foo",
@@ -708,9 +702,12 @@ BAD_INPUT = [
 
 @pytest.mark.parametrize("args,code", BAD_INPUT)
 def test_bad_input_exit_2_with_error_json(runner, args, code):
+    # code, or (code, a pattern the message must match)
+    code, pattern = code if isinstance(code, tuple) else (code, "")
     result, payload = run_json(runner, args)
     assert result.exit_code == 2, result.output
     assert payload["error"]["code"] == code
+    assert re.search(pattern, payload["error"]["message"]), payload
 
 
 @pytest.mark.parametrize("args,spy", [
@@ -844,8 +841,7 @@ def test_bundle_det_is_an_unknown_bundle(runner):
     (geometry, "MAX_STENCIL_ENTRIES", 273 * 4,
      lambda: geometry.chern_curvature(bundles.tangent_pn(2), [0, 0])),
     # forms on n = 3: 3 * C(3, 1)^2 entries per Bochner array
-    (positivity, "MAX_SYM_MAP_ENTRIES", 27,
-     lambda: estimate_check(np.eye(3), 1, 2, trials=1)),
+    (positivity, "MAX_SYM_MAP_ENTRIES", 27, lambda: estimate_check(np.eye(3), 1, 2)),
     # H^0(P^2, O(3)) has dimension C(5, 3) C(2, 0) = 10, two digits
     (oracles, "MAX_DIM_DIGITS", 2, lambda: oracles.pn_line_cohomology(2, 0, 0, 3)),
     # G(2, 5) has n = 6
