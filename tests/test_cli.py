@@ -321,6 +321,23 @@ class TestVerifyCommand:
         assert result.exit_code == 0, result.output
         assert payload["trials"] == 100 and payload["ok"]
 
+    @pytest.mark.parametrize("trials,code", [(100, 2), (50, 0)])
+    def test_estimate_seed_range_checked_before_the_first_batch(self, runner, monkeypatch,
+                                                                 trials, code):
+        # 2**128 is one past the Philox key range and fails before any estimate_check runs;
+        # 2**128 - 1 is the last key and runs every trial
+        seed = {2: 2**128, 0: 2**128 - 1}[code]
+        ran = []
+        monkeypatch.setattr(positivity, "estimate_check",
+                            lambda *args: ran.append(args) or estimate_check(*args))
+        result, payload = run_json(runner, ["verify", "--what", "estimate", "--n", "3",
+                                            "--trials", str(trials), "--seed", str(seed)])
+        assert result.exit_code == code
+        if code == 2:
+            assert payload["error"]["code"] == "PARAM_DOMAIN" and ran == []
+        else:
+            assert payload["trials"] == len(ran) == trials
+
 
 class TestMomentsCommand:
     def test_single_pair(self, runner):
