@@ -10,9 +10,11 @@ domain error too.
 
 from __future__ import annotations
 
-import json
+import math
 import sys
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import click
 from click.core import ParameterSource
@@ -36,9 +38,56 @@ def _write(path: str, text: str) -> None:
         raise ParamDomainError(f"{path!r} is not a writable file: {exc}") from exc
 
 
+def _dumps(obj, nl: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, for str keys and
+    str, int, float, bool, None, list, tuple and dict values; any other type raises
+    TypeError.  ``nl`` is the newline and indent of obj's own level.
+
+    json.dumps falls back to its pure-Python encoder under ``indent``; here a list of
+    [int, int] lists (a region's members) is one template per item, filled by one
+    ``%``.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
+    inner = nl + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if all(type(x) is list and len(x) == 2 and type(x[0]) is int and type(x[1]) is int
+               for x in obj):
+            pair = f"[{inner}  %d,{inner}  %d{inner}]"
+            body = f",{inner}".join([pair] * len(obj)) % tuple(chain.from_iterable(obj))
+        else:
+            body = f",{inner}".join([_dumps(x, inner) for x in obj])
+        return f"[{inner}{body}{nl}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        # encode_basestring_ascii raises TypeError on a key that is not a str
+        items = [f"{encode_basestring_ascii(key)}: {_dumps(obj[key], inner)}"
+                 for key in sorted(obj)]
+        return f"{{{inner}{f',{inner}'.join(items)}{nl}}}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit(report: dict, output: str | None) -> None:
+    """Print a report, and write it to ``output`` first when given, as ``_dumps`` of
+    {"schema": SCHEMA, **report} and a newline: the one path of every command's
+    output, error JSON included."""
     report = {"schema": SCHEMA, **report}
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = _dumps(report) + "\n"
     if output:
         _write(output, text)
     # an explicit stream: click caches the default one per sys.stdout object

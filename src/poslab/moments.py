@@ -67,7 +67,8 @@ from .symbundle import (
     sym_basis,
 )
 
-# Byte budget of one row chunk of the Monte Carlo terms.
+# Byte budget of one row chunk of the Monte Carlo terms, and of one chunk of
+# positivity.verify_estimate's per-case arrays.
 _CHUNK_BYTES = 1 << 22
 
 # Samples per block of the sphere stream.  Changing it changes every stream
@@ -101,8 +102,11 @@ def _sphere_blocks(r: int, samples: int, seed: int):
     """Uniform points on the unit sphere of C^r (counter-based Philox stream) in
     blocks of _SPHERE_BLOCK; a block draws its real parts, then its imaginary parts.
 
-    The sample floor is checked on the call, not at the first block, because
-    callers size their buffers from the count before they draw.
+    Each block's two draws are written into one new complex array, which is
+    normalized in place: the same bits as (a + 1j b) / |a + 1j b|, without the
+    1j b, a + 1j b and quotient arrays.  The sample floor is checked on the call, not at the
+    first block, because callers size their buffers from the count before they
+    draw.
     """
     check_samples(samples)
     rng = philox(seed)
@@ -110,8 +114,10 @@ def _sphere_blocks(r: int, samples: int, seed: int):
     def blocks():
         for lo in range(0, samples, _SPHERE_BLOCK):
             size = min(_SPHERE_BLOCK, samples - lo)
-            w = rng.standard_normal((size, r)) + 1j * rng.standard_normal((size, r))
-            yield w / np.linalg.norm(w, axis=1, keepdims=True)
+            w = np.empty((size, r), dtype=complex)
+            w.real, w.imag = rng.standard_normal((size, r)), rng.standard_normal((size, r))
+            w /= np.linalg.norm(w, axis=1, keepdims=True)
+            yield w
 
     return blocks()
 

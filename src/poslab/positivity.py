@@ -31,11 +31,14 @@ field is sampled twice.  A built-in L = O(c) is not sampled at all: its form is 
 
 For a line with curvature phi the Bochner term on (p, q)-forms is a Kronecker sum of
 two derivation matrices W_p(phi), W_q(phi), each phi applied through the cached signed
-wedge map ``_interior_map`` as two matrix products, so ``estimate_check`` takes its exact
-minimum over all forms from two small eigenvalue problems; ``curvature_term`` on a
-``Form`` is the reference it is tested against, and no form is drawn.
-``verify_estimate`` is the harness of ``verify --what estimate``, one random (phi, p, q)
-case per trial, with its own ``ok``.
+wedge map ``_interior_map`` as two matrix products, so its exact minimum over all forms
+comes from two small eigenvalue problems; ``curvature_term`` on a ``Form`` is the
+reference it is tested against, and no form is drawn.  One stacked kernel,
+``_bochner_slacks``, solves a stack of cases: one stacked eigvalsh of phi for the bound,
+and one stacked W_d and eigvalsh per degree d.  ``estimate_check`` is its one-case call;
+``verify_estimate``, the harness of ``verify --what estimate`` with its own ``ok``, draws
+one random (phi, p, q) case per trial in the one-at-a-time order and solves them in
+chunks under the byte budget ``_CHUNK_BYTES``, so its memory does not grow with the trials.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ from .geometry import (
     philox,
     sample_points,
 )
+from .moments import _CHUNK_BYTES
 from .regions import MAX_REGION_MEMBERS
 from .symbundle import (
     MAX_SYM_MAP_ENTRIES,
@@ -455,33 +459,57 @@ def line_curvature_tensor(phi) -> CurvatureTensor:
     return CurvatureTensor(phi.reshape(n, n, 1, 1), normalized=True)
 
 
-def eigenvalue_bound(phi, p: int, q: int) -> float:
-    """max{p l1 - (n-q) ln, q l1 - (n-p) ln} for the eigenvalues of phi."""
+def eigenvalue_bound(phi, p, q):
+    """max{p l1 - (n-q) ln, q l1 - (n-p) ln} for the eigenvalues of phi.  phi may carry
+    a leading stack axis, with p and q arrays along it: one bound per case."""
     lam = np.linalg.eigvalsh(np.asarray(phi, dtype=complex))
-    n = len(lam)
-    l1, ln = float(lam[0]), float(lam[-1])
-    return max(p * l1 - (n - q) * ln, q * l1 - (n - p) * ln)
+    n = lam.shape[-1]
+    l1, ln = lam[..., 0], lam[..., -1]
+    return np.maximum(p * l1 - (n - q) * ln, q * l1 - (n - p) * ln)
 
 
-def check_form_budget(n: int) -> None:
+def check_form_budget(n: int) -> int:
     """Reject base dimension n when a Bochner array of estimate_check may have
     more than MAX_SYM_MAP_ENTRIES entries.  Each of its arrays (the wedge map K,
-    phi . K and W) has at most n C(n, n // 2)^2, whatever the bidegree."""
+    phi . K and W) has at most n C(n, n // 2)^2, whatever the bidegree; that count
+    is returned."""
     # C(64, 32)^2 alone is above the budget: no need for larger binomials
     m = min(n, 64)
-    if n * comb(m, m // 2) ** 2 > MAX_SYM_MAP_ENTRIES:
+    if (entries := n * comb(m, m // 2) ** 2) > MAX_SYM_MAP_ENTRIES:
         raise ParamDomainError(f"(p, q)-forms on n = {short_count(n)} are above the budget of "
                                f"{MAX_SYM_MAP_ENTRIES} entries per Bochner array")
+    return entries
 
 
 def _wedge_derivation(phi: np.ndarray, q: int) -> np.ndarray:
     """W_q(phi)[y, z] = sum_{i,j,s} phi_ij K[i, y, s] K[j, z, s], K = _interior_map(n, q):
     phi acting as a derivation on the q-subsets, as two matrix products on reshapes of K.
-    Its eigenvalues are the sums of q eigenvalues of phi with distinct indices."""
-    K = _interior_map(len(phi), q)
+    Its eigenvalues are the sums of q eigenvalues of phi with distinct indices.  phi may
+    carry leading stack axes, one W per matrix."""
+    K = _interior_map(phi.shape[-1], q)
     n, Y, S = K.shape
-    phiK = (phi.T @ K.reshape(n, -1)).reshape(n, Y, S).transpose(1, 0, 2).reshape(Y, n * S)
+    lead = phi.shape[:-2]
+    phiK = (phi.swapaxes(-1, -2) @ K.reshape(n, -1)).reshape(*lead, n, Y, S)
+    phiK = phiK.swapaxes(-3, -2).reshape(*lead, Y, n * S)
     return phiK @ K.transpose(0, 2, 1).reshape(n * S, Y)
+
+
+def _bochner_slacks(phi: np.ndarray, p: np.ndarray, q: np.ndarray):
+    """``eigenvalue_bound`` and slack of each case of a stack, phi (c, n, n) Hermitian and
+    p, q (c,) bidegrees: the kernel of ``estimate_check`` and ``verify_estimate``.
+
+    The bound is one stacked eigvalsh of phi.  Each degree d among p and q gets one
+    stacked W_d over the cases that read it and one stacked eigvalsh, so a case's
+    minimum over forms is lambda_min(W_p) + lambda_min(W_q) - tr phi, whatever its chunk.
+    """
+    bound = eigenvalue_bound(phi, p, q)
+    low = np.empty((2, len(phi)))
+    for d in np.unique(np.concatenate((p, q))):
+        at = (p == d) | (q == d)
+        w = np.linalg.eigvalsh(_wedge_derivation(phi[at], d))[:, 0]
+        for row, deg in zip(low, (p, q)):
+            row[deg == d] = w[deg[at] == d]
+    return bound, low[0] + low[1] - np.trace(phi, axis1=1, axis2=2).real - bound
 
 
 def estimate_check(phi, p: int, q: int) -> dict:
@@ -490,32 +518,41 @@ def estimate_check(phi, p: int, q: int) -> dict:
     On (p, q)-forms T is the Kronecker sum W_p(phi) x Id + Id x conj(W_q(phi)) - tr phi Id
     (``curvature_term`` is its reference), so its minimum over unit forms is
     lambda_min(W_p) + lambda_min(W_q) - tr phi; ``slack`` is that minimum minus
-    ``eigenvalue_bound``.  n above the form budget (check_form_budget) is rejected before
-    anything is built.
+    ``eigenvalue_bound``, from the one-case stack of ``_bochner_slacks``.  n above the
+    form budget (check_form_budget) is rejected before anything is built.
     """
     phi = np.asarray(phi, dtype=complex)
     n = phi.shape[0]
     check_form_budget(n)
     if not (0 <= p <= n and 0 <= q <= n):
         raise BidegreeError(f"bidegree ({p},{q}) out of range for n={n}")
-    low = sum(np.linalg.eigvalsh(_wedge_derivation(phi, d))[0] for d in (p, q)) - phi.trace().real
-    bound = eigenvalue_bound(phi, p, q)
-    return {"n": n, "p": p, "q": q, "bound": bound, "slack": float(low - bound)}
+    bound, slack = _bochner_slacks(phi[None], np.array([p]), np.array([q]))
+    return {"n": n, "p": p, "q": q, "bound": float(bound[0]), "slack": float(slack[0])}
 
 
 def verify_estimate(n: int, trials: int, seed: int = 0) -> dict:
-    """``estimate_check`` on ``trials`` cases, each a fresh random phi > 0 and bidegree
-    (p, q) drawn from one Philox stream in that order; ``ok`` when the worst slack is
-    >= -1e-9.  Nothing is drawn before the checks."""
+    """The exact estimate on ``trials`` cases, each a fresh random phi > 0 and bidegree
+    (p, q); ``ok`` when the worst slack is >= -1e-9.  Nothing is drawn before the checks.
+
+    The cases come from one Philox stream in case order (real parts, imaginary parts,
+    p, q) and are solved by ``_bochner_slacks`` in chunks of at most _CHUNK_BYTES per
+    case array (n C(n, n // 2)^2 entries each, one case at n = 11), so memory does not
+    grow with ``trials``.
+    """
     if n < 1 or trials < 1:
         raise ParamDomainError(f"need --n >= 1 and --trials >= 1, got {short_count(n)} and "
                                f"{short_count(trials)}")
-    check_form_budget(n)  # before the first n x n phi is drawn
+    entries = check_form_budget(n)  # before the first n x n phi is drawn
     rng = philox(seed)
+    chunk = min(trials, max(1, _CHUNK_BYTES // (16 * entries)))
+    draws, pq = np.empty((chunk, 2, n, n)), np.empty((chunk, 2), dtype=int)
     worst = float("inf")
-    for _ in range(trials):
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        phi = a @ a.conj().T + 0.05 * np.eye(n)
-        p, q = int(rng.integers(0, n + 1)), int(rng.integers(0, n + 1))
-        worst = min(worst, estimate_check(phi, p, q)["slack"])
+    for start in range(0, trials, chunk):
+        c = min(chunk, trials - start)
+        for ab, case in zip(draws[:c], pq[:c]):
+            rng.standard_normal(out=ab)
+            case[0], case[1] = rng.integers(0, n + 1), rng.integers(0, n + 1)
+        a = draws[:c, 0] + 1j * draws[:c, 1]
+        phi = a @ a.conj().swapaxes(1, 2) + 0.05 * np.eye(n)
+        worst = min(worst, float(np.min(_bochner_slacks(phi, pq[:c, 0], pq[:c, 1])[1])))
     return {"n": n, "trials": trials, "worst_slack": worst, "ok": worst >= -1e-9}

@@ -10,9 +10,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from poslab import bundles, geometry, moments, oracles, positivity, regions, symbundle
-from poslab.cli import main
+from poslab import bundles, cli, geometry, moments, oracles, positivity, regions, symbundle
+from poslab.cli import _dumps, main
 from poslab.errors import ParamDomainError
 from poslab.positivity import estimate_check
 from test_regions import reference_members
@@ -27,6 +29,19 @@ def run_json(runner, args):
     result = runner.invoke(main, args)
     payload = json.loads(result.output) if result.output.strip() else None
     return result, payload
+
+
+def spy_estimate_chunks(monkeypatch):
+    """The number of cases of each call of the stacked estimate kernel, as it runs."""
+    ran, kernel = [], positivity._bochner_slacks
+
+    def spy(phi, p, q):
+        assert len(phi) == len(p) == len(q) > 0
+        ran.append(len(phi))
+        return kernel(phi, p, q)
+
+    monkeypatch.setattr(positivity, "_bochner_slacks", spy)
+    return ran
 
 
 class TestRegionCommand:
@@ -295,14 +310,12 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("trials", [10, 120])
     def test_estimate_reports_the_trials_it_ran(self, runner, monkeypatch, trials):
-        # one exact estimate_check per trial
-        ran = []
-        monkeypatch.setattr(positivity, "estimate_check",
-                            lambda *args: ran.append(args) or estimate_check(*args))
+        # the stacked kernel's chunks cover every trial once
+        ran = spy_estimate_chunks(monkeypatch)
         result, payload = run_json(runner, [
             "verify", "--what", "estimate", "--n", "2", "--trials", str(trials)])
         assert result.exit_code == 0
-        assert payload["trials"] == len(ran) == trials
+        assert payload["trials"] == sum(ran) == trials
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_estimate_is_the_library_harness(self, runner, seed):
@@ -324,19 +337,17 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("trials,code", [(100, 2), (50, 0)])
     def test_estimate_seed_range_checked_before_the_first_batch(self, runner, monkeypatch,
                                                                  trials, code):
-        # 2**128 is one past the Philox key range and fails before any estimate_check runs;
+        # 2**128 is one past the Philox key range and fails before any case is solved;
         # 2**128 - 1 is the last key and runs every trial
         seed = {2: 2**128, 0: 2**128 - 1}[code]
-        ran = []
-        monkeypatch.setattr(positivity, "estimate_check",
-                            lambda *args: ran.append(args) or estimate_check(*args))
+        ran = spy_estimate_chunks(monkeypatch)
         result, payload = run_json(runner, ["verify", "--what", "estimate", "--n", "3",
                                             "--trials", str(trials), "--seed", str(seed)])
         assert result.exit_code == code
         if code == 2:
             assert payload["error"]["code"] == "PARAM_DOMAIN" and ran == []
         else:
-            assert payload["trials"] == len(ran) == trials
+            assert payload["trials"] == sum(ran) == trials
 
 
 class TestMomentsCommand:
@@ -942,3 +953,52 @@ def test_emit_keeps_no_reference_to_stdout():
     del out
     gc.collect()
     assert ref() is None
+
+
+_INT_PAIRS = st.lists(st.lists(st.integers(), min_size=2, max_size=2), min_size=1)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2**200, 2**200)
+    | st.floats() | st.sampled_from([-0.0, 0.0, float("nan"), float("inf"), float("-inf")])
+    | st.text() | _INT_PAIRS
+    | st.lists(st.lists(st.booleans(), min_size=2, max_size=2), min_size=1)
+    | st.lists(st.lists(st.integers() | st.booleans(), min_size=2, max_size=2), min_size=1),
+    lambda inner: (st.lists(inner) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(), inner) | st.lists(_INT_PAIRS)),
+    max_leaves=20)
+
+
+@given(obj=_JSON)
+@example(obj={"é": [[1, 2]], "\"\\\n\t": {}, "\ud800 \u2028": [], "": [True, False]})
+@example(obj=[[True, False], [0, 1]])
+@example(obj=[[1, 2], [3, 4], [-5, 2**70]])
+@example(obj={"members": [[1, 2]], "empty": {"list": [], "dict": {}}, "t": (1, (2.5, None))})
+@settings(max_examples=200, deadline=None)
+def test_writer_is_json_dumps(obj):
+    # every type the writer takes, at every depth; a [bool, bool] pair, or a list
+    # mixing pairs with other items, is not a region member
+    assert _dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("obj", [object(), {"a": {1j}}, {1: 2}, [np.int64(3)], {"x": b"y"}],
+                         ids=["object", "complex-in-set", "int-key", "numpy-int", "bytes"])
+def test_writer_rejects_other_types(obj):
+    with pytest.raises(TypeError):
+        _dumps(obj)
+
+
+@pytest.mark.parametrize("args", [
+    ["region", "--n", "200", "--r", "2", "--k", "1", "--m", "5"],
+    ["verify", "--what", "estimate", "--n", "3", "--trials", "50"],
+    ["certify", "--bundle", "tpn", "--n", "2", "--test", "bounds", "--points", "3"],
+    ["moments", "--r", "3", "--a", "1,2", "--b", "1,2", "--samples", "1000"],
+    ["verify", "--what", "estimate", "--n", "40"],
+], ids=["region-n200", "estimate", "certify-bounds", "moments", "error-json"])
+def test_stdout_is_json_dumps_of_the_report(runner, monkeypatch, args):
+    # the very report each command emits, serialized by json.dumps
+    reports, emit = [], cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda report, output: reports.append(report)
+                        or emit(report, output))
+    result = runner.invoke(main, args)
+    assert len(reports) == 1 and result.exit_code in (0, 2)
+    want = json.dumps({"schema": 1, **reports[0]}, sort_keys=True, indent=2) + "\n"
+    assert result.output == want

@@ -115,6 +115,21 @@ class TestMomentMC:
                 exact = float(moment_exact(2, A, B))
                 assert abs(est[a, b] - exact) <= max(3 * err[a, b], 1e-12)
 
+    @pytest.mark.parametrize("r", [1, 3, 4])
+    def test_sphere_stream_is_the_two_draw_reference(self, r):
+        # per block, real parts then imaginary parts, (a + 1j b) / |a + 1j b|, bit for bit;
+        # the count spans two blocks, the second one partial
+        samples, seed = moments._SPHERE_BLOCK + 1234, (7, r)
+        rng = geometry.philox(seed)
+        want = []
+        for size in (moments._SPHERE_BLOCK, 1234):
+            w = rng.standard_normal((size, r)) + 1j * rng.standard_normal((size, r))
+            want.append(w / np.linalg.norm(w, axis=1, keepdims=True))
+        got = list(moments._sphere_blocks(r, samples, seed))
+        assert [len(b) for b in got] == [len(b) for b in want]
+        for b, w in zip(got, want):
+            assert b.dtype == w.dtype and b.tobytes() == w.tobytes()
+
     def test_single_and_table_read_one_stream(self):
         # 250 000 samples span three sphere blocks, the last one partial
         samples = 250_000

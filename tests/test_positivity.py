@@ -2,6 +2,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from bisect import bisect_left
 from collections import Counter
 from itertools import combinations
@@ -47,6 +48,7 @@ from poslab.positivity import (
     _interior_map,
     _values_and_gram,
     _wedge_derivation,
+    check_form_budget,
     eigenvalue_bound,
     line_curvature_tensor,
     polarization_form,
@@ -833,6 +835,61 @@ class TestEstimate:
         monkeypatch.setattr(Form, "random", fail)
         monkeypatch.setattr(positivity, "curvature_term", fail)
         assert verify_estimate(3, 60, 0)["ok"]
+
+    @pytest.mark.parametrize("n,seed", [(1, 5), (2, 1), (3, 0), (3, 7), (4, 3), (6, 2)])
+    def test_one_case_per_chunk_gives_the_same_report(self, monkeypatch, n, seed):
+        # every case of n <= 6 fits one chunk by default; a budget of 1 byte runs one
+        # case per chunk, so a case's bits do not depend on the cases beside it
+        want = verify_estimate(n, 60, seed)
+        assert positivity._CHUNK_BYTES // (16 * check_form_budget(n)) >= 60
+        monkeypatch.setattr(positivity, "_CHUNK_BYTES", 1)
+        assert verify_estimate(n, 60, seed) == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_case_is_the_closed_form(self, monkeypatch, n):
+        # each stacked case against its own eigenvalues: the p lowest plus the q
+        # lowest minus tr phi, minus max{p l1 - (n-q) ln, q l1 - (n-p) ln}
+        seen, kernel = [], positivity._bochner_slacks
+
+        def spy(phi, p, q):
+            bound, slack = kernel(phi, p, q)
+            seen.extend(zip(phi, p, q, bound, slack))
+            return bound, slack
+
+        monkeypatch.setattr(positivity, "_bochner_slacks", spy)
+        rep = verify_estimate(n, 200, seed=11)
+        assert len(seen) == 200 and {int(p) for _, p, _, _, _ in seen} == set(range(n + 1))
+        for phi, p, q, bound, slack in seen:
+            lam = np.linalg.eigvalsh(phi)
+            want = max(p * lam[0] - (n - q) * lam[-1], q * lam[0] - (n - p) * lam[-1])
+            assert abs(bound - want) <= 1e-9
+            low = lam[:p].sum() + lam[:q].sum() - phi.trace().real
+            assert abs(slack - (low - want)) <= 1e-9
+        assert rep["worst_slack"] == min(slack for *_, slack in seen)
+
+    def test_memory_does_not_grow_with_trials(self, monkeypatch):
+        # --trials 10**7 --n 2, stopped after its first chunk: one (trials, n, n) complex
+        # array alone would be 640 MB
+        class Stop(Exception):
+            pass
+
+        chunks, kernel = [], positivity._bochner_slacks
+
+        def spy(phi, p, q):
+            chunks.append(len(phi))
+            kernel(phi, p, q)
+            raise Stop
+
+        monkeypatch.setattr(positivity, "_bochner_slacks", spy)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Stop):
+                verify_estimate(2, 10**7, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chunks == [positivity._CHUNK_BYTES // (16 * check_form_budget(2))]
+        assert peak <= 8 * positivity._CHUNK_BYTES
 
     def test_top_of_the_form_budget(self):
         # n = 11: 11 C(11, 5)^2 = 2 347 884 entries, within MAX_SYM_MAP_ENTRIES
