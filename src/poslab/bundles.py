@@ -46,8 +46,9 @@ import re
 
 import numpy as np
 
+from . import limits
 from .errors import ParamDomainError, SingularMetricError
-from .geometry import MetricField, _orthonormalizer, check_stencil_budget, fubini_study
+from .geometry import MetricField, _orthonormalizer, fubini_study
 from .symbundle import sym_power_field
 
 
@@ -227,7 +228,7 @@ def read_json_object(source: str, unreadable: str, inline: bool = False) -> dict
 
 def load_metric_json(spec: dict) -> MetricField:
     """Build a MetricField from a JSON metric object, such as read_json_object returns;
-    a curvature stencil over MAX_STENCIL_ENTRIES is rejected before the entries compile."""
+    a curvature stencil over limits.MAX_STENCIL_ENTRIES is rejected before the entries compile."""
     r, n, rows = spec.get("rank"), spec.get("base_dim"), spec.get("entries")
     if type(r) is not int or type(n) is not int:  # no float, bool or str is coerced
         raise ParamDomainError(f"metric JSON needs integer rank and base_dim, got "
@@ -241,7 +242,7 @@ def load_metric_json(spec: dict) -> MetricField:
             f"metric JSON domain_radius must be a positive number, got {radius!r}")
     label = str(spec.get("label", "user"))
     # every use of a metric is a curvature: reject its stencil before compiling
-    check_stencil_budget(n, r, label)
+    limits.check_stencil_budget(n, r, label)
     entries = _compile_entries(rows, n)
 
     def ev(z):

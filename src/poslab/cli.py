@@ -11,6 +11,7 @@ domain error too.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from fractions import Fraction
 from itertools import chain
@@ -19,7 +20,7 @@ from json.encoder import encode_basestring_ascii
 import click
 from click.core import ParameterSource
 
-from . import __version__
+from . import __version__, limits
 from .bundles import builtin, load_metric_json, read_json_object
 from .errors import DimMismatchError, ParamDomainError, PoslabError
 from .moments import moment_exact, moment_mc, verify_lemma_linear, verify_moments
@@ -95,8 +96,25 @@ def _emit(report: dict, output: str | None) -> None:
     click.echo(text, file=sys.stdout, nl=False)
 
 
+# The decimal form with an exponent that Fraction reads: whole part, fraction digits
+# and exponent.  Fraction builds 10^|exponent| before anything can look at the value.
+_EXPONENT_FORM = re.compile(r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?"
+                            r"[eE]([-+]?\d+(?:_\d+)*)\s*")
+
+
 def _rational(ctx, param, text):
+    """A flag's text as a Fraction.  Text with an exponent is d 10^s for an integer d
+    of b bits, whose numerator or denominator has at least |s| - b + 1 digits: above
+    the printed-digit limit it is a domain error before 10^|s| is built, and d = 0
+    is 0 whatever s."""
     try:
+        if text is not None and (form := _EXPONENT_FORM.fullmatch(text)):
+            whole, frac, exp = (part.replace("_", "") for part in form.groups(""))
+            mantissa = int(frac or 0) + int(whole or 0) * 10**len(frac)
+            if not mantissa:
+                return Fraction(0)
+            shift = int(exp) - len(frac)
+            limits.check_printed_digits(param.opts[0], low=abs(shift) - mantissa.bit_length() + 1)
         return Fraction(text) if text is not None else None
     except (ValueError, ZeroDivisionError) as exc:
         raise click.BadParameter(f"{text!r} is not a rational number") from exc

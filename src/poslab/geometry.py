@@ -25,6 +25,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import limits
 from .errors import ParamDomainError, SingularMetricError, StencilOutOfChartError, short_count
 
 # 4th-order Wirtinger stencil d/dz = (d/dx - i d/dy)/2 at chart offsets
@@ -36,10 +37,6 @@ _STENCIL_OFFS = np.array([-2, -1, 1, 2, -2j, -1j, 1j, 2j])
 _STENCIL_WEIGHTS = np.array([1, -8, 8, -1, -1j, 8j, -8j, 1j]) / 24
 # d/dz^i d/dzbar^j: weight of the offset pair (a, b) at index 8a + b
 _MIXED_WEIGHTS = np.outer(_STENCIL_WEIGHTS, _STENCIL_WEIGHTS.conj()).ravel()
-
-# Entries allowed in the (64n^2 + 8n + 1, r, r) stencil buffer of one
-# curvature: 2^25 complex entries are 512 MiB.
-MAX_STENCIL_ENTRIES = 1 << 25
 
 
 def as_point(z, n: int) -> np.ndarray:
@@ -166,17 +163,6 @@ def _stencil_offsets(n: int) -> np.ndarray:
     return table
 
 
-def check_stencil_budget(n: int, r: int, label: str) -> None:
-    """Reject the curvature stencil of rank-``r`` metric ``label`` on base dimension
-    ``n`` when its (64n^2 + 8n + 1, r, r) buffer has more than MAX_STENCIL_ENTRIES
-    entries; callers run it before the first metric evaluation."""
-    if (entries := (64 * n * n + 8 * n + 1) * r * r) > MAX_STENCIL_ENTRIES:
-        raise ParamDomainError(f"the curvature stencil of rank-{short_count(r)} metric {label!r} "
-                               f"on n = {short_count(n)} "
-                               f"needs {short_count(entries)} entries, above the budget of "
-                               f"{MAX_STENCIL_ENTRIES}")
-
-
 def _base_inverse(H: np.ndarray, label: str) -> np.ndarray:
     """h(p)^-1, or SingularMetricError when h(p) is not finite, not Hermitian or not
     positive definite."""
@@ -241,14 +227,14 @@ def chern_curvature(h: MetricField, p) -> CurvatureTensor:
     them as ``samples``, so a field derived pointwise from h can be
     differentiated on them without evaluating h again.  Raises
     ParamDomainError, before any metric evaluation, when the stencil buffer
-    would hold more than MAX_STENCIL_ENTRIES entries, SingularMetricError when
+    would hold more than limits.MAX_STENCIL_ENTRIES entries, SingularMetricError when
     h(p) is not positive definite to working precision or h is not finite on
     the stencil, StencilOutOfChartError when a stencil point leaves the declared
     domain of a user metric.
     """
     n = h.base_dim
     r = h.rank
-    check_stencil_budget(n, r, h.label)
+    limits.check_stencil_budget(n, r, h.label)
     z0 = as_point(p, n)
 
     H = h(z0)

@@ -28,7 +28,7 @@ E's ``chern_curvature``, in route (a)'s frame ``fiber_frame``, to S^k h (det h)^
 
 ``moment_mc``, ``moment_mc_table`` and ``integral_formula_mc`` share one
 streaming estimator, ``_sphere_moments``.  It reads the sphere stream in row
-chunks of at most _CHUNK_BYTES, so memory does not grow with the sample
+chunks of at most limits._CHUNK_BYTES, so memory does not grow with the sample
 count, and reports one stderr, sqrt((E|X|^2 - |E X|^2) / s), from the raw
 second moment.  ``moment_mc`` and ``moment_mc_table`` divide by one float
 scale, (r-1)!, and reject r whose (r-1)! is above the float range (r >= 172)
@@ -43,33 +43,26 @@ from math import comb, factorial
 
 import numpy as np
 
+from . import limits
 from .errors import FrameNotNormalizedError, LengthMismatchError, ParamDomainError, short_count
 from .geometry import (
     CurvatureTensor,
     MetricField,
     as_point,
-    check_stencil_budget,
     chern_curvature,
     fiber_frame,
     normalize_at_point,
     philox,
 )
-from .regions import MAX_REGION_MEMBERS
 from .symbundle import (
     MultiIndex,
     _contract_with_trace,
     _sym_power_curvature,
     _sym_table,
-    check_float_range,
-    check_sym_budget,
     generalized_delta,
     induced_sym_det_curvature,
     sym_basis,
 )
-
-# Byte budget of one row chunk of the Monte Carlo terms, and of one chunk of
-# positivity.verify_estimate's per-case arrays.
-_CHUNK_BYTES = 1 << 22
 
 # Samples per block of the sphere stream.  Changing it changes every stream
 # longer than one block.
@@ -91,24 +84,17 @@ def moment_exact(r: int, A: MultiIndex, B: MultiIndex) -> Fraction:
     return Fraction(generalized_delta(A, B), factorial(r + k - 1))
 
 
-def check_samples(samples: int) -> None:
-    """Reject a Monte Carlo sample count below the floor of 100 that every
-    estimator shares."""
-    if samples < 100:
-        raise ParamDomainError(f"need at least 100 samples, got {short_count(samples)}")
-
-
 def _sphere_blocks(r: int, samples: int, seed: int):
     """Uniform points on the unit sphere of C^r (counter-based Philox stream) in
     blocks of _SPHERE_BLOCK; a block draws its real parts, then its imaginary parts.
 
     Each block's two draws are written into one new complex array, which is
-    normalized in place: the same bits as (a + 1j b) / |a + 1j b|, without the
-    1j b, a + 1j b and quotient arrays.  The sample floor is checked on the call, not at the
-    first block, because callers size their buffers from the count before they
-    draw.
+    normalized in place, so a block holds one complex array besides its draws; its
+    bits are those of (a + 1j b) / |a + 1j b|.  The sample floor is checked on the
+    call, not at the first block, because callers size their buffers from the count
+    before they draw.
     """
-    check_samples(samples)
+    limits.check_samples(samples)
     rng = philox(seed)
 
     def blocks():
@@ -153,7 +139,7 @@ def _sphere_moments(r: int, basis, samples: int, seed: int, weight=None):
         Q = Q.reshape(r * r, D)
     else:
         D = 1
-    chunk = max(1, _CHUNK_BYTES // (16 * D * F))
+    chunk = max(1, limits._CHUNK_BYTES // (16 * D * F))
     first = np.zeros((D * F, F), dtype=complex)
     second = np.zeros((D * F, F))
     if weight is not None:
@@ -201,15 +187,13 @@ def moment_mc_table(r: int, k: int, samples: int, seed: int = 0):
     """All pairwise moments for |A| = |B| = k at once.
 
     Returns (basis, estimates, stderrs) with matrices indexed by basis order.
-    A table whose F^2 entries print more than MAX_REGION_MEMBERS indices,
-    F^2 * max(k, 1), is rejected before anything is sized or drawn, as is an
-    r whose scale (r-1)! is above the float range.
+    A table whose F^2 entries print more than limits.MAX_REGION_MEMBERS indices,
+    F^2 * max(k, 1), is rejected before anything is sized or drawn, as is an r
+    whose scale (r-1)! is above the float range.
     """
-    indices = comb(r + k - 1, k) ** 2 * max(k, 1) if r >= 1 and k >= 0 else 0
-    if indices > MAX_REGION_MEMBERS:
-        raise ParamDomainError(f"the degree-{short_count(k)} moment table on rank "
-                               f"{short_count(r)} prints {short_count(indices)} indices, above "
-                               f"the budget of {MAX_REGION_MEMBERS}")
+    limits.check_sym_shape(r, k)
+    limits.check_printed_count(comb(r + k - 1, k) ** 2 * max(k, 1),
+                               "the degree-{} moment table on rank {} prints {} indices", k, r)
     basis = sym_basis(r, k)
     scale = _moment_scale(r)
     mean, err = _sphere_moments(r, basis, samples, seed)
@@ -237,7 +221,7 @@ def _integral_map(r: int, k: int) -> np.ndarray:
 
 def integral_formula_tensor(R: CurvatureTensor, k: int, m) -> CurvatureTensor:
     """The full S^k E (det E)^m block of the integral formula's expansion."""
-    check_sym_budget(R.rank, k)
+    limits.check_sym_budget(R.rank, k)
     return _contract_with_trace(R, k, _integral_map(R.rank, k), m - 1)
 
 
@@ -253,7 +237,7 @@ def integral_formula_mc(R: CurvatureTensor, k: int, m, samples: int = 20000,
         raise FrameNotNormalizedError("integral_formula_mc needs a normalized-frame tensor")
     V = np.asarray(R.values, dtype=complex)
     n, r = R.base_dim, R.rank
-    check_sym_budget(r, k)
+    limits.check_sym_budget(r, k)
     basis = sym_basis(r, k)
     F = len(basis)
     Q = (r + k) * V.transpose(2, 3, 0, 1).reshape(r, r, n * n)
@@ -304,11 +288,11 @@ def verify_lemma_linear(bundle: MetricField, p, k: int, m, mc_samples: int = 200
     """
     n, r = bundle.base_dim, bundle.rank
     sym_label = f"sym{k}det{m}({bundle.label})"
-    check_stencil_budget(n, r, bundle.label)
-    check_sym_budget(r, k)
-    check_stencil_budget(n, comb(r + k - 1, k), sym_label)
-    check_float_range(m=m)
-    check_samples(mc_samples)
+    limits.check_stencil_budget(n, r, bundle.label)
+    limits.check_sym_budget(r, k)
+    limits.check_stencil_budget(n, comb(r + k - 1, k), sym_label)
+    limits.check_float_range(m=m)
+    limits.check_samples(mc_samples)
     philox(seed)  # a seed numpy cannot key fails here, not after the sampling
     R = chern_curvature(bundle, as_point(np.zeros(n) if p is None else p, n))
     Rn = normalize_at_point(R, None)

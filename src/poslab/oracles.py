@@ -15,12 +15,9 @@ import dataclasses
 from fractions import Fraction
 from math import comb, log10, prod
 
+from . import limits
 from .errors import ParamDomainError, short_count
-from .regions import TheoremParams, VanishingRegion, check_region_n, lambda0, region
-
-# Python's default limit on the digits of an int it converts to text: a larger
-# dimension could not be written to the JSON report.
-MAX_DIM_DIGITS = 4300
+from .regions import TheoremParams, VanishingRegion, lambda0, region
 
 
 @dataclasses.dataclass(frozen=True)
@@ -41,34 +38,31 @@ class CohomologyDim:
 def _binomial_product(*pairs: tuple[int, int]) -> int:
     """The product of C(a, b) over ``pairs`` (a, b) of integers a, b >= 0.
 
-    Raises ParamDomainError when it has more than MAX_DIM_DIGITS digits.  With
-    c = min(b, a - b) >= 1, (a / c)^c <= C(a, b) <= (e a / c)^c and a / c >= 2,
-    so a product above the limit by the lower bound is rejected before any
-    binomial is multiplied out, and below it the exact product has fewer than
-    2.5 MAX_DIM_DIGITS digits, cheap to compute and compare.
+    Raises ParamDomainError when it has more than limits.MAX_PRINTED_DIGITS
+    digits.  With c = min(b, a - b) >= 1, (a / c)^c <= C(a, b) <= (e a / c)^c and
+    a / c >= 2, so a product above the limit by the lower bound is rejected before
+    any binomial is multiplied out, and below it the exact product has fewer than
+    2.5 limits.MAX_PRINTED_DIGITS digits, cheap to compute and compare.
     """
     low = sum(c * (log10(a) - log10(c)) for a, b in pairs if (c := min(b, a - b)) >= 1)
-    if low <= MAX_DIM_DIGITS:
-        dim = prod(comb(a, b) for a, b in pairs)
-        # dim < 2^bits <= 10^digits: the power of ten is built only near the limit
-        if dim.bit_length() <= 3.32 * MAX_DIM_DIGITS or dim < 10 ** MAX_DIM_DIGITS:
-            return dim
-    raise ParamDomainError(f"the cohomology dimension has more than {MAX_DIM_DIGITS} digits, "
-                           "above what the report can print")
+    limits.check_printed_digits("the cohomology dimension", low=low)
+    dim = prod(comb(a, b) for a, b in pairs)
+    limits.check_printed_digits("the cohomology dimension", dim)
+    return dim
 
 
 def grassmannian_nonvanishing(d: int, r: int, k: int) -> list[CohomologyDim]:
     """H^{n,q}(G(r,V), S^k E det E) dimensions, for all q in 0..n.
 
     n above the region budget is rejected before any record is built, and a
-    dimension above MAX_DIM_DIGITS digits before it is multiplied out.
+    dimension above limits.MAX_PRINTED_DIGITS digits before it is multiplied out.
     """
     if not 1 <= r < d:
         raise ParamDomainError("need 1 <= r < d")
     if k < 1:
         raise ParamDomainError("need k >= 1")
     n = r * (d - r)
-    check_region_n(n)
+    limits.check_region_n(n)
     q_star = (r - 1) * (d - r)
     j = k + r - d  # symmetric power of V at the special degree
     dim_star = _binomial_product((d - 1 + j, j)) if j >= 0 else 0
@@ -80,7 +74,7 @@ def grassmannian_nonvanishing(d: int, r: int, k: int) -> list[CohomologyDim]:
 
 
 def pn_line_cohomology(n: int, p: int, q: int, l: int) -> int:
-    """dim H^q(P^n, Omega^p(l)) by the Bott formula; above MAX_DIM_DIGITS
+    """dim H^q(P^n, Omega^p(l)) by the Bott formula; above limits.MAX_PRINTED_DIGITS
     digits a ParamDomainError before any binomial is multiplied out."""
     if not (0 <= p <= n and 0 <= q <= n):
         raise ParamDomainError("need 0 <= p, q <= n")
@@ -123,7 +117,7 @@ def prop_ex_consistency(n: int, k: int, l: int) -> dict:
     mismatch.  n above the region budget is rejected first, then n or k below
     1, which no S^k TP^n has, before the theorem's applicability is tested.
     """
-    check_region_n(n)
+    limits.check_region_n(n)
     if n < 1 or k < 1:
         raise ParamDomainError(f"need --n >= 1 and --k >= 1, got --n {short_count(n)} "
                                f"and --k {short_count(k)}")

@@ -12,7 +12,7 @@ Griffiths minimization is a non-convex biquadratic problem; we use
 alternating smallest-eigenvector iteration with random restarts.  The
 restarts run as a stack, one stacked eigh per half-step over every restart
 still running, each with its own stopping test, in chunks under the byte
-budget _GRIFFITHS_CHUNK_BYTES; the starts come from one Philox stream in
+budget limits._GRIFFITHS_CHUNK_BYTES; the starts come from one Philox stream in
 restart order and the first smallest value wins.  Each half-step's
 contraction is a stacked matrix product on the tensor reshaped once per call,
 one item per restart, so a report's bits do not depend on the chunk size.  A
@@ -37,8 +37,9 @@ reference it is tested against, and no form is drawn.  One stacked kernel,
 ``_bochner_slacks``, solves a stack of cases: one stacked eigvalsh of phi for the bound,
 and one stacked W_d and eigvalsh per degree d.  ``estimate_check`` is its one-case call;
 ``verify_estimate``, the harness of ``verify --what estimate`` with its own ``ok``, draws
-one random (phi, p, q) case per trial in the one-at-a-time order and solves them in
-chunks under the byte budget ``_CHUNK_BYTES``, so its memory does not grow with the trials.
+one random (phi, p, q) case per trial and solves them in chunks under the byte budget
+``limits._CHUNK_BYTES``, so its memory does not grow with the trials.  A case's draws do
+not depend on its chunk, so neither does the report.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from math import comb
 
 import numpy as np
 
+from . import limits
 from .errors import (
     BidegreeError,
     DimMismatchError,
@@ -63,32 +65,18 @@ from .geometry import (
     CurvatureTensor,
     MetricField,
     as_point,
-    check_stencil_budget,
     chern_curvature,
     fubini_study,
     normalize_at_point,
     philox,
     sample_points,
 )
-from .moments import _CHUNK_BYTES
-from .regions import MAX_REGION_MEMBERS
-from .symbundle import (
-    MAX_SYM_MAP_ENTRIES,
-    check_float_range,
-    check_sym_budget,
-    induced_sym_det_curvature,
-    twist_by_line,
-)
+from .symbundle import induced_sym_det_curvature, twist_by_line
 
 # an alternating Griffiths run stops when its value changes by less than this,
 # relative to 1 + |value|, or after _GRIFFITHS_ITERS iterations
 _GRIFFITHS_TOL = 1e-10
 _GRIFFITHS_ITERS = 200
-
-# Byte budget of one (chunk, F, F) complex array of the stacked Griffiths
-# iteration: restarts run in chunks under it, so a call holds no more than
-# the one-restart-at-a-time loop did, whatever the number of restarts.
-_GRIFFITHS_CHUNK_BYTES = 1 << 16
 
 
 def _values_and_gram(R: CurvatureTensor):
@@ -178,28 +166,21 @@ def _griffiths_stack(V, g, starts):
     return vals, us, vs
 
 
-def check_restarts(restarts: int) -> None:
-    """Reject a Griffiths restart count below 1; the scans run it before their
-    first metric evaluation."""
-    if restarts < 1:
-        raise ParamDomainError(f"need restarts >= 1, got {short_count(restarts)}")
-
-
 def griffiths_min(R: CurvatureTensor, restarts: int = 32, seed: int = 0) -> PositivityReport:
     """Minimize the Griffiths biquadratic over unit u, unit v (multi-start).
 
-    The restarts run as stacks of at most _GRIFFITHS_CHUNK_BYTES per
+    The restarts run as stacks of at most limits._GRIFFITHS_CHUNK_BYTES per
     (chunk, F, F) array, drawn in restart order from one Philox stream; the
     first smallest value wins.  A nonpositive minimum is certified by its
     witness; a positive result is heuristic (finitely many restarts).  The
     maximum is minus the minimum of
     CurvatureTensor(-R.values, normalized=True, gram=R.gram).
     """
-    check_restarts(restarts)
+    limits.check_restarts(restarts)
     V, g = _values_and_gram(R)
     F = V.shape[2]
     rng = philox(seed)
-    chunk = max(1, _GRIFFITHS_CHUNK_BYTES // (16 * F * F))
+    chunk = max(1, limits._GRIFFITHS_CHUNK_BYTES // (16 * F * F))
     best = None
     for start in range(0, restarts, chunk):
         starts = rng.standard_normal((min(chunk, restarts - start), 2, F))
@@ -300,18 +281,16 @@ def _scan_minima(E: MetricField, L: MetricField | None, measures, n_points: int,
     and the scanned points.  The stencils of E and of L (when L is sampled: not
     det E, not a built-in line), the S^k maps, m, l and the seed are checked
     before the first metric call, and the n_points * n scanned coordinates,
-    which the bounds certificate prints, against MAX_REGION_MEMBERS before any
+    which the bounds certificate prints, against limits.MAX_REGION_MEMBERS before any
     point is drawn.
     """
     if L is not None and L.line_degree is None:
-        check_stencil_budget(L.base_dim, L.rank, L.label)
-    check_stencil_budget(E.base_dim, E.rank, E.label)
-    check_sym_budget(E.rank, k)
-    check_float_range(m=m, l=l)
-    if (coords := n_points * E.base_dim) > MAX_REGION_MEMBERS:
-        raise ParamDomainError(f"{short_count(n_points)} points on n = {E.base_dim} are "
-                               f"{short_count(coords)} coordinates, above the budget of "
-                               f"{MAX_REGION_MEMBERS}")
+        limits.check_stencil_budget(L.base_dim, L.rank, L.label)
+    limits.check_stencil_budget(E.base_dim, E.rank, E.label)
+    limits.check_sym_budget(E.rank, k)
+    limits.check_float_range(m=m, l=l)
+    limits.check_printed_count(n_points * E.base_dim, "{} points on n = {} are {} coordinates",
+                               n_points, E.base_dim)
     best = [None] * len(measures)
     scanned = []
     for p in sample_points(E.base_dim, n_points, seed=seed):
@@ -332,7 +311,7 @@ def positivity_scan(E: MetricField, L: MetricField | None, test: str, n_points: 
     over the sample points, L = None for det E; the report's ``points`` is
     where it was found.  Only "griffiths" reads ``restarts``."""
     if test == "griffiths":
-        check_restarts(restarts)
+        limits.check_restarts(restarts)
     measure = {"griffiths": lambda R: griffiths_min(R, restarts=restarts, seed=seed),
                "nakano": nakano_min, "dual": dual_nakano_min}[test]
     (best,), _ = _scan_minima(E, L, [measure], n_points, seed, k, m, l)
@@ -349,7 +328,7 @@ def boundedness_scan(E: MetricField, L: MetricField | None, n_points: int = 50, 
     is not identically zero on the scan.  The k = 1 block is E's own
     normalized curvature; L = None is det E.
     """
-    check_restarts(restarts)
+    limits.check_restarts(restarts)
 
     def low(R):
         return griffiths_min(R, restarts=restarts, seed=seed)
@@ -468,19 +447,6 @@ def eigenvalue_bound(phi, p, q):
     return np.maximum(p * l1 - (n - q) * ln, q * l1 - (n - p) * ln)
 
 
-def check_form_budget(n: int) -> int:
-    """Reject base dimension n when a Bochner array of estimate_check may have
-    more than MAX_SYM_MAP_ENTRIES entries.  Each of its arrays (the wedge map K,
-    phi . K and W) has at most n C(n, n // 2)^2, whatever the bidegree; that count
-    is returned."""
-    # C(64, 32)^2 alone is above the budget: no need for larger binomials
-    m = min(n, 64)
-    if (entries := n * comb(m, m // 2) ** 2) > MAX_SYM_MAP_ENTRIES:
-        raise ParamDomainError(f"(p, q)-forms on n = {short_count(n)} are above the budget of "
-                               f"{MAX_SYM_MAP_ENTRIES} entries per Bochner array")
-    return entries
-
-
 def _wedge_derivation(phi: np.ndarray, q: int) -> np.ndarray:
     """W_q(phi)[y, z] = sum_{i,j,s} phi_ij K[i, y, s] K[j, z, s], K = _interior_map(n, q):
     phi acting as a derivation on the q-subsets, as two matrix products on reshapes of K.
@@ -519,11 +485,11 @@ def estimate_check(phi, p: int, q: int) -> dict:
     (``curvature_term`` is its reference), so its minimum over unit forms is
     lambda_min(W_p) + lambda_min(W_q) - tr phi; ``slack`` is that minimum minus
     ``eigenvalue_bound``, from the one-case stack of ``_bochner_slacks``.  n above the
-    form budget (check_form_budget) is rejected before anything is built.
+    form budget (limits.check_form_budget) is rejected before anything is built.
     """
     phi = np.asarray(phi, dtype=complex)
     n = phi.shape[0]
-    check_form_budget(n)
+    limits.check_form_budget(n)
     if not (0 <= p <= n and 0 <= q <= n):
         raise BidegreeError(f"bidegree ({p},{q}) out of range for n={n}")
     bound, slack = _bochner_slacks(phi[None], np.array([p]), np.array([q]))
@@ -535,16 +501,16 @@ def verify_estimate(n: int, trials: int, seed: int = 0) -> dict:
     (p, q); ``ok`` when the worst slack is >= -1e-9.  Nothing is drawn before the checks.
 
     The cases come from one Philox stream in case order (real parts, imaginary parts,
-    p, q) and are solved by ``_bochner_slacks`` in chunks of at most _CHUNK_BYTES per
+    p, q) and are solved by ``_bochner_slacks`` in chunks of at most limits._CHUNK_BYTES per
     case array (n C(n, n // 2)^2 entries each, one case at n = 11), so memory does not
     grow with ``trials``.
     """
     if n < 1 or trials < 1:
         raise ParamDomainError(f"need --n >= 1 and --trials >= 1, got {short_count(n)} and "
                                f"{short_count(trials)}")
-    entries = check_form_budget(n)  # before the first n x n phi is drawn
+    entries = limits.check_form_budget(n)  # before the first n x n phi is drawn
     rng = philox(seed)
-    chunk = min(trials, max(1, _CHUNK_BYTES // (16 * entries)))
+    chunk = min(trials, max(1, limits._CHUNK_BYTES // (16 * entries)))
     draws, pq = np.empty((chunk, 2, n, n)), np.empty((chunk, 2), dtype=int)
     worst = float("inf")
     for start in range(0, trials, chunk):

@@ -6,8 +6,9 @@ decided reproducibly with <= comparisons.  A region is decided row by row:
 with lambda_0 = a/b in lowest terms, row p holds exactly the q >= lo(p), an
 integer threshold found by cross-multiplication, so a region of n^2 pairs costs
 n integer steps and is stored as those thresholds.  Regions of more than
-MAX_REGION_MEMBERS pairs are rejected before any pair is built, and
-n > MAX_REGION_MEMBERS before any threshold is.
+limits.MAX_REGION_MEMBERS pairs are rejected before any pair is built, and
+n > limits.MAX_REGION_MEMBERS before any threshold is, as is a lambda0 or a
+vertex whose numerator or denominator has more digits than the report can print.
 """
 
 from __future__ import annotations
@@ -15,10 +16,8 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 
-from .errors import ParamDomainError, short_count
-
-# Largest region, in member pairs, that ``region`` will enumerate.
-MAX_REGION_MEMBERS = 10**6
+from . import limits
+from .errors import ParamDomainError
 
 _ALIASES = {
     "main1": "main1",
@@ -64,6 +63,7 @@ class TheoremParams:
             e1, e2 = _rat(self.eps1), _rat(self.eps2)
             object.__setattr__(self, "eps1", e1)
             object.__setattr__(self, "eps2", e2)
+            limits.check_printed_digits("eps1 or eps2", e1, e2)
             if e1 > e2:
                 raise ParamDomainError("eps1 <= eps2 must hold")
             if self.m + (self.r + self.k) * e1 <= 0:
@@ -149,27 +149,21 @@ def _row_thresholds(n: int, lam: Fraction) -> tuple:
     return tuple(lo)
 
 
-def check_region_n(n: int) -> None:
-    """Reject n > MAX_REGION_MEMBERS before any O(n) work: row n of a region
-    alone holds n members (the m = 1 branch, with one member, is bounded too)."""
-    if n > MAX_REGION_MEMBERS:
-        raise ParamDomainError(f"n = {short_count(n)} is above the region budget of "
-                               f"{MAX_REGION_MEMBERS} members: row n alone holds n of them")
-
-
 def region(n: int, lam) -> VanishingRegion:
     """Pairs 1 <= p,q <= n with min{(n-q)/p, (n-p)/q} <= lambda0, exactly.
 
-    Raises ParamDomainError when the region has more than MAX_REGION_MEMBERS
-    pairs; the count comes from the row thresholds, before any pair exists,
-    and n itself above the budget is rejected before the thresholds.
+    Raises ParamDomainError when the region has more than limits.MAX_REGION_MEMBERS
+    pairs; the count comes from the row thresholds, before any pair exists.  n
+    itself above the budget, and a lambda0 or vertex A3 that the report could not
+    print, are rejected before the thresholds.  s0 = 2 A3 - n has a numerator and
+    a denominator no larger than A3's, so it prints whenever A3 does.
     """
-    check_region_n(n)
+    limits.check_region_n(n)
     lam = _checked_lambda(lam)
+    limits.check_printed_digits("lambda0 or the vertex A3", lam, n / (1 + lam))
     reg = VanishingRegion(n=n, lambda0=lam, lo=_row_thresholds(n, lam))
-    if (size := len(reg)) > MAX_REGION_MEMBERS:
-        raise ParamDomainError(f"region of n = {n}, lambda0 = {lam} has {size} members, "
-                               f"above the budget of {MAX_REGION_MEMBERS}")
+    limits.check_printed_count(len(reg), "region of n = {}, lambda0 = {} has {} members",
+                               n, lam)
     return reg
 
 
@@ -180,7 +174,7 @@ def theorem_region(params: TheoremParams) -> VanishingRegion:
     vanishing pair is (n, n): row thresholds n + 1 (empty) for p < n and n for
     p = n.  lambda0 = 0 would wrongly include the whole p = n and q = n edges.
     """
-    check_region_n(params.n)
+    limits.check_region_n(params.n)
     lam = lambda0(params)
     if params.theorem in ("globally_generated", "griffiths") and params.m == 1:
         return VanishingRegion(params.n, lam, (params.n + 1,) * (params.n - 1) + (params.n,))

@@ -14,7 +14,7 @@ as one (n^2, r^2) @ (r^2, F^2) matrix product, and the induced metric S^k h
 takes one step per degree.  The maps here
 read the basis, each label's position and the Gram diagonal from one cached
 table per (r, k), ``_sym_table``, whose read-only int64 Gram every block of
-that (r, k) carries.  ``check_sym_budget`` bounds every S^k map, its entry
+that (r, k) carries.  ``limits.check_sym_budget`` bounds every S^k map, its entry
 count and its int64 range, before any is built.  numpy runs the same
 products on object arrays against the int64 maps, so exact Fraction-valued
 tensors pass through without rounding.
@@ -26,48 +26,21 @@ import dataclasses
 import functools
 from collections import Counter
 from itertools import combinations_with_replacement
-from math import comb, factorial, prod
+from math import factorial, prod
 
 import numpy as np
 
-from .errors import (DimMismatchError, FrameNotNormalizedError, LengthMismatchError,
-                     ParamDomainError, short_count)
+from . import limits
+from .errors import DimMismatchError, FrameNotNormalizedError, LengthMismatchError
 from .geometry import CurvatureTensor, MetricField, _curvature_from_samples
 
 MultiIndex = tuple[int, ...]
 
-# Entries allowed in one S^k integer map, the (r, r, F, F) derivation and
-# integral maps, and in k F r^k, the bound on certify's F x F eigen-solves.
-MAX_SYM_MAP_ENTRIES = 4 * 10**6
-
 
 def sym_basis(r: int, k: int) -> list[MultiIndex]:
     """Lexicographic monomial basis labels of S^k E for rank r."""
-    if r < 1 or k < 0:
-        raise ParamDomainError(f"need r >= 1, k >= 0, got r={short_count(r)}, "
-                               f"k={short_count(k)}")
+    limits.check_sym_shape(r, k)
     return list(combinations_with_replacement(range(1, r + 1), k))
-
-
-@functools.lru_cache(maxsize=None)
-def check_sym_budget(r: int, k: int) -> None:
-    """Reject S^k of a rank-r bundle unless each S^k integer map fits: at most
-    MAX_SYM_MAP_ENTRIES entries (r^2 F^2 for the derivation and integral maps,
-    F = dim S^k E), all in int64, whose largest, (k+1)! and k k! at rank 1, need
-    k <= 19.  k F r^k, the k-tuple terms of S^k h, sizes no array, but is held to
-    the same budget: it is the only bound on the F x F eigen-solves of certify's
-    S^k blocks.  Every builder of those maps is called only after this check."""
-    if r < 1 or k < 0:
-        raise ParamDomainError(f"need r >= 1, k >= 0, got r={short_count(r)}, "
-                               f"k={short_count(k)}")
-    if k >= 20:
-        raise ParamDomainError(f"S^{short_count(k)} is above the S^k budget: its int64 maps "
-                               f"hold (k+1)! and k k!, which need k <= 19")
-    F = comb(r + k - 1, k)
-    if max(r * r * F * F, k * F * r**k) > MAX_SYM_MAP_ENTRIES:
-        raise ParamDomainError(f"S^{k} of a rank-{short_count(r)} bundle (dimension "
-                               f"{short_count(F)}) is above the S^k budget of "
-                               f"{MAX_SYM_MAP_ENTRIES} map entries")
 
 
 def generalized_delta(A: MultiIndex, B: MultiIndex) -> int:
@@ -93,7 +66,7 @@ def gram_diagonal(r: int, k: int) -> list[int]:
 def _sym_table(r: int, k: int) -> tuple[list[MultiIndex], dict[MultiIndex, int], np.ndarray]:
     """sym_basis(r, k), each label's position, and the Gram diagonal as one read-only
     int64 array that every block of this (r, k) shares; checks the S^k budget first."""
-    check_sym_budget(r, k)
+    limits.check_sym_budget(r, k)
     basis = sym_basis(r, k)
     gram = np.array([generalized_delta(A, A) for A in basis], dtype=np.int64)
     gram.setflags(write=False)
@@ -147,7 +120,7 @@ def sym_metric(h, k: int):
     h = np.asarray(h)
     if h.dtype != object:
         h = h.astype(complex)
-    check_sym_budget(h.shape[0], k)
+    limits.check_sym_budget(h.shape[0], k)
     return _sym_metric_rows(h[None], k)[0]
 
 
@@ -167,18 +140,6 @@ def _derivation_map(r: int, k: int) -> np.ndarray:
                 T[A[t] - 1, gamma - 1, a, b] += gram[b]
     T.setflags(write=False)
     return T
-
-
-def check_float_range(**coefficients) -> None:
-    """Reject a coefficient (an exponent m or a twist l) that no float holds; the
-    float paths run it before their first metric evaluation.  ``_add_diagonal``
-    itself takes any int or Fraction into an object array."""
-    for name, value in coefficients.items():
-        try:
-            float(value)
-        except OverflowError as exc:
-            raise ParamDomainError(f"{name} in S^k E (det E)^m L^l is beyond the float "
-                                   f"range") from exc
 
 
 def _add_diagonal(out: np.ndarray, form: np.ndarray, coeff, gram: np.ndarray) -> None:
@@ -210,7 +171,7 @@ def induced_sym_det_curvature(R: CurvatureTensor, k: int, m) -> CurvatureTensor:
     with A' = A with slot t replaced by gamma; the determinant part adds
     m * delta_AB * tr_fiber R.
     """
-    check_sym_budget(R.rank, k)
+    limits.check_sym_budget(R.rank, k)
     return _contract_with_trace(R, k, _derivation_map(R.rank, k), m)
 
 
@@ -251,7 +212,7 @@ def sym_power_field(E: MetricField, k: int, m) -> MetricField:
     a ``dataclasses.replace`` of E that reads ``E.value`` once per point.  The
     point-by-point reference for ``_sym_power_curvature``, which lifts E's stencil
     samples by the same ``_sym_det_rows`` instead."""
-    check_sym_budget(E.rank, k)
+    limits.check_sym_budget(E.rank, k)
     F = len(sym_basis(E.rank, k))
     return dataclasses.replace(E, rank=F, label=f"sym{k}det{m}({E.label})", line_degree=None,
                                evaluate=lambda z: _sym_det_rows(E.value(z)[None], k, m)[0])

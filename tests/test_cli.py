@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poslab import bundles, cli, geometry, moments, oracles, positivity, regions, symbundle
+from poslab import bundles, cli, geometry, limits, moments, oracles, positivity, regions, symbundle
 from poslab.cli import _dumps, main
 from poslab.errors import ParamDomainError
 from poslab.positivity import estimate_check
@@ -511,20 +511,20 @@ HUGE_COUNTS = {
 # click rejects them first; each message prints them short instead of failing to
 _H = 10**5000
 HUGE_INT_CALLS = {
-    "stencil-n": lambda: geometry.check_stencil_budget(_H, 1, "x"),
-    "stencil-r": lambda: geometry.check_stencil_budget(2, _H, "x"),
-    "stencil-n-3001-digits": lambda: geometry.check_stencil_budget(10**3000, 1, "x"),
-    "sym-budget-k": lambda: symbundle.check_sym_budget(2, _H),
-    "sym-budget-r": lambda: symbundle.check_sym_budget(_H, 2),
-    "sym-budget-negative-r": lambda: symbundle.check_sym_budget(-_H, 2),
+    "stencil-n": lambda: limits.check_stencil_budget(_H, 1, "x"),
+    "stencil-r": lambda: limits.check_stencil_budget(2, _H, "x"),
+    "stencil-n-3001-digits": lambda: limits.check_stencil_budget(10**3000, 1, "x"),
+    "sym-budget-k": lambda: limits.check_sym_budget(2, _H),
+    "sym-budget-r": lambda: limits.check_sym_budget(_H, 2),
+    "sym-budget-negative-r": lambda: limits.check_sym_budget(-_H, 2),
     "sym-basis-negative-r": lambda: symbundle.sym_basis(-_H, 1),
     "moment-table-k": lambda: moments.moment_mc_table(3, _H, 100),
     "moment-table-r": lambda: moments.moment_mc_table(_H, 2, 100),
     "moment-scale": lambda: moments._moment_scale(_H),
-    "samples-negative": lambda: moments.check_samples(-_H),
-    "region-n": lambda: regions.check_region_n(_H),
-    "restarts-negative": lambda: positivity.check_restarts(-_H),
-    "form-budget": lambda: positivity.check_form_budget(_H),
+    "samples-negative": lambda: limits.check_samples(-_H),
+    "region-n": lambda: limits.check_region_n(_H),
+    "restarts-negative": lambda: limits.check_restarts(-_H),
+    "form-budget": lambda: limits.check_form_budget(_H),
     "estimate-negative-n": lambda: positivity.verify_estimate(-_H, 1),
     "sample-points-negative-n": lambda: geometry.sample_points(-_H, 1),
     "grassmannian-d": lambda: oracles.grassmannian_nonvanishing(_H, 1, 1),
@@ -710,6 +710,17 @@ BAD_INPUT = [
                  id="region-m1-n-over-budget"),
     pytest.param(["check", "--n", "1000001", "--k", "1", "--l", "0"], "PARAM_DOMAIN",
                  id="check-inapplicable-n-over-budget"),
+    # rationals above the 4 300 digits Python prints: a lambda0 of about 8 600 digits
+    # from eps of 4 291-digit denominators, and lambda0 = l / (l + 4) with l of 4 300
+    pytest.param(["region", "--n", "3", "--theorem", "main1", "--eps1", "1/7" + "3" * 4290,
+                  "--eps2", "1/3" + "1" * 4290], "PARAM_DOMAIN",
+                 id="region-lambda0-over-digit-limit"),
+    pytest.param(["check", "--n", "3", "--k", "1", "--l", "9" * 4300], "PARAM_DOMAIN",
+                 id="check-lambda0-over-digit-limit"),
+    # an exponent far above the digit limit is rejected before Fraction builds 10^|e|
+    *(pytest.param(["region", "--n", "3", "--theorem", "main1", "--eps1", eps1,
+                    "--eps2", eps2], "PARAM_DOMAIN", id=f"region-eps-{eps1}-{eps2}")
+      for eps1, eps2 in (("0", "1e1000000000"), ("1e-1000000000", "1"), ("1e-4300", "1"))),
     # no S^k TP^n below n = 1 or k = 1, applicable or not
     *(pytest.param(["check", "--n", n, "--k", k, "--l", "1"], "PARAM_DOMAIN",
                    id=f"check-n{n}-k{k}") for n, k in (("0", "1"), ("3", "0"), ("-2", "-1"))),
@@ -864,21 +875,37 @@ def test_bundle_det_is_an_unknown_bundle(runner):
     assert "--L" not in message and "--l" not in message
 
 
-@pytest.mark.parametrize("owner,budget,at_budget,call", [
+# each budget is patched in limits alone, so a module that kept its own copy fails here
+@pytest.mark.parametrize("budget,at_budget,call", [
     # tpn on n = 2: (64 * 4 + 16 + 1) * 2^2 stencil entries
-    (geometry, "MAX_STENCIL_ENTRIES", 273 * 4,
+    ("MAX_STENCIL_ENTRIES", 273 * 4,
      lambda: geometry.chern_curvature(bundles.tangent_pn(2), [0, 0])),
     # forms on n = 3: 3 * C(3, 1)^2 entries per Bochner array
-    (positivity, "MAX_SYM_MAP_ENTRIES", 27, lambda: estimate_check(np.eye(3), 1, 2)),
+    ("MAX_SYM_MAP_ENTRIES", 27, lambda: estimate_check(np.eye(3), 1, 2)),
+    # S^2 of rank 2: F = 3, r^2 F^2 = 36 map entries, k F r^k = 24
+    ("MAX_SYM_MAP_ENTRIES", 36, lambda: symbundle.sym_metric(np.eye(2), 2)),
     # H^0(P^2, O(3)) has dimension C(5, 3) C(2, 0) = 10, two digits
-    (oracles, "MAX_DIM_DIGITS", 2, lambda: oracles.pn_line_cohomology(2, 0, 0, 3)),
+    ("MAX_PRINTED_DIGITS", 2, lambda: oracles.pn_line_cohomology(2, 0, 0, 3)),
+    # lambda0 = 1/12 and A3 = 36/13 on n = 3, two digits each
+    ("MAX_PRINTED_DIGITS", 2, lambda: regions.region(3, Fraction(1, 12))),
     # G(2, 5) has n = 6
-    (regions, "MAX_REGION_MEMBERS", 6, lambda: oracles.grassmannian_nonvanishing(5, 2, 1)),
-], ids=["stencil", "forms", "dim-digits", "grassmannian-records"])
-def test_budget_edge(monkeypatch, owner, budget, at_budget, call):
-    monkeypatch.setattr(owner, budget, at_budget)
+    ("MAX_REGION_MEMBERS", 6, lambda: oracles.grassmannian_nonvanishing(5, 2, 1)),
+    # every pair of n = 3 but (1, 1)
+    ("MAX_REGION_MEMBERS", 8, lambda: regions.region(3, 1)),
+    # 2 points on n = 2, 4 coordinates
+    ("MAX_REGION_MEMBERS", 4, lambda: positivity.positivity_scan(
+        bundles.o_line(1, 2), None, "nakano", n_points=2)),
+    # degree 2 on rank 2: F = 3, F^2 k = 18 printed indices
+    ("MAX_REGION_MEMBERS", 18, lambda: moments.moment_mc_table(2, 2, 100)),
+], ids=["stencil", "forms", "sym-maps", "dim-digits", "printed-digits", "grassmannian-records",
+        "region-members", "scan-coordinates", "moment-table-indices"])
+def test_budget_edge(monkeypatch, budget, at_budget, call):
+    # check_sym_budget caches its passes: none may outlive the budget it was decided under
+    monkeypatch.setattr(limits, budget, at_budget)
+    limits.check_sym_budget.cache_clear()
     call()
-    monkeypatch.setattr(owner, budget, at_budget - 1)
+    monkeypatch.setattr(limits, budget, at_budget - 1)
+    limits.check_sym_budget.cache_clear()
     with pytest.raises(ParamDomainError):
         call()
 
@@ -937,6 +964,20 @@ def test_malformed_flag_is_a_usage_error(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert "Invalid value" in result.output
+
+
+@pytest.mark.parametrize("text,eps1", [
+    ("2.5e-3", "1/400"), ("1_0e-2", "1/10"),
+    # a zero mantissa is 0 whatever its exponent, which is not built
+    ("0e1000000000", "0"), ("-0.0e-1000000000", "0"),
+    # a denominator of 4 300 digits, the most Python prints
+    ("1e-4299", "1/1" + "0" * 4299),
+], ids=["decimal", "underscore", "zero", "negative-zero", "digit-limit"])
+def test_rational_with_an_exponent(runner, text, eps1):
+    result, payload = run_json(runner, ["region", "--n", "3", "--theorem", "main1",
+                                        "--eps1", text, "--eps2", "1"])
+    assert result.exit_code == 0, result.output
+    assert payload["params"]["eps1"] == eps1
 
 
 def test_emit_keeps_no_reference_to_stdout():

@@ -24,7 +24,7 @@ from poslab import (
     tangent_pn,
     verify_lemma_linear,
 )
-from poslab import geometry, moments, symbundle
+from poslab import geometry, limits, moments, symbundle
 from poslab.bundles import direct_sum, frame_normalized, load_metric_json
 from poslab.geometry import chern_curvature, normalize_at_point
 from poslab.symbundle import generalized_delta, induced_sym_det_curvature, sym_basis, sym_power_field
@@ -272,7 +272,7 @@ class TestIntegralFormula:
         mono = np.stack([np.prod(W[:, np.array(A) - 1], axis=1) for A in sym_basis(r, k)],
                         axis=1)
         if route == "integral":
-            monkeypatch.setattr(moments, "_CHUNK_BYTES", 64 * 16 * n * n * F)
+            monkeypatch.setattr(limits, "_CHUNK_BYTES", 64 * 16 * n * n * F)
             R = random_curvature(n, r, seed=41)
             est, err = integral_formula_mc(R, k, m, samples=samples, seed=6)
             quad = np.einsum("ijgd,sg,sd->sij", R.values, W.conj(), W)
@@ -280,7 +280,7 @@ class TestIntegralFormula:
             vals = np.einsum("sa,sb,sij->sijab", mono, mono.conj(), phi)
             pref = factorial(r + k - 1) / factorial(r - 1)
         else:
-            monkeypatch.setattr(moments, "_CHUNK_BYTES", 64 * 16 * F)
+            monkeypatch.setattr(limits, "_CHUNK_BYTES", 64 * 16 * F)
             _, est, err = moment_mc_table(r, k, samples, seed=6)
             vals = np.einsum("sa,sb->sab", mono, mono.conj())
             pref = 1 / factorial(r - 1)
@@ -441,7 +441,7 @@ class TestLemmaLinearTriangle:
         hs = chern_curvature(frame_normalized(E, z), z).samples
         whole = symbundle._sym_power_curvature(hs, 3, 2, "route-b")
         rep = verify_lemma_linear(E, z, 3, 2, mc_samples=100)
-        monkeypatch.setattr(moments, "_CHUNK_BYTES", 1)
+        monkeypatch.setattr(limits, "_CHUNK_BYTES", 1)
         assert np.array_equal(symbundle._sym_power_curvature(hs, 3, 2, "route-b"), whole)
         # the Monte Carlo sums run in the same chunks, so only its z-score is rounded anew
         one_row = verify_lemma_linear(E, z, 3, 2, mc_samples=100)

@@ -14,7 +14,7 @@ from poslab import (
     region,
 )
 from poslab import oracles
-from poslab.regions import MAX_REGION_MEMBERS
+from poslab.limits import MAX_REGION_MEMBERS
 
 
 class TestGrassmannianOracle:

@@ -42,13 +42,13 @@ from poslab.bundles import (
 )
 from poslab.geometry import chern_curvature, normalize_at_point, fubini_study, sample_points
 from poslab.symbundle import _sym_power_curvature
-from poslab import geometry, positivity
+from poslab import geometry, limits, positivity
+from poslab.limits import check_form_budget
 from poslab.positivity import (
     _gram_eigh,
     _interior_map,
     _values_and_gram,
     _wedge_derivation,
-    check_form_budget,
     eigenvalue_bound,
     line_curvature_tensor,
     polarization_form,
@@ -166,14 +166,14 @@ class TestStackedRestarts:
     def test_one_restart_per_chunk_gives_the_same_report(self, monkeypatch, make):
         R = make()
         want = griffiths_min(R, restarts=32, seed=4).to_json()
-        assert positivity._GRIFFITHS_CHUNK_BYTES // (16 * R.values.shape[2] ** 2) >= 32
-        monkeypatch.setattr(positivity, "_GRIFFITHS_CHUNK_BYTES", 1)
+        assert limits._GRIFFITHS_CHUNK_BYTES // (16 * R.values.shape[2] ** 2) >= 32
+        monkeypatch.setattr(limits, "_GRIFFITHS_CHUNK_BYTES", 1)
         assert griffiths_min(R, restarts=32, seed=4).to_json() == want
 
     def test_several_chunks_match_serial(self):
         # F = 35: three restarts per chunk under the default budget
         S = sym_twisted_curvature_at(tangent_pn(5), o_line(1, 5), np.zeros(5), 3, 0, 0)
-        assert positivity._GRIFFITHS_CHUNK_BYTES // (16 * 35 * 35) == 3
+        assert limits._GRIFFITHS_CHUNK_BYTES // (16 * 35 * 35) == 3
         rep = griffiths_min(S, restarts=7, seed=2)
         assert abs(rep.min_value - serial_griffiths_min(S, 7, 2)) <= 1e-12 * (1 + 3)
         assert abs(rep.min_value - 3.0) < 1e-6
@@ -182,7 +182,7 @@ class TestStackedRestarts:
         # S^3 TP^5: three restarts per chunk by default, one per chunk here
         S = sym_twisted_curvature_at(tangent_pn(5), o_line(1, 5), np.full(5, 0.2), 3, 0, 0)
         want = griffiths_min(S, restarts=8, seed=5).to_json()
-        monkeypatch.setattr(positivity, "_GRIFFITHS_CHUNK_BYTES", 1)
+        monkeypatch.setattr(limits, "_GRIFFITHS_CHUNK_BYTES", 1)
         assert griffiths_min(S, restarts=8, seed=5).to_json() == want
 
     @pytest.mark.parametrize("make", [
@@ -841,8 +841,8 @@ class TestEstimate:
         # every case of n <= 6 fits one chunk by default; a budget of 1 byte runs one
         # case per chunk, so a case's bits do not depend on the cases beside it
         want = verify_estimate(n, 60, seed)
-        assert positivity._CHUNK_BYTES // (16 * check_form_budget(n)) >= 60
-        monkeypatch.setattr(positivity, "_CHUNK_BYTES", 1)
+        assert limits._CHUNK_BYTES // (16 * check_form_budget(n)) >= 60
+        monkeypatch.setattr(limits, "_CHUNK_BYTES", 1)
         assert verify_estimate(n, 60, seed) == want
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -888,8 +888,8 @@ class TestEstimate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert chunks == [positivity._CHUNK_BYTES // (16 * check_form_budget(2))]
-        assert peak <= 8 * positivity._CHUNK_BYTES
+        assert chunks == [limits._CHUNK_BYTES // (16 * check_form_budget(2))]
+        assert peak <= 8 * limits._CHUNK_BYTES
 
     def test_top_of_the_form_budget(self):
         # n = 11: 11 C(11, 5)^2 = 2 347 884 entries, within MAX_SYM_MAP_ENTRIES

@@ -15,7 +15,7 @@ from poslab import (
     theorem_region,
 )
 from poslab import regions
-from poslab.regions import MAX_REGION_MEMBERS
+from poslab.limits import MAX_REGION_MEMBERS
 
 def reference_members(n, lam):
     """The region by its definition: one Fraction comparison per pair."""

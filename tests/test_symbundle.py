@@ -25,11 +25,11 @@ from poslab import (
     tangent_pn,
     twist_by_line,
 )
-from poslab import moments, symbundle
+from poslab import limits, moments, symbundle
 from poslab.bundles import frame_normalized
 from poslab.geometry import chern_curvature
 from poslab.moments import integral_formula_mc, integral_formula_tensor
-from poslab.symbundle import MAX_SYM_MAP_ENTRIES, check_sym_budget
+from poslab.limits import MAX_SYM_MAP_ENTRIES, check_sym_budget
 
 from conftest import random_curvature, random_hermitian
 
@@ -284,7 +284,7 @@ class TestTwistByLine:
         V = R.values[0, 0]
         assert T.values[0, 0, 0, 0] == V[0, 0] + big * (V[0, 0] + V[1, 1]) - big
         with pytest.raises(ParamDomainError):
-            symbundle.check_float_range(m=big)
+            limits.check_float_range(m=big)
 
     def test_rank_check(self):
         R = random_curvature(2, 2, seed=5)
