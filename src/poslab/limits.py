@@ -20,8 +20,9 @@ MAX_STENCIL_ENTRIES = 1 << 25
 # also in each Bochner array of the exact estimate.
 MAX_SYM_MAP_ENTRIES = 4 * 10**6
 
-# Largest region, in member pairs, that ``region`` will enumerate; also the bound
-# on the other printed tables: oracle records, scan coordinates, moment indices.
+# Largest region, in member pairs, whose members are enumerated (by iterating a
+# VanishingRegion); also the bound on a region's n and on the other printed
+# tables: oracle records, scan coordinates, moment indices.
 MAX_REGION_MEMBERS = 10**6
 
 # Python's default limit on the digits of an int it converts to text: a larger

@@ -51,11 +51,11 @@ def _binomial_product(*pairs: tuple[int, int]) -> int:
     return dim
 
 
-def grassmannian_nonvanishing(d: int, r: int, k: int) -> list[CohomologyDim]:
-    """H^{n,q}(G(r,V), S^k E det E) dimensions, for all q in 0..n.
+def _grassmannian_special(d: int, r: int, k: int) -> tuple[int, int, int]:
+    """(n, q*, dim*): H^{n,q}(G(r,V), S^k E det E) is zero for q != q*, and dim* there.
 
-    n above the region budget is rejected before any record is built, and a
-    dimension above limits.MAX_PRINTED_DIGITS digits before it is multiplied out.
+    n above the region budget is rejected first, and a dimension above
+    limits.MAX_PRINTED_DIGITS digits before it is multiplied out.
     """
     if not 1 <= r < d:
         raise ParamDomainError("need 1 <= r < d")
@@ -63,14 +63,16 @@ def grassmannian_nonvanishing(d: int, r: int, k: int) -> list[CohomologyDim]:
         raise ParamDomainError("need k >= 1")
     n = r * (d - r)
     limits.check_region_n(n)
-    q_star = (r - 1) * (d - r)
     j = k + r - d  # symmetric power of V at the special degree
-    dim_star = _binomial_product((d - 1 + j, j)) if j >= 0 else 0
-    out = []
-    for q in range(n + 1):
-        dim = dim_star if q == q_star else 0
-        out.append(CohomologyDim(p=n, q=q, dim=dim, source=f"grassmannian(d={d},r={r},k={k})"))
-    return out
+    return n, (r - 1) * (d - r), _binomial_product((d - 1 + j, j)) if j >= 0 else 0
+
+
+def grassmannian_nonvanishing(d: int, r: int, k: int) -> list[CohomologyDim]:
+    """H^{n,q}(G(r,V), S^k E det E) dimensions, for all q in 0..n; every check of
+    ``_grassmannian_special`` comes before the first record."""
+    n, q_star, dim_star = _grassmannian_special(d, r, k)
+    return [CohomologyDim(p=n, q=q, dim=dim_star if q == q_star else 0,
+                          source=f"grassmannian(d={d},r={r},k={k})") for q in range(n + 1)]
 
 
 def pn_line_cohomology(n: int, p: int, q: int, l: int) -> int:
@@ -124,13 +126,14 @@ def prop_ex_consistency(n: int, k: int, l: int) -> dict:
     try:
         lam = prop_ex_lambda0(n, k, l)
     except ParamDomainError as exc:
-        active = [d.to_json() for d in grassmannian_nonvanishing(d=n + 1, r=n, k=k) if d.dim > 0]
+        # the oracle's one cell, without its table of n + 1 records; its dimension
+        # C(n+k-1, k-1) is nonzero for every k >= 1, and checked for printing
+        p, q_star, _ = _grassmannian_special(d=n + 1, r=n, k=k)
         return {
             "status": "INAPPLICABLE",
             "n": n, "k": k, "l": l,
             "reason": str(exc),
-            "note": "theorem inapplicable -- non-vanishing oracle active at "
-                    + ", ".join(f"({d['p']},{d['q']})" for d in active),
+            "note": f"theorem inapplicable -- non-vanishing oracle active at ({p},{q_star})",
         }
     rep = consistency_check(region(n, lam), [])
     rep.update({

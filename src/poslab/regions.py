@@ -5,10 +5,12 @@ deliberately banned so that boundary pairs, which the theorems include, are
 decided reproducibly with <= comparisons.  A region is decided row by row:
 with lambda_0 = a/b in lowest terms, row p holds exactly the q >= lo(p), an
 integer threshold found by cross-multiplication, so a region of n^2 pairs costs
-n integer steps and is stored as those thresholds.  Regions of more than
-limits.MAX_REGION_MEMBERS pairs are rejected before any pair is built, and
-n > limits.MAX_REGION_MEMBERS before any threshold is, as is a lambda0 or a
-vertex whose numerator or denominator has more digits than the report can print.
+n integer steps and is stored as those thresholds.  Its size, membership and
+SVG are read from the thresholds alone; only enumerating its pairs is budgeted,
+so a region of more than limits.MAX_REGION_MEMBERS pairs is rejected before its
+first pair.  n > limits.MAX_REGION_MEMBERS is rejected before any threshold is
+built, as is a lambda0 or a vertex whose numerator or denominator has more
+digits than the report can print.
 """
 
 from __future__ import annotations
@@ -95,7 +97,8 @@ def lambda0(params: TheoremParams) -> Fraction:
 
 @dataclasses.dataclass(frozen=True)
 class VanishingRegion:
-    """Row p in 1..n holds exactly the (p, q) with lo[p-1] <= q <= n; iteration is sorted."""
+    """Row p in 1..n holds exactly the (p, q) with lo[p-1] <= q <= n.  Iteration is
+    sorted, and refused before the first pair above limits.MAX_REGION_MEMBERS pairs."""
     n: int
     lambda0: Fraction
     lo: tuple[int, ...]
@@ -105,6 +108,8 @@ class VanishingRegion:
         return 1 <= p <= self.n and self.lo[p - 1] <= q <= self.n
 
     def __iter__(self):
+        limits.check_printed_count(len(self), "region of n = {}, lambda0 = {} has {} members",
+                                   self.n, self.lambda0)
         return ((p, q) for p, t in enumerate(self.lo, 1) for q in range(t, self.n + 1))
 
     def __len__(self) -> int:
@@ -152,19 +157,14 @@ def _row_thresholds(n: int, lam: Fraction) -> tuple:
 def region(n: int, lam) -> VanishingRegion:
     """Pairs 1 <= p,q <= n with min{(n-q)/p, (n-p)/q} <= lambda0, exactly.
 
-    Raises ParamDomainError when the region has more than limits.MAX_REGION_MEMBERS
-    pairs; the count comes from the row thresholds, before any pair exists.  n
-    itself above the budget, and a lambda0 or vertex A3 that the report could not
-    print, are rejected before the thresholds.  s0 = 2 A3 - n has a numerator and
-    a denominator no larger than A3's, so it prints whenever A3 does.
+    n above limits.MAX_REGION_MEMBERS, and a lambda0 or vertex A3 that the report
+    could not print, are rejected before the thresholds.  s0 = 2 A3 - n has a
+    numerator and a denominator no larger than A3's, so it prints whenever A3 does.
     """
     limits.check_region_n(n)
     lam = _checked_lambda(lam)
     limits.check_printed_digits("lambda0 or the vertex A3", lam, n / (1 + lam))
-    reg = VanishingRegion(n=n, lambda0=lam, lo=_row_thresholds(n, lam))
-    limits.check_printed_count(len(reg), "region of n = {}, lambda0 = {} has {} members",
-                               n, lam)
-    return reg
+    return VanishingRegion(n=n, lambda0=lam, lo=_row_thresholds(n, lam))
 
 
 def theorem_region(params: TheoremParams) -> VanishingRegion:
@@ -214,7 +214,8 @@ SVG_CELL = 24  # side of one (p, q) cell in the region SVG, in px
 
 
 def region_svg(reg: VanishingRegion) -> str:
-    """Static SVG of the quadrilateral: shaded member cells, marked vertices."""
+    """Static SVG of the quadrilateral: each nonempty row p shaded as one column of
+    cells q = lo(p)..n, and marked vertices; one rect per row, whatever the size."""
     n = reg.n
     pad = 40
     size = 2 * pad + n * SVG_CELL
@@ -230,11 +231,11 @@ def region_svg(reg: VanishingRegion) -> str:
         f'viewBox="0 0 {size} {size}">',
         f'<rect width="{size}" height="{size}" fill="white"/>',
     ]
-    for (p, q) in reg:
-        parts.append(
-            f'<rect x="{X(p) - SVG_CELL / 2:.1f}" y="{Y(q) - SVG_CELL / 2:.1f}" '
-            f'width="{SVG_CELL}" height="{SVG_CELL}" fill="#9ecae1" stroke="none"/>'
-        )
+    for p, t in enumerate(reg.lo, 1):
+        if t <= n:
+            parts.append(f'<rect x="{X(p) - SVG_CELL / 2:.1f}" y="{Y(n) - SVG_CELL / 2:.1f}" '
+                         f'width="{SVG_CELL}" height="{(n + 1 - t) * SVG_CELL}" '
+                         f'fill="#9ecae1" stroke="none"/>')
     for t in range(n + 1):
         parts.append(f'<line x1="{X(0):.1f}" y1="{Y(t):.1f}" x2="{X(n):.1f}" y2="{Y(t):.1f}" '
                      f'stroke="#ddd" stroke-width="0.5"/>')

@@ -8,10 +8,8 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from poslab import (
-    CurvatureTensor,
     Form,
     TheoremParams,
     boundedness_scan,

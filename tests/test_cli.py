@@ -17,7 +17,7 @@ from poslab import bundles, cli, geometry, limits, moments, oracles, positivity,
 from poslab.cli import _dumps, main
 from poslab.errors import ParamDomainError
 from poslab.positivity import estimate_check
-from test_regions import reference_members
+from test_regions import reference_members, spy_pair_generators
 
 
 @pytest.fixture
@@ -85,6 +85,19 @@ class TestRegionCommand:
         assert text.startswith("<svg")
         assert "A3" in text
         xml.dom.minidom.parseString(text)
+
+    def test_above_member_budget_refused_before_any_pair_or_file(self, runner, monkeypatch,
+                                                                 tmp_path):
+        started = spy_pair_generators(monkeypatch)
+        svg, out = tmp_path / "region.svg", tmp_path / "region.json"
+        result, payload = run_json(runner, ["region", "--n", "5000", "--m", "9", "--theorem", "gg",
+                                            "--svg", str(svg), "--output", str(out)])
+        assert result.exit_code == 2, result.output
+        assert payload["error"] == {
+            "code": "PARAM_DOMAIN",
+            "message": "region of n = 5000, lambda0 = 4/5 has 11116665 members, "
+                       "above the budget of 1000000"}
+        assert started == [] and not svg.exists() and not out.exists()
 
     def test_output_file_matches_stdout(self, runner, tmp_path):
         out = tmp_path / "r.json"
@@ -397,6 +410,32 @@ class TestCheckCommand:
         assert result.exit_code == 0
         assert payload["status"] == "PASS"
 
+    # 8 336 667 and 1 118 109 members: check tests membership by the row thresholds
+    # and never enumerates them, so the member budget does not apply
+    @pytest.mark.parametrize("n,l", [("5000", "5000"), ("1500", "100000")],
+                             ids=["check-5000-1-5000", "check-1500-1-100000"])
+    def test_region_above_member_budget_is_checked(self, runner, n, l):
+        result, payload = run_json(runner, ["check", "--n", n, "--k", "1", "--l", l])
+        assert result.exit_code == 0, result.output
+        assert payload["status"] == "PASS" and payload["offenders"] == []
+
+    def test_boundary_twist_reads_one_oracle_cell(self, runner, monkeypatch):
+        # the oracle's one nonzero cell, (n, n - 1), without its table of n + 1 records
+        built, record = [], oracles.CohomologyDim
+
+        def spy(*args, **kwargs):
+            built.append(kwargs)
+            return record(*args, **kwargs)
+
+        monkeypatch.setattr(oracles, "CohomologyDim", spy)
+        result, payload = run_json(runner, ["check", "--n", "1000000", "--k", "2", "--l", "-1"])
+        assert result.exit_code == 0, result.output
+        assert len(built) <= 1
+        assert payload == {
+            "schema": 1, "status": "INAPPLICABLE", "n": 1000000, "k": 2, "l": -1,
+            "reason": "m+(r+k)*eps1 must be > 0 (positivity of the twist)",
+            "note": "theorem inapplicable -- non-vanishing oracle active at (1000000,999999)"}
+
     @pytest.mark.parametrize("n,k", [("0", "1"), ("3", "0")])
     def test_n_or_k_below_1_names_the_flags(self, runner, n, k):
         # not the oracle's "1 <= r < d" or "k >= 1", which the user never passed
@@ -700,11 +739,9 @@ BAD_INPUT = [
                   "--eps1", "1/2"], "PARAM_DOMAIN", id="region-gg-eps1"),
     pytest.param(["region", "--n", "3", "--r", "1", "--k", "1", "--m", "3", "--theorem", "ample",
                   "--eps2", "3"], "PARAM_DOMAIN", id="region-ample-eps2"),
-    # 11 116 665 and 8 336 667 members, above the 10**6 budget
+    # 11 116 665 members, above the 10**6 budget on the printed member list
     pytest.param(["region", "--n", "5000", "--m", "9", "--theorem", "gg"], "PARAM_DOMAIN",
                  id="region-over-budget"),
-    pytest.param(["check", "--n", "5000", "--k", "1", "--l", "5000"], "PARAM_DOMAIN",
-                 id="check-over-budget"),
     # n above 10**6: row n alone is over budget, even where the answer would be small
     pytest.param(["region", "--n", "1000001", "--m", "1", "--theorem", "gg"], "PARAM_DOMAIN",
                  id="region-m1-n-over-budget"),
@@ -890,8 +927,8 @@ def test_bundle_det_is_an_unknown_bundle(runner):
     ("MAX_PRINTED_DIGITS", 2, lambda: regions.region(3, Fraction(1, 12))),
     # G(2, 5) has n = 6
     ("MAX_REGION_MEMBERS", 6, lambda: oracles.grassmannian_nonvanishing(5, 2, 1)),
-    # every pair of n = 3 but (1, 1)
-    ("MAX_REGION_MEMBERS", 8, lambda: regions.region(3, 1)),
+    # every pair of n = 3 but (1, 1), counted when the members are enumerated
+    ("MAX_REGION_MEMBERS", 8, lambda: regions.region(3, 1).to_json()),
     # 2 points on n = 2, 4 coordinates
     ("MAX_REGION_MEMBERS", 4, lambda: positivity.positivity_scan(
         bundles.o_line(1, 2), None, "nakano", n_points=2)),

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from poslab import (
     ParamDomainError,
     TheoremParams,
+    VanishingRegion,
     lambda0,
     region,
     region_svg,
@@ -21,6 +23,19 @@ def reference_members(n, lam):
     """The region by its definition: one Fraction comparison per pair."""
     return frozenset((p, q) for p in range(1, n + 1) for q in range(1, n + 1)
                      if min(Fraction(n - q, p), Fraction(n - p, q)) <= lam)
+
+
+def spy_pair_generators(monkeypatch):
+    """The pair generators a region starts, one entry each: every one begins with
+    enumerate over the row thresholds, as region_svg's row loop does."""
+    started = []
+
+    def spy(*args):
+        started.append(args)
+        return enumerate(*args)
+
+    monkeypatch.setattr(regions, "enumerate", spy, raising=False)
+    return started
 
 
 LAMBDA_GRID = [Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
@@ -173,10 +188,34 @@ class TestRegionThresholds:
             assert frozenset(region(n, lam)) == reference_members(n, lam)
 
     def test_budget(self):
-        # n = 1000 at lambda0 = 1 is every pair with p + q >= n: 501 499 members
+        # n = 1000 at lambda0 = 1 is every pair with p + q >= n: 501 499 members;
+        # the budget applies to enumerating the members, not to building the region
         assert len(region(1000, 1)) == 501_499 <= MAX_REGION_MEMBERS
-        with pytest.raises(ParamDomainError, match="11116665 members"):
-            region(5000, Fraction(4, 5))
+        reg = region(5000, Fraction(4, 5))
+        for enumerate_members in (list, VanishingRegion.to_json):
+            with pytest.raises(ParamDomainError, match="11116665 members"):
+                enumerate_members(reg)
+
+    def test_above_budget_answers_len_and_in_without_enumerating(self, monkeypatch):
+        def fail(self):
+            raise AssertionError("region enumerated")
+
+        monkeypatch.setattr(VanishingRegion, "__iter__", fail)
+        reg = region(5000, Fraction(4, 5))
+        assert len(reg) == 11_116_665 > MAX_REGION_MEMBERS
+        assert (5000, 1) in reg and (1, 5000) in reg
+        assert (1, 1) not in reg and (2500, 2500) not in reg
+
+    def test_above_budget_refused_before_the_first_pair(self, monkeypatch):
+        started = spy_pair_generators(monkeypatch)
+        assert list(region(2, 1)) == [(1, 1), (1, 2), (2, 1), (2, 2)] and len(started) == 1
+        started.clear()
+        reg = region(5000, Fraction(4, 5))
+        for enumerate_members in (list, iter, VanishingRegion.to_json):
+            with pytest.raises(ParamDomainError, match="region of n = 5000, lambda0 = 4/5 has "
+                                                       "11116665 members, above the budget"):
+                enumerate_members(reg)
+        assert started == []
 
     def test_n_above_budget_rejected_before_any_threshold(self, monkeypatch):
         # row n alone holds n members, so no threshold needs to be built
@@ -261,16 +300,63 @@ class TestStrips:
             strip_threshold(3, 1, 1, 5, "gg")
 
 
+def shaded_cells(reg):
+    """The (p, q) cells that the shaded rects of region_svg(reg) cover, read back
+    from its XML, once per rect that covers them."""
+    cell = regions.SVG_CELL
+    root = ElementTree.fromstring(region_svg(reg))
+    size = float(root.get("width"))
+    pad = (size - reg.n * cell) / 2
+    cells = []
+    for rect in root.iter("{http://www.w3.org/2000/svg}rect"):
+        if rect.get("fill") == "white":
+            continue
+        x, y, width, height = (float(rect.get(a)) for a in ("x", "y", "width", "height"))
+        p, rows = (x + cell / 2 - pad) / cell, height / cell
+        top = (size - pad - y - cell / 2) / cell
+        assert width == cell and p.is_integer() and top.is_integer() and rows.is_integer()
+        cells += [(int(p), int(top) - i) for i in range(int(rows))]
+    return cells
+
+
 class TestSvg:
     def test_svg_structure(self):
+        # one rect per nonempty row, on the white background
         reg = region(3, Fraction(1, 2))
         svg = region_svg(reg)
         assert svg.startswith("<svg")
         assert svg.rstrip().endswith("</svg>")
-        assert svg.count("<rect") == len(reg) + 1
+        assert svg.count("<rect") == sum(t <= reg.n for t in reg.lo) + 1 == 4
         for name in ("A0", "A1", "A2", "A3"):
             assert name in svg
 
     def test_svg_deterministic(self):
         reg = region(4, Fraction(1, 3))
         assert region_svg(reg) == region_svg(reg)
+
+    @given(n=st.integers(1, 60),
+           lam=st.builds(lambda a, b: Fraction(min(a, b), b),
+                         st.integers(0, 10**6), st.integers(1, 10**6)))
+    @settings(max_examples=30, deadline=None)
+    def test_rows_cover_exactly_the_members(self, n, lam):
+        cells = shaded_cells(region(n, lam))
+        assert sorted(cells) == sorted(reference_members(n, lam))
+
+    @pytest.mark.parametrize("lam", [Fraction(0), Fraction(1)])
+    def test_rows_cover_exactly_the_members_at_the_ends(self, lam):
+        for n in (1, 2, 7, 60):
+            assert sorted(shaded_cells(region(n, lam))) == sorted(reference_members(n, lam))
+
+    @pytest.mark.parametrize("theorem", ["gg", "griffiths"])
+    def test_rows_cover_the_m1_branch(self, theorem):
+        for n in (1, 2, 5):
+            reg = theorem_region(TheoremParams(n=n, r=1, k=1, m=1, theorem=theorem))
+            assert shaded_cells(reg) == [(n, n)]
+
+    def test_edge_svg_is_one_rect_per_row(self):
+        # the 998 989-member region at the top of the budget: 1 412 rows and the background
+        reg = region(1412, 1)
+        assert len(reg) == 998_989 <= MAX_REGION_MEMBERS
+        svg = region_svg(reg)
+        assert svg.count("<rect") == 1413
+        assert len(svg.encode()) < 10**6

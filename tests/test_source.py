@@ -22,11 +22,13 @@ def test_parses_as_python_3_10(path):
 
 
 PACKAGE = sorted(path for path in ROOT.glob("src/poslab/*.py") if path.name != "__init__.py")
+TESTS = sorted(ROOT.glob("tests/*.py"))
 
 
-@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", [*PACKAGE, *TESTS], ids=lambda path: path.name)
 def test_every_import_is_used(path):
-    # __init__ imports to re-export; any other module imports only what it reads
+    # __init__ imports to re-export; any other module, and every test file, imports
+    # only what it reads
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = {(alias.asname or alias.name).partition(".")[0]
                 for node in ast.walk(tree)
