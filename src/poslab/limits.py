@@ -6,7 +6,6 @@ every caller as ``limits.NAME``, so patching it here reaches them all.  A messag
 names the inputs and the budget, and prints each int through ``short_count``.
 """
 
-import functools
 import math
 
 from .errors import ParamDomainError, short_count
@@ -59,7 +58,6 @@ def check_sym_shape(r: int, k: int) -> None:
                                f"k={short_count(k)}")
 
 
-@functools.lru_cache(maxsize=None)
 def check_sym_budget(r: int, k: int) -> None:
     """Reject S^k of a rank-r bundle unless each S^k integer map fits: at most
     MAX_SYM_MAP_ENTRIES entries (r^2 F^2 for the derivation and integral maps,

@@ -31,12 +31,8 @@ _ALIASES = {
 }
 
 
-def _rat(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def _checked_lambda(lam) -> Fraction:
-    lam = _rat(lam)
+    lam = Fraction(lam)
     if not 0 <= lam <= 1:
         raise ParamDomainError(f"lambda0 = {lam} outside [0, 1]")
     return lam
@@ -62,7 +58,7 @@ class TheoremParams:
         if t == "main1":
             if self.eps1 is None or self.eps2 is None:
                 raise ParamDomainError("main1 requires eps1 and eps2")
-            e1, e2 = _rat(self.eps1), _rat(self.eps2)
+            e1, e2 = Fraction(self.eps1), Fraction(self.eps2)
             object.__setattr__(self, "eps1", e1)
             object.__setattr__(self, "eps2", e2)
             limits.check_printed_digits("eps1 or eps2", e1, e2)
@@ -87,7 +83,7 @@ def lambda0(params: TheoremParams) -> Fraction:
     if t == "main1":
         num = params.m + rk * params.eps1
         den = params.m + rk * params.eps2
-        lam = _rat(num) / _rat(den)
+        lam = Fraction(num) / Fraction(den)
     elif t in ("globally_generated", "griffiths"):
         lam = Fraction(params.m - 1, params.m - 1 + rk)
     else:  # ample_nef
@@ -215,9 +211,11 @@ SVG_CELL = 24  # side of one (p, q) cell in the region SVG, in px
 
 def region_svg(reg: VanishingRegion) -> str:
     """Static SVG of the quadrilateral: each nonempty row p shaded as one column of
-    cells q = lo(p)..n, and marked vertices; one rect per row, whatever the size."""
+    cells q = lo(p)..n, a grid pattern, the quadrilateral as one polygon through
+    A0, A1, A2, A3, and marked vertices: one rect per nonempty row and a fixed number
+    of other elements, whatever n."""
     n = reg.n
-    pad = 40
+    pad, half = 40, SVG_CELL / 2
     size = 2 * pad + n * SVG_CELL
 
     def X(p):
@@ -233,18 +231,20 @@ def region_svg(reg: VanishingRegion) -> str:
     ]
     for p, t in enumerate(reg.lo, 1):
         if t <= n:
-            parts.append(f'<rect x="{X(p) - SVG_CELL / 2:.1f}" y="{Y(n) - SVG_CELL / 2:.1f}" '
+            parts.append(f'<rect x="{X(p) - half:.1f}" y="{Y(n) - half:.1f}" '
                          f'width="{SVG_CELL}" height="{(n + 1 - t) * SVG_CELL}" '
                          f'fill="#9ecae1" stroke="none"/>')
-    for t in range(n + 1):
-        parts.append(f'<line x1="{X(0):.1f}" y1="{Y(t):.1f}" x2="{X(n):.1f}" y2="{Y(t):.1f}" '
-                     f'stroke="#ddd" stroke-width="0.5"/>')
-        parts.append(f'<line x1="{X(t):.1f}" y1="{Y(0):.1f}" x2="{X(t):.1f}" y2="{Y(n):.1f}" '
-                     f'stroke="#ddd" stroke-width="0.5"/>')
+    # each tile of the grid draws a cross through its centre, so the lines fall on
+    # X(t) and Y(t); the stroke of the filled square draws the border at full width
+    parts.append(f'<defs><pattern id="grid" x="{pad - half:.1f}" y="{pad - half:.1f}" '
+                 f'width="{SVG_CELL}" height="{SVG_CELL}" patternUnits="userSpaceOnUse">'
+                 f'<path d="M {half:.1f} 0 V {SVG_CELL} M 0 {half:.1f} H {SVG_CELL}" '
+                 f'stroke="#ddd" stroke-width="0.5"/></pattern></defs>')
+    parts.append(f'<path d="M {pad} {pad} H {size - pad} V {size - pad} H {pad} Z" '
+                 f'fill="url(#grid)" stroke="#ddd" stroke-width="0.5"/>')
     v = reg.vertices
-    for a, b in ((v["A0"], v["A3"]), (v["A3"], v["A2"]), (v["A0"], v["A1"]), (v["A1"], v["A2"])):
-        parts.append(f'<line x1="{X(a[0]):.1f}" y1="{Y(a[1]):.1f}" '
-                     f'x2="{X(b[0]):.1f}" y2="{Y(b[1]):.1f}" stroke="black" stroke-width="2"/>')
+    points = " ".join(f"{X(p):.1f},{Y(q):.1f}" for p, q in v.values())
+    parts.append(f'<polygon points="{points}" fill="none" stroke="black" stroke-width="2"/>')
     for name, (p, q) in v.items():
         parts.append(f'<circle cx="{X(p):.1f}" cy="{Y(q):.1f}" r="3" fill="black"/>')
         parts.append(f'<text x="{X(p) + 5:.1f}" y="{Y(q) - 5:.1f}" font-size="12">{name}</text>')

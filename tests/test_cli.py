@@ -937,12 +937,9 @@ def test_bundle_det_is_an_unknown_bundle(runner):
 ], ids=["stencil", "forms", "sym-maps", "dim-digits", "printed-digits", "grassmannian-records",
         "region-members", "scan-coordinates", "moment-table-indices"])
 def test_budget_edge(monkeypatch, budget, at_budget, call):
-    # check_sym_budget caches its passes: none may outlive the budget it was decided under
     monkeypatch.setattr(limits, budget, at_budget)
-    limits.check_sym_budget.cache_clear()
     call()
     monkeypatch.setattr(limits, budget, at_budget - 1)
-    limits.check_sym_budget.cache_clear()
     with pytest.raises(ParamDomainError):
         call()
 

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from xml.etree import ElementTree
 
@@ -18,6 +19,9 @@ from poslab import (
 )
 from poslab import regions
 from poslab.limits import MAX_REGION_MEMBERS
+
+SVG = "{http://www.w3.org/2000/svg}"
+
 
 def reference_members(n, lam):
     """The region by its definition: one Fraction comparison per pair."""
@@ -359,4 +363,67 @@ class TestSvg:
         assert len(reg) == 998_989 <= MAX_REGION_MEMBERS
         svg = region_svg(reg)
         assert svg.count("<rect") == 1413
-        assert len(svg.encode()) < 10**6
+        assert "<line" not in svg
+        assert len(svg.encode()) < 2 * 10**5
+
+    def test_m1_branch_at_the_largest_n_is_small(self):
+        # one member on the 10^6 x 10^6 square: the file holds rows, not grid lines
+        n = 10**6
+        reg = theorem_region(TheoremParams(n=n, r=1, k=1, m=1, theorem="gg"))
+        svg = region_svg(reg)
+        assert len(svg.encode()) < 2000
+        ElementTree.fromstring(svg)
+        assert shaded_cells(reg) == [(n, n)]
+
+    @pytest.mark.parametrize("n, lam", [(1, Fraction(0)), (3, Fraction(1, 2)),
+                                        (7, Fraction(2, 5)), (60, Fraction(1))])
+    def test_grid_is_one_pattern_and_quadrilateral_one_polygon(self, n, lam):
+        reg = region(n, lam)
+        svg = region_svg(reg)
+        assert "<line" not in svg
+        root = ElementTree.fromstring(svg)
+        cell = regions.SVG_CELL
+        size = float(root.get("width"))
+        pad = (size - n * cell) / 2
+        xs = [pad + t * cell for t in range(n + 1)]  # X(t); Y(t) = size - X(t)
+
+        (polygon,) = root.iter(SVG + "polygon")
+        points = [tuple(map(float, pt.split(","))) for pt in polygon.get("points").split()]
+        corners = [reg.vertices[a] for a in ("A0", "A1", "A2", "A3")]
+        assert points == [(pytest.approx(pad + float(p) * cell, abs=0.05),
+                           pytest.approx(size - pad - float(q) * cell, abs=0.05))
+                          for p, q in corners]
+
+        (pattern,) = root.iter(SVG + "pattern")
+        assert pattern.get("patternUnits") == "userSpaceOnUse"
+        x0, y0, w, h = (float(pattern.get(a)) for a in ("x", "y", "width", "height"))
+        assert w == h == cell
+        (tile,) = pattern
+        a, height, b, width = map(float, re.fullmatch(r"M (\S+) 0 V (\S+) M 0 (\S+) H (\S+)",
+                                                      tile.get("d")).groups())
+        assert height == h and width == w
+        # the cross runs through the tile, not along its edge, where it would be clipped
+        assert 0 < a < w and 0 < b < h
+
+        def lines(origin, period):
+            first = -int((origin - xs[0]) // period)
+            return [origin + k * period for k in range(first - 1, first + n + 2)
+                    if xs[0] <= origin + k * period <= xs[-1]]
+
+        assert lines(x0 + a, w) == xs
+        assert lines(y0 + b, h) == xs
+
+        # the pattern fills exactly the n x n square, whose stroke is the outer border
+        (area,) = (e for e in root if e.tag == SVG + "path")
+        assert area.get("fill") == "url(#grid)" and area.get("stroke") == "#ddd"
+        corners = re.fullmatch(r"M (\S+) (\S+) H (\S+) V (\S+) H (\S+) Z", area.get("d"))
+        assert list(map(float, corners.groups())) == [xs[0], xs[0], xs[-1], xs[-1], xs[0]]
+
+    def test_drawing_order(self):
+        # rows, then grid, then quadrilateral, then markers
+        root = ElementTree.fromstring(region_svg(region(5, Fraction(1, 3))))
+        tags = [e.tag[len(SVG):] for e in root if e.tag != SVG + "defs"]
+        rects = tags.count("rect")
+        assert tags[:rects] == ["rect"] * rects
+        assert tags[rects:rects + 2] == ["path", "polygon"]
+        assert set(tags[rects + 2:]) == {"circle", "text"}
